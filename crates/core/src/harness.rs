@@ -29,8 +29,11 @@ pub struct MeasureSpec {
     pub warmup_cycles: u64,
     /// Cycles recorded.
     pub record_cycles: u64,
-    /// Pure-PDN settling steps at the workload's mean current before the
-    /// recorded window (kills the slow board/package modes cheaply).
+    /// Pure-PDN pre-settle length at the workload's mean current, before
+    /// warmup: the PDN starts warmup in the state `settle_cycles` RK4
+    /// steps reach (kills the slow board/package modes). The state is
+    /// computed in closed form by [`Transient::settle`], so the cost
+    /// does not grow with this number.
     pub settle_cycles: u64,
     /// Check the failure model while recording.
     pub check_failure: bool,

@@ -14,7 +14,9 @@ use audit_core::resilient::genome_key;
 use audit_core::{FitnessSpec, MeasurePolicy, MeasureSpec, MemJournal, ResilienceReport, Rig};
 use audit_cpu::isa::Opcode;
 use audit_fleet::{CampaignSpec, Fleet, FleetConfig};
-use audit_net::{run_worker, EvalContext, NetFaultPlan, WorkerOptions};
+use audit_net::{
+    read_frame, run_worker, write_frame, EvalContext, FrameOutcome, Msg, NetFaultPlan, WorkerOptions,
+};
 
 const GENOME_LEN: usize = 10;
 
@@ -554,6 +556,33 @@ fn status_and_metrics_describe_the_tenants() {
     for id in ids {
         pool.finish(id, true);
     }
+    manager.shutdown();
+    worker.join().unwrap().unwrap();
+}
+
+#[test]
+fn previous_protocol_worker_is_refused_at_the_front_door() {
+    // A v2 worker settles the PDN by stepping, so its fitness floats
+    // differ from a v3 worker's in the last bits. The front door must
+    // hang up on its hello instead of registering it with the pool.
+    let mut manager = Fleet::bind("127.0.0.1:0", FleetConfig::default()).unwrap();
+    let mut stale = std::net::TcpStream::connect(manager.addr()).unwrap();
+    // Bounded, so an accepted hello fails the test instead of hanging it.
+    stale.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write_frame(&mut stale, &Msg::Hello { protocol: 2 }.to_json()).unwrap();
+    assert!(
+        matches!(read_frame(&mut stale), Ok(FrameOutcome::Eof)),
+        "a v2 hello must be answered by a hang-up"
+    );
+    let metrics = audit_fleet::scrape(manager.addr()).unwrap();
+    assert!(
+        metrics.lines().any(|l| l == "audit_fleet_workers 0"),
+        "the refused worker was registered:\n{metrics}"
+    );
+    // Control: a current worker on the same listener joins.
+    let addr = manager.addr().to_string();
+    let worker = std::thread::spawn(move || run_worker(&addr, &WorkerOptions::default()));
+    manager.wait_for_workers(1).unwrap();
     manager.shutdown();
     worker.join().unwrap().unwrap();
 }

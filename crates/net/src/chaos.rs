@@ -28,7 +28,7 @@
 //! * **dup** — the frame arrives twice; the duplicate must be rejected
 //!   by `(key, attempt)` accounting with no double count.
 //! * **corrupt** — a payload bit flips in transit; the CRC32 trailer
-//!   (frame protocol v2) catches it and the frame is discarded.
+//!   (frame protocol v2 and later) catches it and the frame is discarded.
 //! * **stall** — the worker holding the job goes silent; the liveness
 //!   layer (`heartbeat` / `dead_after`) declares it dead and
 //!   re-dispatches its jobs.

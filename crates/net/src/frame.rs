@@ -1,6 +1,6 @@
 //! Length-prefixed, checksummed JSON frames.
 //!
-//! One frame (protocol v2) is a 4-byte big-endian payload length,
+//! One frame (protocol v2 and later) is a 4-byte big-endian payload length,
 //! that many bytes of UTF-8 JSON (the hand-rolled
 //! [`audit_measure::json`] codec — byte-deterministic, no external
 //! dependencies), and a 4-byte big-endian CRC32 (IEEE) trailer over the

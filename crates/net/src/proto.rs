@@ -33,8 +33,12 @@ use audit_measure::json::JsonValue;
 /// History: v1 was plain length-prefixed frames; v2 added the CRC32
 /// trailer on every frame (see [`crate::frame`]), so a v1 peer cannot
 /// even parse a v2 stream — the version bump makes the mismatch a clean
-/// handshake rejection instead of a garbled-frame error.
-pub const PROTOCOL_VERSION: u64 = 2;
+/// handshake rejection instead of a garbled-frame error. v3 keeps the
+/// v2 frames but workers pre-settle the PDN in closed form, so their
+/// fitness floats differ from a v2 worker's in the last bits; mixing
+/// the two would make journal bytes depend on which worker ran a job
+/// (and trip cross-validation), so a v2 worker is refused.
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq)]

@@ -680,3 +680,36 @@ fn replayed_duplicate_result_is_ignored_with_accounting_unchanged() {
     let answered = replayer.join().unwrap();
     assert_eq!(answered, population.len(), "every job answered exactly once");
 }
+
+#[test]
+fn previous_protocol_worker_is_refused_at_handshake() {
+    // A v2 worker settles the PDN by stepping, so its fitness floats
+    // differ from a v3 worker's in the last bits. The broker must close
+    // the connection before sending Setup rather than let it evaluate.
+    let mut broker = Broker::bind(
+        "127.0.0.1:0",
+        &ctx(fspec(MeasurePolicy::disabled())),
+        BrokerConfig::default(),
+    )
+    .unwrap();
+    let mut stale = std::net::TcpStream::connect(broker.addr()).unwrap();
+    // Bounded, so an accepted hello fails the test instead of hanging it.
+    stale.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write_frame(&mut stale, &Msg::Hello { protocol: 2 }.to_json()).unwrap();
+    assert!(
+        matches!(read_frame(&mut stale), Ok(FrameOutcome::Eof)),
+        "a v2 hello must be answered by a hang-up"
+    );
+    // Control: a current worker on the same listener gets its Setup.
+    let mut current = connect(broker.addr()).unwrap();
+    let hello = Msg::Hello {
+        protocol: PROTOCOL_VERSION,
+    };
+    write_frame(&mut current, &hello.to_json()).unwrap();
+    match read_frame(&mut current).unwrap() {
+        FrameOutcome::Frame(v) => assert!(matches!(Msg::from_json(&v), Ok(Msg::Setup { .. }))),
+        other => panic!("expected setup, got {other:?}"),
+    }
+    broker.wait_for_workers(1).unwrap();
+    broker.shutdown();
+}

