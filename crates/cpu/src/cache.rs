@@ -90,10 +90,15 @@ impl CacheConfig {
 }
 
 /// One cache level with true-LRU replacement.
+///
+/// The tag array is allocated on the first [`Cache::access`]: only
+/// strided loads reach the caches, so most cores never pay for (or
+/// clone) their megabyte of tags.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// `tags[set * ways + way]`, most-recent at way 0.
+    /// `tags[set * ways + way]`, most-recent at way 0; empty until the
+    /// first access.
     tags: Vec<Option<u64>>,
     hits: u64,
     misses: u64,
@@ -104,7 +109,7 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         Cache {
             cfg,
-            tags: vec![None; (cfg.sets * cfg.ways) as usize],
+            tags: Vec::new(),
             hits: 0,
             misses: 0,
         }
@@ -121,6 +126,9 @@ impl Cache {
         let set = (line % self.cfg.sets as u64) as usize;
         let tag = line / self.cfg.sets as u64;
         let ways = self.cfg.ways as usize;
+        if self.tags.is_empty() {
+            self.tags = vec![None; (self.cfg.sets * self.cfg.ways) as usize];
+        }
         let base = set * ways;
         let slots = &mut self.tags[base..base + ways];
 
@@ -292,6 +300,31 @@ mod tests {
             h.access(i * 64);
         }
         assert_eq!(h.access(0x0), MemLevel::L2);
+    }
+
+    #[test]
+    fn clone_of_untouched_hierarchy_behaves_like_the_original() {
+        // Tags are allocated on first access; a clone taken before then
+        // (as the harness's mean-current probe does) must fill its own.
+        let mut original =
+            Hierarchy::new(CacheConfig::l1d_bulldozer(), CacheConfig::l2_bulldozer());
+        let mut copy = original.clone();
+        // Two passes of a 32 B stride over 1 MB: cold lines come from
+        // memory, the second half of each line from L1, and the second
+        // pass finds every line in L2 only.
+        let walk = |h: &mut Hierarchy| -> Vec<MemLevel> {
+            (0..2 * 32_768u64)
+                .map(|i| h.access((i * 32) % (1 << 20)))
+                .collect()
+        };
+        let levels = walk(&mut original);
+        assert_eq!(levels, walk(&mut copy));
+        for level in [MemLevel::L1, MemLevel::L2, MemLevel::Memory] {
+            assert!(levels.contains(&level), "walk never reached {level:?}");
+        }
+        for (a, b) in [(original.l1(), copy.l1()), (original.l2(), copy.l2())] {
+            assert_eq!((a.hits(), a.misses()), (b.hits(), b.misses()));
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use audit_error::AuditError;
 
 use crate::config::{ChipConfig, DidtLimiter};
 use crate::inst::Program;
-use crate::module_sim::ModuleSim;
+use crate::module_sim::{ModuleCycle, ModuleSim};
 use crate::placement::Placement;
 
 /// Per-cycle output of the chip — the sample handed to the PDN solver.
@@ -23,6 +23,14 @@ pub struct ChipCycle {
 }
 
 /// The chip simulator.
+///
+/// Modules share no state, so chip modules given equal loads — the same
+/// programs on the same cores at the same start offsets, as when one
+/// stressmark is replicated one thread per module — step identically.
+/// The chip keeps one [`ModuleSim`] per *distinct* module and steps each
+/// once per cycle; [`ChipSim::inject_stall`] gives a module its own copy
+/// before it diverges (copy-on-write). Results are bit-identical to
+/// stepping every module separately.
 ///
 /// # Example
 ///
@@ -43,7 +51,12 @@ pub struct ChipCycle {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChipSim {
-    modules: Vec<ModuleSim>,
+    /// One simulator per distinct module.
+    states: Vec<ModuleSim>,
+    /// This cycle's output of each entry of `states`.
+    state_cycles: Vec<ModuleCycle>,
+    /// Chip module `m` is simulated by `states[module_state[m]]`.
+    module_state: Vec<usize>,
     uncore_amps: f64,
     miss_amps: f64,
     now: u64,
@@ -108,9 +121,9 @@ impl ChipSim {
                 });
             }
         }
-        let mut modules: Vec<ModuleSim> = (0..config.modules)
-            .map(|_| ModuleSim::new(config.module, config.core, config.energy))
-            .collect();
+        // Each module's loads, `(core, program, start offset)` sorted by
+        // core: modules with equal loads share one simulator.
+        let mut loads: Vec<Vec<(u32, &Program, u64)>> = vec![Vec::new(); config.modules as usize];
         for ((&(m, c), program), &offset) in
             placement.slots().iter().zip(programs).zip(start_offsets)
         {
@@ -121,10 +134,31 @@ impl ChipSim {
                     format!("slot ({m}, {c}) does not exist on this chip"),
                 ));
             }
-            modules[m as usize].load(c, program, offset);
+            loads[m as usize].push((c, program, offset));
+        }
+        for module_loads in &mut loads {
+            module_loads.sort_by_key(|&(c, ..)| c);
+        }
+        let mut states = Vec::new();
+        let mut module_state: Vec<usize> = Vec::with_capacity(loads.len());
+        for (m, module_loads) in loads.iter().enumerate() {
+            let state = match loads[..m].iter().position(|l| l == module_loads) {
+                Some(earlier) => module_state[earlier],
+                None => {
+                    let mut sim = ModuleSim::new(config.module, config.core, config.energy);
+                    for &(c, program, offset) in module_loads {
+                        sim.load(c, program, offset);
+                    }
+                    states.push(sim);
+                    states.len() - 1
+                }
+            };
+            module_state.push(state);
         }
         Ok(ChipSim {
-            modules,
+            state_cycles: vec![ModuleCycle::default(); states.len()],
+            states,
+            module_state,
             uncore_amps: config.energy.uncore_amps,
             miss_amps: config.energy.miss_amps,
             now: 0,
@@ -142,12 +176,17 @@ impl ChipSim {
             Some(l) if self.now < self.throttle_until => l.fetch_cap,
             _ => u32::MAX,
         };
+        for (state, cycle) in self.states.iter_mut().zip(&mut self.state_cycles) {
+            *cycle = state.step_with_fetch_cap(self.now, fetch_cap);
+        }
+        // Fold in chip-module order, one term per module, exactly as if
+        // every module had been stepped on its own.
         let mut out = ChipCycle {
             amps: self.uncore_amps,
             ..ChipCycle::default()
         };
-        for m in &mut self.modules {
-            let mc = m.step_with_fetch_cap(self.now, fetch_cap);
+        for &state in &self.module_state {
+            let mc = self.state_cycles[state];
             out.amps += mc.amps + mc.misses as f64 * self.miss_amps;
             out.retired += mc.retired;
             out.fp_issued += mc.fp_issued;
@@ -191,10 +230,23 @@ impl ChipSim {
     /// Panics if `thread_idx` is out of range.
     pub fn inject_stall(&mut self, thread_idx: usize, cycles: u64) {
         let (m, c) = self.placement.slots()[thread_idx];
+        let m = m as usize;
+        let state = self.module_state[m];
+        if self.module_state.iter().filter(|&&s| s == state).count() > 1 {
+            // Shared with another module: diverge on a private copy.
+            self.states.push(self.states[state].clone());
+            self.state_cycles.push(ModuleCycle::default());
+            self.module_state[m] = self.states.len() - 1;
+        }
         let now = self.now;
-        self.modules[m as usize]
+        self.states[self.module_state[m]]
             .core_mut(c)
             .inject_stall(now, cycles);
+    }
+
+    /// The simulator of chip module `m`.
+    fn module(&self, m: u32) -> &ModuleSim {
+        &self.states[self.module_state[m as usize]]
     }
 
     /// Total instructions retired by thread `thread_idx` since load.
@@ -204,7 +256,7 @@ impl ChipSim {
     /// Panics if `thread_idx` is out of range.
     pub fn thread_retired(&self, thread_idx: usize) -> u64 {
         let (m, c) = self.placement.slots()[thread_idx];
-        self.modules[m as usize].core(c).retired_total()
+        self.module(m).core(c).retired_total()
     }
 
     /// Cumulative pipeline telemetry for thread `thread_idx`.
@@ -214,7 +266,7 @@ impl ChipSim {
     /// Panics if `thread_idx` is out of range.
     pub fn thread_telemetry(&self, thread_idx: usize) -> crate::core_sim::CoreTelemetry {
         let (m, c) = self.placement.slots()[thread_idx];
-        *self.modules[m as usize].core(c).telemetry()
+        *self.module(m).core(c).telemetry()
     }
 }
 

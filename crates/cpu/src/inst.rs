@@ -5,6 +5,8 @@
 //! executable representation can also express the synthetic SPEC/PARSEC
 //! workload models (cache misses, branch mispredicts, barrier waits).
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::isa::Opcode;
@@ -213,10 +215,39 @@ impl Inst {
 ///
 /// This is the unit AUDIT evaluates: the paper's stressmarks are short
 /// loops (tens of cycles — the resonance period) run for milliseconds.
+///
+/// The body is immutable and reference-counted, so cloning a program
+/// (one copy per thread, one per core load) does not copy it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(from = "ProgramRepr", into = "ProgramRepr")]
 pub struct Program {
     name: String,
+    body: Arc<Vec<Inst>>,
+}
+
+/// The serialized shape of a [`Program`]: the same fields, body inline.
+#[derive(Serialize, Deserialize)]
+struct ProgramRepr {
+    name: String,
     body: Vec<Inst>,
+}
+
+impl From<ProgramRepr> for Program {
+    fn from(repr: ProgramRepr) -> Self {
+        Program {
+            name: repr.name,
+            body: Arc::new(repr.body),
+        }
+    }
+}
+
+impl From<Program> for ProgramRepr {
+    fn from(program: Program) -> Self {
+        ProgramRepr {
+            name: program.name,
+            body: Arc::unwrap_or_clone(program.body),
+        }
+    }
 }
 
 impl Program {
@@ -229,7 +260,7 @@ impl Program {
         assert!(!body.is_empty(), "program body must not be empty");
         Program {
             name: name.into(),
-            body,
+            body: Arc::new(body),
         }
     }
 
@@ -271,11 +302,11 @@ impl Program {
 
     /// Returns a copy with `n` NOPs appended (used by dither padding).
     pub fn with_nop_padding(&self, n: usize) -> Program {
-        let mut body = self.body.clone();
+        let mut body = self.body.to_vec();
         body.extend(std::iter::repeat_n(Inst::new(Opcode::Nop), n));
         Program {
             name: format!("{}+pad{n}", self.name),
-            body,
+            body: Arc::new(body),
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the processor model.
 
-use audit_cpu::{ChipConfig, ChipSim, Inst, MemBehavior, Opcode, Program};
+use audit_cpu::{ChipConfig, ChipSim, DidtLimiter, Inst, MemBehavior, Opcode, Program};
 use proptest::prelude::*;
 
 /// Strategy producing an arbitrary (non-branch) instruction.
@@ -131,5 +131,64 @@ proptest! {
         let lo = avg(mk(0.0));
         let hi = avg(mk(1.0));
         prop_assert!(hi >= lo - 1e-9, "hi {hi} < lo {lo}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Modules given equal loads are simulated once; the chip must be
+    /// bit-identical to one where every thread's program differs (by
+    /// name only), so nothing is shared. Some threads start late, so
+    /// only part of the chip collapses, and a stall injected mid-run
+    /// makes one shared module diverge.
+    #[test]
+    fn collapsed_chip_matches_distinct_loads(
+        program in any_program(),
+        threads in 1u32..=8,
+        knobs in (any::<bool>(), any::<bool>(), any::<bool>()),
+        late in prop::collection::vec(any::<bool>(), 8..9),
+        stall in (0usize..8, 0u64..3_000, 1u64..400),
+    ) {
+        let (phenom, limiter, throttle) = knobs;
+        let (stall_thread, stall_at, stall_cycles) = stall;
+        let mut cfg = if phenom { ChipConfig::phenom() } else { ChipConfig::bulldozer() };
+        if limiter {
+            cfg = cfg.with_didt_limiter(DidtLimiter::default_tuning());
+        }
+        if throttle {
+            cfg = cfg.with_fpu_throttle(1);
+        }
+        let body: Vec<Inst> = program
+            .body()
+            .iter()
+            .copied()
+            .filter(|i| cfg.supports_fma || !i.opcode.props().needs_fma)
+            .collect();
+        prop_assume!(!body.is_empty());
+        let threads = threads.min(cfg.modules * cfg.module.cores);
+        let n = threads as usize;
+        let placement = cfg.spread_placement(threads).unwrap();
+        let offsets: Vec<u64> = late[..n].iter().map(|&l| if l { 37 } else { 0 }).collect();
+        let shared = vec![Program::new("prop", body.clone()); n];
+        let distinct: Vec<Program> =
+            (0..n).map(|i| Program::new(format!("prop{i}"), body.clone())).collect();
+        let mut a = ChipSim::with_start_offsets(&cfg, &placement, &shared, &offsets).unwrap();
+        let mut b = ChipSim::with_start_offsets(&cfg, &placement, &distinct, &offsets).unwrap();
+        for cycle in 0..3_000u64 {
+            if cycle == stall_at {
+                a.inject_stall(stall_thread % n, stall_cycles);
+                b.inject_stall(stall_thread % n, stall_cycles);
+            }
+            let (x, y) = (a.step(), b.step());
+            prop_assert_eq!(x.amps.to_bits(), y.amps.to_bits(), "amps at cycle {}", cycle);
+            prop_assert_eq!(x.max_path.to_bits(), y.max_path.to_bits(), "path at {}", cycle);
+            prop_assert_eq!((x.retired, x.fp_issued), (y.retired, y.fp_issued));
+        }
+        prop_assert_eq!(a.limiter_triggers(), b.limiter_triggers());
+        for t in 0..n {
+            prop_assert_eq!(a.thread_retired(t), b.thread_retired(t));
+            prop_assert_eq!(a.thread_telemetry(t), b.thread_telemetry(t));
+        }
     }
 }

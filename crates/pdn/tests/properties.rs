@@ -1,6 +1,7 @@
 //! Property-based tests for the PDN substrate.
 
 use audit_pdn::complex::{parallel, Complex};
+use audit_pdn::trapezoidal::TrapezoidalTransient;
 use audit_pdn::{ImpedanceSweep, LoadLine, PdnModel, Transient};
 use proptest::prelude::*;
 
@@ -144,6 +145,54 @@ proptest! {
         let dc = v_nom - amps * (pdn.total_series_resistance() + slope);
         prop_assert!(v.is_finite());
         prop_assert!((v - dc).abs() <= 1e-12, "limit {v} V vs DC {dc} V");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// RK4 (the simulation path) and implicit trapezoidal (SPICE's
+    /// method) agree on the physical observables of arbitrary
+    /// piecewise-constant load traces: worst droop and mean level. The
+    /// two treat the input differently at each edge (zero-order hold vs
+    /// trapezoidal averaging), so pointwise samples are not compared.
+    ///
+    /// Over 2000 cases of this generator the worst-droop disagreement
+    /// peaked at 3.3 % of the droop depth (6.8 mV on a 232 mV droop) and
+    /// the mean-level disagreement at 1.7 mV (a single 31-cycle
+    /// segment, where the first edge weighs most); the bounds below
+    /// leave 1.5× margin over both.
+    #[test]
+    fn rk4_and_trapezoidal_agree_on_random_traces(
+        phenom in any::<bool>(),
+        segments in prop::collection::vec((0.0f64..150.0, 1u64..65), 1..400),
+    ) {
+        let (pdn, clock) = if phenom {
+            (PdnModel::phenom_board(), 3.0e9)
+        } else {
+            (PdnModel::bulldozer_board(), 3.2e9)
+        };
+        let mut rk4 = Transient::new(&pdn, clock);
+        let mut trap = TrapezoidalTransient::new(&pdn, clock);
+        let (mut min_a, mut min_b) = (f64::INFINITY, f64::INFINITY);
+        let (mut sum_a, mut sum_b, mut n) = (0.0, 0.0, 0u64);
+        for &(amps, cycles) in &segments {
+            for _ in 0..cycles {
+                let (a, b) = (rk4.step(amps), trap.step(amps));
+                min_a = min_a.min(a);
+                min_b = min_b.min(b);
+                sum_a += a;
+                sum_b += b;
+                n += 1;
+            }
+        }
+        let depth = pdn.nominal_voltage() - min_a;
+        prop_assert!(
+            (min_a - min_b).abs() <= 0.05 * depth + 1e-4,
+            "worst droop: rk4 {min_a} V vs trapezoidal {min_b} V"
+        );
+        let mean = (sum_a - sum_b).abs() / n as f64;
+        prop_assert!(mean <= 2.5e-3, "mean level differs by {mean} V over {n} cycles");
     }
 }
 

@@ -70,6 +70,15 @@ AUDIT_FAST=0 cargo run --release -q -p audit-bench --bin table1_voltage_at_failu
     | diff -u crates/bench/tests/fixtures/table1.txt - \
     || { echo "Table I output drifted from crates/bench/tests/fixtures/table1.txt" >&2; exit 1; }
 
+echo "==> Fig. 9 gate (the droop survey matches the committed output)"
+# The full Fig. 9 run, ~20-35 s in release: 1T/2T/4T/8T aligned and
+# naturally skewed runs plus three GA campaigns. Same contract and
+# regeneration recipe as the Table I gate, with fig09_droop_survey and
+# crates/bench/tests/fixtures/fig09.txt.
+AUDIT_FAST=0 cargo run --release -q -p audit-bench --bin fig09_droop_survey \
+    | diff -u crates/bench/tests/fixtures/fig09.txt - \
+    || { echo "Fig. 9 output drifted from crates/bench/tests/fixtures/fig09.txt" >&2; exit 1; }
+
 echo "==> cascade perf gate (≥2x candidate throughput at a fixed sim budget)"
 # The ext_cascade_scaling bin asserts the thresholds itself — ≥2x
 # candidates/sec over full-sim-only, equal-or-better final droop on the
