@@ -991,9 +991,8 @@ impl Audit {
 ///
 /// [`FitnessSpec::evaluate_objectives`] is *the* fitness function: the
 /// in-process GA closure and the distributed worker both call it, which
-/// is what makes the two paths bit-identical by construction. The
-/// scalar [`FitnessSpec::evaluate`] wrapper survives as a deprecated
-/// 1-objective special case (the vector's primary axis).
+/// is what makes the two paths bit-identical by construction. A scalar
+/// fitness is its primary axis, [`Objectives::primary`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitnessSpec {
     /// Homogeneous thread count the candidate runs with.
@@ -1128,32 +1127,6 @@ impl FitnessSpec {
             .map(|m| (self.objectives_of(rig, m), ResilienceReport::default()))
             .collect()
     }
-
-    /// Scores one genome on `rig` as a single scalar — the primary
-    /// (first) axis of [`FitnessSpec::evaluate_objectives`]. With the
-    /// default droop-only objective set this is exactly the historical
-    /// scalar fitness.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `evaluate_objectives`; the scalar fitness is its primary axis"
-    )]
-    pub fn evaluate(&self, rig: &Rig, genome: &[Gene]) -> (f64, ResilienceReport) {
-        let (objs, delta) = self.evaluate_objectives(rig, genome);
-        (objs.primary(), delta)
-    }
-
-    /// Scores a chunk of genomes as scalars — the primary axis of
-    /// [`FitnessSpec::evaluate_objectives_batch`] per genome.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `evaluate_objectives_batch`; the scalar fitness is its primary axis"
-    )]
-    pub fn evaluate_batch(&self, rig: &Rig, genomes: &[&[Gene]]) -> Vec<(f64, ResilienceReport)> {
-        self.evaluate_objectives_batch(rig, genomes)
-            .into_iter()
-            .map(|(objs, delta)| (objs.primary(), delta))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -1214,62 +1187,6 @@ mod tests {
                 .collect()
         };
         assert_eq!(encode(&plain_sink), encode(&batch_sink));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_scalar_wrappers_pin_the_primary_axis() {
-        // The deprecated scalar API must stay exactly the primary axis
-        // of the objective vector until it is removed — callers
-        // migrating one at a time see bit-identical fitness.
-        use crate::ga::{CostFunction, Gene, ObjectiveSet};
-        use crate::harness::MeasureSpec;
-        use crate::resilient::MeasurePolicy;
-
-        let spec = FitnessSpec {
-            threads: 2,
-            sub_blocks: 2,
-            lp_slots: 2,
-            cost: CostFunction::MaxDroop,
-            spec: MeasureSpec {
-                warmup_cycles: 500,
-                record_cycles: 2_000,
-                settle_cycles: 30_000,
-                ..MeasureSpec::ga_eval()
-            },
-            policy: MeasurePolicy::disabled(),
-            objectives: ObjectiveSet::default(),
-        };
-        let rig = Rig::bulldozer();
-        let genomes: Vec<Vec<Gene>> = (0..3u8)
-            .map(|k| {
-                (0..8u8)
-                    .map(|slot| Gene {
-                        opcode: if slot % 2 == 0 {
-                            Opcode::SimdFma
-                        } else {
-                            Opcode::IAdd
-                        },
-                        dst: (slot + k) % 8,
-                        src1: 12,
-                        src2: 13,
-                        miss: false,
-                    })
-                    .collect()
-            })
-            .collect();
-        for genome in &genomes {
-            let (scalar, _) = spec.evaluate(&rig, genome);
-            let (objs, _) = spec.evaluate_objectives(&rig, genome);
-            assert_eq!(scalar.to_bits(), objs.primary().to_bits());
-        }
-        let refs: Vec<&[Gene]> = genomes.iter().map(Vec::as_slice).collect();
-        let scalars = spec.evaluate_batch(&rig, &refs);
-        let vectors = spec.evaluate_objectives_batch(&rig, &refs);
-        assert_eq!(scalars.len(), vectors.len());
-        for ((s, _), (v, _)) in scalars.iter().zip(&vectors) {
-            assert_eq!(s.to_bits(), v.primary().to_bits());
-        }
     }
 
     #[test]

@@ -1,28 +1,26 @@
 //! Multi-tenant campaign service for AUDIT (`audit fleet`).
 //!
-//! PR 5's broker runs exactly one GA campaign per process. This crate
+//! `audit serve` runs exactly one GA campaign per process. This crate
 //! turns that into a long-lived **campaign manager**: many concurrent
 //! GA campaigns share one worker fleet, scheduled by a deterministic
 //! weighted-round-robin arbiter, with worker-side eval caches that
 //! survive across campaigns and a scrapeable metrics endpoint.
 //!
-//! * [`scheduler`] — the pure fair-share arbiter ([`FairShare`]):
-//!   batch weighted round-robin over runnable campaigns, a
-//!   deterministic function of registration order, weights, and the
-//!   runnable predicate — never of wall-clock timing.
 //! * [`proto`] — the fleet control frames ([`FleetMsg`]): campaign
 //!   submission, acceptance, completion, and status, riding the same
 //!   CRC-checked frame layer as the worker protocol.
-//! * [`pool`] — the shared worker pool ([`Pool`]): one event-loop
-//!   thread owning every worker connection and every campaign's round
-//!   state, replicating the single-campaign broker's full defense
-//!   stack (content addressing, in-flight windows, dispatch leases,
-//!   retry/quarantine, cross-validation and eviction, per-campaign
-//!   write-ahead logs, deterministic chaos injection) per campaign.
-//! * [`service`] — the front door ([`Fleet`]): one listening socket
-//!   whose accept loop sniffs each connection's first frame — `hello`
-//!   is a worker, `submit`/`status` is a tenant client, `metrics_req`
-//!   is a scrape — and routes it accordingly.
+//! * [`service`] — the front door ([`Fleet`]): `audit_net`'s shared
+//!   listener and worker session, plus the tenant protocol for every
+//!   first frame that is not worker protocol (`submit`, `status`).
+//!
+//! The dispatch core itself — the worker pool ([`Pool`]), its
+//! per-campaign defense stack (content addressing, in-flight windows,
+//! dispatch leases, retry/quarantine, cross-validation and eviction,
+//! per-campaign write-ahead logs, deterministic chaos injection) and
+//! the fair-share arbiter ([`FairShare`]) — lives in
+//! [`audit_net::pool`] and [`audit_net::scheduler`], where it also
+//! serves `audit serve` as a one-campaign pool. It is re-exported here
+//! so fleet callers need one import.
 //!
 //! # Multi-tenant determinism contract
 //!
@@ -31,7 +29,7 @@
 //! matter how many other campaigns share the fleet, how the arbiter
 //! interleaves them, how many workers serve them, or which
 //! worker-side cache entries happen to hit. The argument is the same
-//! as the single-campaign broker's, per campaign: jobs are
+//! as for `audit serve`, per campaign: jobs are
 //! content-addressed, evaluation is deterministic per genome, the
 //! engine sorts scores into slot order, and resilience deltas merge
 //! order-insensitively — so scheduling (now including co-tenant
@@ -45,12 +43,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod pool;
 pub mod proto;
-pub mod scheduler;
 pub mod service;
 
-pub use pool::{CampaignDispatcher, CampaignSpec, FleetConfig, Pool, PoolHandle};
+pub use audit_net::pool::{CampaignDispatcher, CampaignSpec, FleetConfig, Pool, PoolHandle};
+pub use audit_net::scheduler::FairShare;
 pub use proto::FleetMsg;
-pub use scheduler::FairShare;
 pub use service::{scrape, status, submit, Fleet, Submission};

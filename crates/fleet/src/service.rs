@@ -1,36 +1,35 @@
-//! The fleet front door: one socket, three kinds of peer.
+//! The fleet front door: campaign submission and status on top of the
+//! shared dispatch core.
 //!
-//! [`Fleet::bind`] opens a single listening socket and sorts each
-//! connection by its first frame's `kind`:
+//! [`Fleet::bind`] starts a [`Pool`] and opens an
+//! [`audit_net::FrontDoor`] for it — the same listener, session routing
+//! and worker handshake that `audit serve` uses. Workers (`audit work`,
+//! byte-for-byte the same binary) and `metrics_req` scrapes are served
+//! by the door itself; this module adds the tenant protocol
+//! ([`FleetMsg`]) for every other first frame:
 //!
-//! * `hello` — a worker (`audit work`, byte-for-byte the same binary
-//!   that serves a single-campaign broker). Its writer half goes to the
-//!   pool thread; its reader half pumps results in. Unlike the broker,
-//!   no `Setup` is sent at handshake — the pool binds the worker to a
-//!   campaign's context lazily, at its first dispatch.
-//! * `submit` / `status` — a tenant client ([`FleetMsg`]). Submissions
-//!   surface through [`Fleet::next_submission`]; the caller (the CLI's
-//!   `fleet serve`) registers the campaign, runs it, and answers on the
-//!   held connection via [`Submission::respond_accepted`] and
+//! * `submit` — a campaign submission. It surfaces through
+//!   [`Fleet::next_submission`]; the caller (the CLI's `fleet serve`)
+//!   registers the campaign, runs it, and answers on the held
+//!   connection via [`Submission::respond_accepted`] and
 //!   [`Submission::finish`].
-//! * `metrics_req` — a scrape. It gets one plain-text
-//!   [`Msg::Metrics`] snapshot and the socket closes.
+//! * `status` — one plain-text status report, then the socket closes.
 //!
 //! The matching client sides are the free functions [`submit`],
 //! [`status`], and [`scrape`].
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use audit_error::AuditError;
 use audit_measure::json::JsonValue;
 use audit_net::frame::{read_frame, write_frame, FrameOutcome};
-use audit_net::proto::{Msg, PROTOCOL_VERSION};
-use audit_net::transport::{connect, Conn, Listener};
+use audit_net::pool::{FleetConfig, Pool, PoolHandle};
+use audit_net::proto::Msg;
+use audit_net::transport::{connect, Conn};
+use audit_net::{FrontDoor, ScrapeFamily};
 
-use crate::pool::{FleetConfig, Pool, PoolHandle, PoolMsg};
 use crate::proto::FleetMsg;
 
 /// A campaign submission pulled off the socket, with the tenant's
@@ -71,15 +70,11 @@ impl Submission {
     }
 }
 
-/// The running campaign manager: listener, accept loop, worker pool.
+/// The running campaign manager: the front door (and the worker pool
+/// it owns) plus the submission queue.
 pub struct Fleet {
-    addr: String,
-    pool: Pool,
-    handle: PoolHandle,
+    door: FrontDoor,
     submissions: Receiver<Submission>,
-    stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<Conn>>>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Fleet {
@@ -90,40 +85,28 @@ impl Fleet {
     ///
     /// Returns [`AuditError::Io`] if the address cannot be bound.
     pub fn bind(addr: &str, cfg: FleetConfig) -> Result<Fleet, AuditError> {
-        let listener = Listener::bind(addr).map_err(|e| AuditError::io(addr, &e))?;
-        let bound = listener.local_addr_string();
-        set_nonblocking(&listener).map_err(|e| AuditError::io(addr, &e))?;
-        let pool = Pool::start(cfg);
-        let handle = pool.handle();
+        let pool = Pool::start(cfg, ScrapeFamily::FLEET);
+        let tenant_pool = pool.handle();
         let (sub_tx, submissions) = channel();
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns = Arc::new(Mutex::new(Vec::new()));
-        let accept_stop = Arc::clone(&stop);
-        let accept_conns = Arc::clone(&conns);
-        let accept_pool = handle.clone();
-        let accept_thread = std::thread::spawn(move || {
-            accept_loop(&listener, &accept_pool, &sub_tx, &accept_stop, &accept_conns);
-        });
-        Ok(Fleet {
-            addr: bound,
+        let door = FrontDoor::open(
+            addr,
             pool,
-            handle,
-            submissions,
-            stop,
-            conns,
-            accept_thread: Some(accept_thread),
-        })
+            Some(Arc::new(move |first, conn| {
+                tenant_session(&first, conn, &tenant_pool, &sub_tx);
+            })),
+        )?;
+        Ok(Fleet { door, submissions })
     }
 
     /// The bound address in connectable form (`:0` resolved).
     pub fn addr(&self) -> &str {
-        &self.addr
+        self.door.addr()
     }
 
     /// A clonable handle into the worker pool (campaign registration,
     /// dispatchers, metrics).
     pub fn handle(&self) -> PoolHandle {
-        self.handle.clone()
+        self.door.handle()
     }
 
     /// Blocks until at least `n` workers are connected.
@@ -132,7 +115,7 @@ impl Fleet {
     ///
     /// Returns [`AuditError::Io`] if the pool thread has died.
     pub fn wait_for_workers(&self, n: usize) -> Result<(), AuditError> {
-        self.handle.wait_for_workers(n)
+        self.door.handle().wait_for_workers(n)
     }
 
     /// Waits up to `timeout` for the next campaign submission.
@@ -146,7 +129,7 @@ impl Fleet {
     ///
     /// Returns [`AuditError::Io`] if the pool thread has died.
     pub fn metrics_text(&self) -> Result<String, AuditError> {
-        self.handle.metrics_text()
+        self.door.handle().metrics_text()
     }
 
     /// The plain-text status report (what [`status`] returns remotely).
@@ -155,28 +138,14 @@ impl Fleet {
     ///
     /// Returns [`AuditError::Io`] if the pool thread has died.
     pub fn status_text(&self) -> Result<String, AuditError> {
-        self.handle.status_text()
+        self.door.handle().status_text()
     }
 
     /// Stops accepting, releases every connection (workers get a
     /// `Shutdown` frame), and joins the pool thread. Called
     /// automatically on drop.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Join the accept loop before draining the registry, so a peer
-        // connecting during shutdown is registered and released too.
-        if let Some(handle) = self.accept_thread.take() {
-            handle.join().ok();
-        }
-        self.pool.shutdown();
-        let shutdown_frame = Msg::Shutdown.to_json();
-        if let Ok(mut conns) = self.conns.lock() {
-            for conn in conns.iter_mut() {
-                write_frame(conn, &shutdown_frame).ok();
-                conn.shutdown();
-            }
-            conns.clear();
-        }
+        self.door.close();
     }
 }
 
@@ -186,86 +155,27 @@ impl Drop for Fleet {
     }
 }
 
-fn set_nonblocking(listener: &Listener) -> std::io::Result<()> {
-    match listener {
-        Listener::Tcp(l) => l.set_nonblocking(true),
-        #[cfg(unix)]
-        Listener::Unix(l) => l.set_nonblocking(true),
-    }
-}
-
-/// Polls for connections until told to stop; each accepted socket gets
-/// a sniff/session thread.
-fn accept_loop(
-    listener: &Listener,
+/// Serves one tenant connection (a first frame the worker protocol
+/// does not know): a status request or a campaign submission.
+fn tenant_session(
+    first: &JsonValue,
+    mut conn: Conn,
     pool: &PoolHandle,
     submissions: &Sender<Submission>,
-    stop: &AtomicBool,
-    conns: &Mutex<Vec<Conn>>,
 ) {
-    let ids = AtomicUsize::new(0);
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(conn) => {
-                if let Ok(clone) = conn.try_clone() {
-                    if let Ok(mut registry) = conns.lock() {
-                        registry.push(clone);
-                    }
-                }
-                let worker = ids.fetch_add(1, Ordering::SeqCst) as u64;
-                let pool = pool.clone();
-                let submissions = submissions.clone();
-                std::thread::spawn(move || session(conn, worker, &pool, &submissions));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(100)),
-        }
-    }
-}
-
-/// Reads a connection's first frame and routes it: worker handshake,
-/// tenant request, or scrape.
-fn session(mut conn: Conn, worker: u64, pool: &PoolHandle, submissions: &Sender<Submission>) {
-    let first = match read_frame(&mut conn) {
-        Ok(FrameOutcome::Frame(v)) => v,
-        _ => {
-            conn.shutdown();
-            return;
-        }
-    };
-    match first.get("kind").and_then(JsonValue::as_str) {
-        Some("hello") => worker_session(conn, worker, &first, pool),
-        Some("metrics_req") => {
-            let (reply, rx) = channel();
-            if pool.send(PoolMsg::MetricsText { reply }) {
-                if let Ok(text) = rx.recv() {
-                    write_frame(&mut conn, &Msg::Metrics { text }.to_json()).ok();
-                }
+    match FleetMsg::from_json(first) {
+        Ok(FleetMsg::StatusReq) => {
+            if let Ok(text) = pool.status_text() {
+                write_frame(&mut conn, &FleetMsg::Status { text }.to_json()).ok();
             }
             conn.shutdown();
         }
-        Some("status") => {
-            let (reply, rx) = channel();
-            if pool.send(PoolMsg::StatusText { reply }) {
-                if let Ok(text) = rx.recv() {
-                    write_frame(&mut conn, &FleetMsg::Status { text }.to_json()).ok();
-                }
-            }
-            conn.shutdown();
-        }
-        Some("submit") => {
-            let Ok(FleetMsg::Submit {
-                argv,
-                checkpoint,
-                weight,
-                resume,
-            }) = FleetMsg::from_json(&first)
-            else {
-                conn.shutdown();
-                return;
-            };
+        Ok(FleetMsg::Submit {
+            argv,
+            checkpoint,
+            weight,
+            resume,
+        }) => {
             // The connection rides along: the serve loop answers on it
             // when the campaign is accepted and again when it finishes.
             submissions
@@ -280,61 +190,6 @@ fn session(mut conn: Conn, worker: u64, pool: &PoolHandle, submissions: &Sender<
         }
         _ => conn.shutdown(),
     }
-}
-
-/// Completes a worker handshake and pumps its frames into the pool
-/// until the stream ends.
-fn worker_session(mut conn: Conn, worker: u64, first: &JsonValue, pool: &PoolHandle) {
-    match Msg::from_json(first) {
-        Ok(Msg::Hello { protocol }) if protocol == PROTOCOL_VERSION => {}
-        _ => {
-            conn.shutdown();
-            return;
-        }
-    }
-    let Ok(writer) = conn.try_clone() else {
-        conn.shutdown();
-        return;
-    };
-    if !pool.send(PoolMsg::Joined { worker, writer }) {
-        return;
-    }
-    // Clean EOF, a torn tail, or a read error ends the session and
-    // reports the worker lost; a CRC-rejected frame is dropped and the
-    // stream stays alive (the dispatch lease re-issues whatever it
-    // carried).
-    loop {
-        let v = match read_frame(&mut conn) {
-            Ok(FrameOutcome::Frame(v)) => v,
-            Ok(FrameOutcome::Corrupt) => continue,
-            _ => break,
-        };
-        match Msg::from_json(&v) {
-            Ok(Msg::Result {
-                id,
-                objectives,
-                resilience,
-                cached,
-            }) => {
-                if !pool.send(PoolMsg::Result {
-                    worker,
-                    id,
-                    objectives,
-                    resilience,
-                    cached,
-                }) {
-                    return;
-                }
-            }
-            Ok(Msg::Pong | Msg::Ping) => {
-                if !pool.send(PoolMsg::Pong { worker }) {
-                    return;
-                }
-            }
-            _ => break,
-        }
-    }
-    pool.send(PoolMsg::Lost { worker });
 }
 
 /// Reads one frame, treating EOF and corruption as errors — the client

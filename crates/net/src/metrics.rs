@@ -1,4 +1,5 @@
-//! Scrapeable serving metrics for the broker (and the fleet manager).
+//! Scrapeable serving metrics for the dispatch pool behind `audit serve`
+//! and `audit fleet serve`.
 //!
 //! Any peer may connect to a serving address and send one
 //! [`crate::proto::Msg::MetricsReq`] frame as its *first* frame; the
@@ -6,8 +7,8 @@
 //! a plain-text snapshot and closes the connection. The text is the
 //! conventional line-oriented scrape format (`name{label="x"} value`,
 //! one sample per line, `#`-prefixed comments), so standard collectors
-//! can ingest it with a trivial exporter — and `audit fleet status
-//! --metrics` prints it verbatim.
+//! can ingest it with a trivial exporter — and `audit fleet metrics
+//! --connect` prints it verbatim, from either front door.
 //!
 //! Metrics are observability only: no counter here ever feeds back into
 //! scheduling or results, so scraping (or not) cannot perturb a run.
@@ -68,16 +69,43 @@ impl Scrape {
     }
 }
 
-/// Shared atomic counters for a single-campaign `audit serve` broker —
-/// a fleet of one. The broker thread increments; any connection thread
-/// answering a [`crate::proto::Msg::MetricsReq`] renders a snapshot.
+/// The names one front door's scrape is published under: its header
+/// comment and the prefix of every sample.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScrapeFamily {
+    /// The `# …` header line's text.
+    pub title: &'static str,
+    /// Prefix of every sample name (`{prefix}_dispatches_total`, …).
+    pub prefix: &'static str,
+}
+
+impl ScrapeFamily {
+    /// `audit serve`: a one-campaign pool, scraped as `audit_*`.
+    pub const SERVE: ScrapeFamily = ScrapeFamily {
+        title: "audit serve metrics",
+        prefix: "audit",
+    };
+    /// `audit fleet serve`: the multi-tenant pool, scraped as
+    /// `audit_fleet_*`.
+    pub const FLEET: ScrapeFamily = ScrapeFamily {
+        title: "audit fleet metrics",
+        prefix: "audit_fleet",
+    };
+}
+
+/// The dispatch pool's shared atomic counters. The pool thread
+/// updates them; the scrape renders them, and a pool's owner may read
+/// them directly (see [`crate::PoolHandle::metrics`]).
 #[derive(Debug, Default)]
 pub struct ServeMetrics {
     /// Workers currently connected (post-handshake).
     pub workers: AtomicU64,
+    /// Campaigns currently registered.
+    pub campaigns: AtomicU64,
     /// `Eval` frames dispatched (including re-dispatches).
     pub dispatches: AtomicU64,
-    /// Results admitted and settled.
+    /// Result frames admitted for a live dispatch (a cross-validated
+    /// job admits one per copy).
     pub results: AtomicU64,
     /// Results a worker answered from its cross-campaign cache.
     pub cache_hits: AtomicU64,
@@ -85,7 +113,7 @@ pub struct ServeMetrics {
     pub quarantined: AtomicU64,
     /// Workers evicted by cross-validation.
     pub evictions: AtomicU64,
-    /// Jobs queued but not yet dispatched (gauge, updated per round).
+    /// Jobs queued but not yet dispatched, across every campaign.
     pub queue_depth: AtomicU64,
 }
 
@@ -105,19 +133,26 @@ impl ServeMetrics {
         counter.store(n, Ordering::Relaxed);
     }
 
-    /// Renders the scrape snapshot.
-    pub fn render(&self) -> String {
+    /// Starts a scrape snapshot under `family`: the header line and
+    /// every total, ready for the pool's per-worker and per-campaign
+    /// rows.
+    pub fn scrape(&self, family: &ScrapeFamily) -> Scrape {
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let mut s = Scrape::new();
-        s.comment("audit serve metrics");
-        s.sample("audit_workers", get(&self.workers));
-        s.sample("audit_dispatches_total", get(&self.dispatches));
-        s.sample("audit_results_total", get(&self.results));
-        s.sample("audit_cache_hits_total", get(&self.cache_hits));
-        s.sample("audit_quarantined_total", get(&self.quarantined));
-        s.sample("audit_worker_evictions_total", get(&self.evictions));
-        s.sample("audit_queue_depth", get(&self.queue_depth));
-        s.render()
+        s.comment(family.title);
+        for (name, counter) in [
+            ("workers", &self.workers),
+            ("campaigns", &self.campaigns),
+            ("dispatches_total", &self.dispatches),
+            ("results_total", &self.results),
+            ("cache_hits_total", &self.cache_hits),
+            ("quarantined_total", &self.quarantined),
+            ("worker_evictions_total", &self.evictions),
+            ("queue_depth", &self.queue_depth),
+        ] {
+            s.sample(&format!("{}_{name}", family.prefix), get(counter));
+        }
+        s
     }
 }
 
@@ -143,7 +178,8 @@ mod tests {
         ServeMetrics::add(&m.dispatches, 5);
         ServeMetrics::add(&m.results, 4);
         ServeMetrics::set(&m.queue_depth, 2);
-        let text = m.render();
+        let text = m.scrape(&ScrapeFamily::SERVE).render();
+        assert!(text.starts_with("# audit serve metrics\n"));
         assert!(text.contains("audit_dispatches_total 5"));
         assert!(text.contains("audit_results_total 4"));
         assert!(text.contains("audit_queue_depth 2"));
@@ -151,5 +187,11 @@ mod tests {
         assert!(text.contains("audit_cache_hits_total 0"));
         assert!(text.contains("audit_quarantined_total 0"));
         assert!(text.contains("audit_worker_evictions_total 0"));
+        assert!(text.contains("audit_campaigns 0"));
+        // The fleet family renders the same counters under its prefix.
+        let fleet = m.scrape(&ScrapeFamily::FLEET).render();
+        assert!(fleet.starts_with("# audit fleet metrics\n"));
+        assert!(fleet.contains("audit_fleet_dispatches_total 5"));
+        assert!(fleet.contains("audit_fleet_queue_depth 2"));
     }
 }

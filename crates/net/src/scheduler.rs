@@ -65,11 +65,6 @@ impl FairShare {
         }
     }
 
-    /// Registered campaign ids, in registration order.
-    pub fn ids(&self) -> Vec<u64> {
-        self.entries.iter().map(|e| e.id).collect()
-    }
-
     /// Grants the next dispatch to a runnable campaign, or `None` when
     /// no registered campaign is runnable. `runnable` is consulted for
     /// each candidate; a campaign with queued work and worker capacity

@@ -1,5 +1,5 @@
-//! The dispatch write-ahead log shared by the single-campaign
-//! [`crate::broker::Broker`] and the multi-campaign `audit-fleet` pool.
+//! The dispatch write-ahead log: one per campaign of the dispatch pool
+//! ([`crate::pool`]), whether `audit serve`'s one or a fleet's many.
 //!
 //! The WAL is NDJSON next to the run journal (`<checkpoint>.wal`),
 //! appended and flushed per record. `dispatch` records are written

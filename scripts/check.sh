@@ -39,10 +39,10 @@ echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items
 
 echo "==> cargo clippy (warnings are errors; deprecated calls are errors)"
-# `-D deprecated` keeps the workspace off the deprecated scalar
-# `FitnessSpec::evaluate`/`evaluate_batch` wrappers (and anything else
-# we deprecate later): internal callers must migrate, only the pinned
-# `#[allow(deprecated)]` equivalence test may touch them.
+# `-D deprecated` keeps the workspace off anything we deprecate: an
+# item marked `#[deprecated]` must lose its internal callers in the same
+# change, so the next one can delete it (as the scalar
+# `FitnessSpec::evaluate`/`evaluate_batch` wrappers were).
 cargo clippy --workspace --all-targets -- -D warnings -D deprecated
 
 echo "==> self-lint (every built-in program must be clean)"
@@ -183,6 +183,31 @@ cmp <(strip_wall "$smoke_dir/gen.ndjson") <(strip_wall "$smoke_dir/gen-killed.nd
 grep -F "$(grep 'best droop' "$smoke_dir/gen.out")" "$smoke_dir/gen-resumed.out" > /dev/null \
     || { echo "resumed faulty GA result drifted from the uninterrupted run" >&2; exit 1; }
 
+echo "==> live scrape of audit serve (shared front door, metrics before any worker)"
+# `audit serve` and `audit fleet serve` share one front door and one
+# dispatch pool. A scrape sent to a broker still waiting for its first
+# worker is routed by its first frame to the pool's counters. One worker
+# then releases the broker, and its journal joins the byte comparison
+# in the distributed smoke below.
+ssock="$smoke_dir/scrape.sock"
+"${audit[@]}" serve --fast --threads 2 --seed 3 --listen "unix:$ssock" \
+    --min-workers 1 --checkpoint "$smoke_dir/dist1.ndjson" > "$smoke_dir/dist1.out" &
+serve_pid=$!
+scrape=""
+for _ in $(seq 1 100); do
+    scrape=$("${audit[@]}" fleet metrics --connect "unix:$ssock" 2>/dev/null) && break
+    sleep 0.1
+done
+if ! grep -qx "audit_workers 0" <<< "$scrape" || ! grep -qx "audit_queue_depth 0" <<< "$scrape"; then
+    echo "audit serve scrape lacks the idle counters:" >&2
+    echo "$scrape" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+fi
+"${audit[@]}" work --connect "unix:$ssock" > "$smoke_dir/w0.out" 2>&1 \
+    || { echo "the scrape smoke's worker exited non-zero" >&2; exit 1; }
+wait "$serve_pid" || { echo "audit serve with one worker failed" >&2; exit 1; }
+
 echo "==> distributed smoke (broker + 2 workers, byte-identical journal)"
 # The same tiny generate, once in-process and once through the
 # audit-net broker with two worker processes over a Unix socket. The
@@ -201,6 +226,8 @@ wait "$w1" "$w2" \
     --checkpoint "$smoke_dir/dist-local.ndjson" > "$smoke_dir/dist-local.out"
 cmp <(strip_wall "$smoke_dir/dist.ndjson") <(strip_wall "$smoke_dir/dist-local.ndjson") \
     || { echo "distributed journal drifted from the in-process run (beyond wall_s)" >&2; exit 1; }
+cmp <(strip_wall "$smoke_dir/dist1.ndjson") <(strip_wall "$smoke_dir/dist-local.ndjson") \
+    || { echo "one-worker journal drifted from the in-process run (beyond wall_s)" >&2; exit 1; }
 [[ -e "$smoke_dir/dist.ndjson.wal" ]] \
     && { echo "broker left its write-ahead log behind after a clean finish" >&2; exit 1; }
 
