@@ -8,6 +8,7 @@
 
 use audit_bench::{banner, emit, fast_mode, rig};
 use audit_core::ga::{self, CostFunction, GaConfig, Gene};
+use audit_core::journal::NullSink;
 use audit_core::report::{mv, Table};
 use audit_core::{resonance, MeasureSpec};
 use audit_stressmark::{manual, Kernel};
@@ -52,7 +53,9 @@ fn main() {
         &seeds,
         &[],
         fitness,
-    );
+        &mut NullSink,
+    )
+    .expect("convergence study runs");
 
     let mut t = Table::new(vec![
         "seed",

@@ -101,7 +101,7 @@ fn distributed_run(spec: &FitnessSpec, cfg: &GaConfig, workers: usize) -> (GaRun
         .collect();
     broker.wait_for_workers(workers).expect("workers join");
     let mut mem = MemJournal::default();
-    let run = ga::evolve_journaled_dispatched(
+    let run = ga::run(
         cfg,
         &Opcode::stress_menu(),
         GENOME_LEN,

@@ -165,7 +165,7 @@ fn broker_run(spec: &FitnessSpec, cfg: &GaConfig) -> (GaRun, MemJournal) {
         .collect();
     broker.wait_for_workers(WORKERS).expect("workers join");
     let mut mem = MemJournal::default();
-    let run = ga::evolve_journaled_dispatched(
+    let run = ga::run(
         cfg,
         &Opcode::stress_menu(),
         GENOME_LEN,
@@ -211,7 +211,7 @@ fn fleet_run(spec: &FitnessSpec, cfg: &GaConfig) -> (Vec<(GaRun, MemJournal)>, u
                     .expect("register campaign");
                 let mut dispatcher = pool.dispatcher(id);
                 let mut mem = MemJournal::default();
-                let run = ga::evolve_journaled_dispatched(
+                let run = ga::run(
                     &cfg,
                     &Opcode::stress_menu(),
                     GENOME_LEN,

@@ -234,7 +234,7 @@ USAGE:
 /// `audit resonance`.
 pub fn resonance(args: &Args) -> Result<(), ArgError> {
     let rig = platform::rig_from(args)?;
-    let threads = args.num_flag("--threads", 4usize)?;
+    let threads = platform::threads_from(args, &rig)?;
     let spec = platform::spec_from(args)?;
     args.reject_unknown()?;
 
@@ -285,43 +285,36 @@ fn generate_inner(args: &Args, distributed: bool) -> Result<(), ArgError> {
     args.reject_unknown()?;
 
     let audit = Audit::new(rig, opts);
-    let run = match (&checkpoint, &dist) {
-        (Some(path), _) => {
-            let mut writer =
-                JournalWriter::create(path, "generate", meta).map_err(core_err)?;
-            let run = match &dist {
-                Some(dist) => run_distributed(
-                    &audit,
-                    args,
-                    dist,
-                    threads,
-                    &kind,
-                    &mut writer,
-                    None,
-                    Some(path),
-                )?,
-                None => match kind.as_str() {
-                    "res" => audit.generate_resonant_journaled(threads, &mut writer),
-                    "ex" => audit.generate_excitation_journaled(threads, &mut writer),
-                    other => {
-                        return Err(ArgError(format!("unknown kind `{other}` (res | ex)")))
-                    }
-                }
-                .map_err(core_err)?,
-            };
-            writer.finish().map_err(core_err)?;
-            println!("checkpoint: {path} ({} records)", writer.len());
-            run
-        }
-        (None, Some(dist)) => {
-            run_distributed(&audit, args, dist, threads, &kind, &mut NullSink, None, None)?
-        }
-        (None, None) => match kind.as_str() {
-            "res" => audit.generate_resonant(threads),
-            "ex" => audit.generate_excitation(threads),
-            other => return Err(ArgError(format!("unknown kind `{other}` (res | ex)"))),
-        },
+    let mut writer = match &checkpoint {
+        Some(path) => Some(JournalWriter::create(path, "generate", meta).map_err(core_err)?),
+        None => None,
     };
+    let sink: &mut dyn JournalSink = match writer.as_mut() {
+        Some(writer) => writer,
+        None => &mut NullSink,
+    };
+    let run = match &dist {
+        Some(dist) => run_distributed(
+            &audit,
+            args,
+            dist,
+            threads,
+            &kind,
+            sink,
+            None,
+            checkpoint.as_deref(),
+        )?,
+        None => match kind.as_str() {
+            "res" => audit.generate_resonant_journaled(threads, sink),
+            "ex" => audit.generate_excitation_journaled(threads, sink),
+            other => return Err(ArgError(format!("unknown kind `{other}` (res | ex)"))),
+        }
+        .map_err(core_err)?,
+    };
+    if let (Some(path), Some(writer)) = (&checkpoint, &mut writer) {
+        writer.finish().map_err(core_err)?;
+        println!("checkpoint: {path} ({} records)", writer.len());
+    }
     print_run(&run, out, save, iterations)
 }
 
@@ -534,7 +527,6 @@ fn run_distributed(
         println!("waiting for {} worker(s)…", dist.min_workers);
         broker.wait_for_workers(dist.min_workers).map_err(core_err)?;
     }
-    let ga_resume = resume.filter(|j| j.last_ga_section().is_some());
     let run = audit
         .evolve_dispatched(
             &name,
@@ -543,7 +535,7 @@ fn run_distributed(
             seed_miss_load,
             &mut broker,
             sink,
-            ga_resume,
+            resume,
         )
         .map_err(core_err)?;
     broker.discard_wal();
@@ -713,7 +705,7 @@ fn print_run(
 /// `audit measure`.
 pub fn measure(args: &Args) -> Result<(), ArgError> {
     let rig = platform::rig_from(args)?;
-    let threads = args.num_flag("--threads", 4usize)?;
+    let threads = platform::threads_from(args, &rig)?;
     let spec = platform::spec_from(args)?;
     let policy = platform::policy_from(args)?;
     let program = platform::program_from(args)?;
@@ -757,7 +749,7 @@ pub fn failure(args: &Args) -> Result<(), ArgError> {
         return resume_failure(args, &journal_path);
     }
     let rig = platform::rig_from(args)?;
-    let threads = args.num_flag("--threads", 4usize)?;
+    let threads = platform::threads_from(args, &rig)?;
     let spec = platform::spec_from(args)?;
     let policy = platform::policy_from(args)?;
     let program = platform::program_from(args)?;
@@ -808,7 +800,7 @@ fn resume_failure(args: &Args, journal_path: &str) -> Result<(), ArgError> {
         .ok_or_else(|| ArgError(format!("{journal_path}: journal has no run_start record")))?;
     let saved = platform::args_from_meta(meta)?;
     let rig = platform::rig_from(&saved)?;
-    let threads = saved.num_flag("--threads", 4usize)?;
+    let threads = platform::threads_from(&saved, &rig)?;
     let spec = platform::spec_from(&saved)?;
     let policy = platform::policy_from(&saved)?;
     let program = platform::program_from(&saved)?;
@@ -960,7 +952,7 @@ fn minimize_setup(args: &Args, input: &str) -> Result<(Program, MinimizeSearch, 
             .ok_or_else(|| ArgError(format!("{input}: journal has no run_start record")))?;
         let saved = platform::args_from_meta(meta)?;
         let rig = platform::rig_from(&saved)?;
-        let threads = saved.num_flag("--threads", 4usize)?;
+        let threads = platform::threads_from(&saved, &rig)?;
         let kind = saved.str_flag("--kind", "res");
         let opts = platform::options_from(&saved)?;
         let audit = Audit::new(rig.clone(), opts);
@@ -974,7 +966,7 @@ fn minimize_setup(args: &Args, input: &str) -> Result<(Program, MinimizeSearch, 
     } else {
         let program = progfile::parse(&text).map_err(|e| ArgError(format!("{input}: {e}")))?;
         let rig = platform::rig_from(args)?;
-        let threads = args.num_flag("--threads", 4usize)?;
+        let threads = platform::threads_from(args, &rig)?;
         (program, threads, rig)
     };
     let mut search = MinimizeSearch::new(threads, spec);
@@ -1023,7 +1015,7 @@ pub fn shmoo(args: &Args) -> Result<(), ArgError> {
         return resume_shmoo(args, &journal_path);
     }
     let rig = platform::rig_from(args)?;
-    let threads = args.num_flag("--threads", 4usize)?;
+    let threads = platform::threads_from(args, &rig)?;
     let spec = platform::spec_from(args)?;
     let policy = platform::policy_from(args)?;
     let program = platform::program_from(args)?;
@@ -1074,7 +1066,7 @@ fn resume_shmoo(args: &Args, journal_path: &str) -> Result<(), ArgError> {
         .ok_or_else(|| ArgError(format!("{journal_path}: journal has no run_start record")))?;
     let saved = platform::args_from_meta(meta)?;
     let rig = platform::rig_from(&saved)?;
-    let threads = saved.num_flag("--threads", 4usize)?;
+    let threads = platform::threads_from(&saved, &rig)?;
     let spec = platform::spec_from(&saved)?;
     let policy = platform::policy_from(&saved)?;
     let program = platform::program_from(&saved)?;

@@ -216,7 +216,6 @@ fn run_campaign_inner(
     println!("campaign {id} started: {checkpoint}");
 
     let mut dispatcher = pool.dispatcher(id);
-    let ga_resume = journal.as_ref().filter(|j| j.last_ga_section().is_some());
     let run = audit.evolve_dispatched(
         &name,
         &fspec,
@@ -224,7 +223,7 @@ fn run_campaign_inner(
         seed_miss_load,
         &mut dispatcher,
         &mut writer,
-        ga_resume,
+        journal.as_ref(),
     );
     match run {
         Ok(run) => {

@@ -201,6 +201,21 @@ pub fn rig_from(args: &Args) -> Result<Rig, ArgError> {
     Ok(rig)
 }
 
+/// `--threads` (default 4), checked against the rig's chip with
+/// [`Rig::placement`], so a count the chip cannot place is an argument
+/// error rather than a simulator panic.
+///
+/// # Errors
+///
+/// Returns [`ArgError`] for a malformed count, zero threads, or more
+/// threads than the chip has.
+pub fn threads_from(args: &Args, rig: &Rig) -> Result<usize, ArgError> {
+    let threads = args.num_flag("--threads", 4usize)?;
+    rig.placement(threads)
+        .map_err(|e| ArgError(format!("--threads: {e}")))?;
+    Ok(threads)
+}
+
 /// Generation options from `--fast`, `--seed`, `--cost`, `--workers`,
 /// `--fast-tier-budget`, `--eval-batch`, and `--lint-repair`.
 ///

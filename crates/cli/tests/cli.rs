@@ -530,3 +530,25 @@ fn spice_writes_a_deck() {
     assert!(text.contains(".tran"));
     assert!(text.contains("PWL("));
 }
+
+#[test]
+fn unplaceable_thread_counts_are_errors_not_panics() {
+    // Bulldozer places 8 threads; 0 and 9 must be argument errors (exit
+    // 1) on every command that reads --threads, never a panic (exit 101).
+    let cases: [&[&str]; 5] = [
+        &["generate", "--fast", "--threads", "9"],
+        &["generate", "--fast", "--threads", "0"],
+        &["resonance", "--threads", "0"],
+        &["measure", "--stressmark", "sm-res", "--fast", "--threads", "9"],
+        &["failure", "--stressmark", "sm-res", "--fast", "--threads", "0"],
+    ];
+    for args in cases {
+        let out = audit(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(err.contains("thread"), "{args:?}: {err}");
+    }
+    let err = stderr(&audit(&["generate", "--fast", "--threads", "9"]));
+    assert!(err.contains("capacity 8"), "{err}");
+}

@@ -459,16 +459,9 @@ impl Audit {
         threads: usize,
         seed_programs: &[Program],
     ) -> StressmarkRun {
-        let genome_len =
-            self.opts.sub_block_cycles as usize * self.rig.chip.core.fetch_width as usize;
-        let seeds: Vec<Vec<Gene>> = seed_programs
-            .iter()
-            .map(|p| ga::genome::from_program(p, genome_len))
-            .collect();
-        let resonance = self.find_resonance(threads);
-        let (s, lp_slots) = self.resonant_shape(resonance.period_cycles);
-        let name = format!("A-Res-{threads}T-seeded");
-        self.evolve_kernel_with_seeds(&name, threads, s, lp_slots, resonance, false, &seeds)
+        let fresh = Journal::default();
+        self.generate(&fresh, threads, false, seed_programs, "-seeded", &mut NullSink)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Generates a first-droop *resonant* stressmark (A-Res family) for
@@ -478,10 +471,8 @@ impl Audit {
     ///
     /// Panics if `threads` is zero or exceeds the rig's chip.
     pub fn generate_resonant(&self, threads: usize) -> StressmarkRun {
-        let resonance = self.find_resonance(threads);
-        let (s, lp_slots) = self.resonant_shape(resonance.period_cycles);
-        let name = format!("A-Res-{threads}T");
-        self.evolve_kernel_with(&name, threads, s, lp_slots, resonance, false)
+        self.generate_resonant_journaled(threads, &mut NullSink)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`Audit::generate_resonant`], checkpointed to a run journal.
@@ -493,19 +484,15 @@ impl Audit {
     ///
     /// # Errors
     ///
-    /// Returns [`AuditError::InvalidConfig`] for zero `threads` or an
-    /// unrunnable [`GaConfig`], and any sink I/O error.
+    /// Returns [`AuditError::InvalidConfig`] for a thread count the
+    /// rig's chip cannot place or an unrunnable [`GaConfig`], and any
+    /// sink I/O error.
     pub fn generate_resonant_journaled(
         &self,
         threads: usize,
         sink: &mut dyn JournalSink,
     ) -> Result<StressmarkRun, AuditError> {
-        let resonance = self.journaled_resonance(threads, sink)?;
-        let (s, lp_slots) = self.resonant_shape(resonance.period_cycles);
-        let name = format!("A-Res-{threads}T");
-        self.evolve_kernel_journaled(
-            &name, threads, s, lp_slots, resonance, false, &[], sink, None,
-        )
+        self.resume_resonant(&Journal::default(), threads, sink)
     }
 
     /// Resumes a run journaled by [`Audit::generate_resonant_journaled`],
@@ -534,16 +521,7 @@ impl Audit {
         threads: usize,
         sink: &mut dyn JournalSink,
     ) -> Result<StressmarkRun, AuditError> {
-        let resonance = match journal.phase_payload("resonance") {
-            Some(payload) => ResonanceResult::from_json(payload)?,
-            None => self.journaled_resonance(threads, sink)?,
-        };
-        let (s, lp_slots) = self.resonant_shape(resonance.period_cycles);
-        let name = format!("A-Res-{threads}T");
-        let resume = journal.last_ga_section().is_some().then_some(journal);
-        self.evolve_kernel_journaled(
-            &name, threads, s, lp_slots, resonance, false, &[], sink, resume,
-        )
+        self.generate(journal, threads, false, &[], "", sink)
     }
 
     /// The journaled resonance phase: `phase_start`, the sweep,
@@ -555,20 +533,15 @@ impl Audit {
     ///
     /// # Errors
     ///
-    /// Returns [`AuditError::InvalidConfig`] for zero `threads`, and
-    /// any sink I/O error.
+    /// Returns [`AuditError::InvalidConfig`] for a thread count the
+    /// rig's chip cannot place ([`Rig::placement`]), and any sink I/O
+    /// error.
     pub fn journaled_resonance(
         &self,
         threads: usize,
         sink: &mut dyn JournalSink,
     ) -> Result<ResonanceResult, AuditError> {
-        if threads == 0 {
-            return Err(AuditError::invalid(
-                "Audit",
-                "threads",
-                "need at least one thread",
-            ));
-        }
+        self.rig.placement(threads)?;
         sink.append(&JournalRecord::PhaseStart {
             name: "resonance".into(),
         })?;
@@ -601,10 +574,8 @@ impl Audit {
     ///
     /// Panics if `threads` is zero or exceeds the rig's chip.
     pub fn generate_excitation(&self, threads: usize) -> StressmarkRun {
-        let resonance = self.find_resonance(threads);
-        let (s, lp_slots) = self.excitation_shape();
-        let name = format!("A-Ex-{threads}T");
-        self.evolve_kernel_with(&name, threads, s, lp_slots, resonance, true)
+        self.generate_excitation_journaled(threads, &mut NullSink)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`Audit::generate_excitation`], checkpointed to a run journal —
@@ -619,10 +590,7 @@ impl Audit {
         threads: usize,
         sink: &mut dyn JournalSink,
     ) -> Result<StressmarkRun, AuditError> {
-        let resonance = self.journaled_resonance(threads, sink)?;
-        let (s, lp_slots) = self.excitation_shape();
-        let name = format!("A-Ex-{threads}T");
-        self.evolve_kernel_journaled(&name, threads, s, lp_slots, resonance, true, &[], sink, None)
+        self.resume_excitation(&Journal::default(), threads, sink)
     }
 
     /// Resumes a run journaled by
@@ -640,16 +608,7 @@ impl Audit {
         threads: usize,
         sink: &mut dyn JournalSink,
     ) -> Result<StressmarkRun, AuditError> {
-        let resonance = match journal.phase_payload("resonance") {
-            Some(payload) => ResonanceResult::from_json(payload)?,
-            None => self.journaled_resonance(threads, sink)?,
-        };
-        let (s, lp_slots) = self.excitation_shape();
-        let name = format!("A-Ex-{threads}T");
-        let resume = journal.last_ga_section().is_some().then_some(journal);
-        self.evolve_kernel_journaled(
-            &name, threads, s, lp_slots, resonance, true, &[], sink, resume,
-        )
+        self.generate(journal, threads, true, &[], "", sink)
     }
 
     /// Excitation loop shape: a burst of 4 sub-blocks (≈ 24 cycles at
@@ -661,158 +620,78 @@ impl Audit {
         (4, lp_slots)
     }
 
-    fn evolve_kernel_with(
+    /// Every in-process generation path: resumes `journal` (a fresh run
+    /// resumes an empty one), reusing its resonance phase if complete,
+    /// then runs the GA phase on a local dispatcher — batched when
+    /// [`AuditOptions::eval_batch`] allows it. `tag` suffixes the
+    /// stressmark name.
+    fn generate(
         &self,
-        name: &str,
+        journal: &Journal,
         threads: usize,
-        sub_blocks: usize,
-        lp_slots: usize,
-        resonance: ResonanceResult,
-        seed_miss_load: bool,
-    ) -> StressmarkRun {
-        self.evolve_kernel_with_seeds(
-            name,
-            threads,
-            sub_blocks,
-            lp_slots,
-            resonance,
-            seed_miss_load,
-            &[],
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn evolve_kernel_with_seeds(
-        &self,
-        name: &str,
-        threads: usize,
-        sub_blocks: usize,
-        lp_slots: usize,
-        resonance: ResonanceResult,
-        seed_miss_load: bool,
-        extra_seeds: &[Vec<Gene>],
-    ) -> StressmarkRun {
-        self.evolve_kernel_journaled(
-            name,
-            threads,
-            sub_blocks,
-            lp_slots,
-            resonance,
-            seed_miss_load,
-            extra_seeds,
-            &mut NullSink,
-            None,
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The GA phase shared by plain, journaled, and resumed generation.
-    /// With `resume: Some(journal)`, the journal's recorded GA section
-    /// (config, seeds, generations) takes precedence over `self.opts.ga`
-    /// so the finished run is bit-identical to the one that was killed.
-    #[allow(clippy::too_many_arguments)]
-    fn evolve_kernel_journaled(
-        &self,
-        name: &str,
-        threads: usize,
-        sub_blocks: usize,
-        lp_slots: usize,
-        resonance: ResonanceResult,
-        seed_miss_load: bool,
-        extra_seeds: &[Vec<Gene>],
+        excitation: bool,
+        seed_programs: &[Program],
+        tag: &str,
         sink: &mut dyn JournalSink,
-        resume: Option<&Journal>,
     ) -> Result<StressmarkRun, AuditError> {
-        if threads == 0 {
-            return Err(AuditError::invalid(
-                "Audit",
-                "threads",
-                "need at least one thread",
-            ));
-        }
-        let menu = self.opcode_menu();
-        let genome_len =
-            self.opts.sub_block_cycles as usize * self.rig.chip.core.fetch_width as usize;
-        let fspec = FitnessSpec {
-            threads,
-            sub_blocks,
-            lp_slots,
-            cost: self.opts.cost,
-            spec: self.opts.eval_spec,
-            policy: self.opts.policy,
-            objectives: self.opts.objectives,
+        let resonance = match journal.phase_payload("resonance") {
+            Some(payload) => ResonanceResult::from_json(payload)?,
+            None => self.journaled_resonance(threads, sink)?,
+        };
+        let (kind, fspec) = if excitation {
+            ("Ex", self.excitation_fitness_spec(threads))
+        } else {
+            ("Res", self.resonant_fitness_spec(threads, resonance.period_cycles))
         };
         let rig = &self.rig;
-
+        let log = ResilienceLog::default();
+        let workers = ga::resolve_workers(self.opts.ga.threads);
         // Safe to call from GA worker threads: `measure_aligned` builds
         // every piece of mutable simulator state (ChipSim, OsModel, PDN
         // transient) fresh inside the call, so concurrent evaluations
         // share only `&Rig` immutably. The resilience log is a plain
         // order-insensitive counter behind a mutex.
-        let log = ResilienceLog::default();
         let fitness = |genome: &[Gene]| {
             let (objs, delta) = fspec.evaluate_objectives(rig, genome);
             log.fold(&delta);
             objs
         };
-
-        let seeds = self.ga_seeds(genome_len, seed_miss_load, extra_seeds);
-        let ga_run = if self.opts.eval_batch > 1 && self.opts.policy.is_noop() {
-            // Batched hot loop: chunks of genomes share one lockstep
-            // simulator sweep. Bit-identical to the closure path —
-            // `Rig::measure_batch` lanes are fully independent and the
-            // engine merges results in slot order either way.
-            let batch_fitness = |genomes: &[&[Gene]]| {
-                fspec
-                    .evaluate_objectives_batch(rig, genomes)
-                    .into_iter()
-                    .map(|(objs, delta)| {
-                        log.fold(&delta);
-                        objs
-                    })
-                    .collect()
-            };
-            let mut dispatcher = ga::BatchLocalDispatcher::new(
-                batch_fitness,
-                self.opts.eval_batch,
-                ga::resolve_workers(self.opts.ga.threads),
-            );
-            match resume {
-                Some(journal) => GaRun::resume_dispatched(journal, &mut dispatcher, sink)?,
-                None => ga::evolve_journaled_dispatched(
-                    &self.opts.ga,
-                    &menu,
-                    genome_len,
-                    &seeds,
-                    &mut dispatcher,
-                    sink,
-                )?,
-            }
-        } else {
-            match resume {
-                // Resume goes through a dispatcher: the closure here
-                // computes the full objective vector, so pareto
-                // journals resume too (`resume_with_sink` must reject
-                // scalar closures, and cannot see past the generic
-                // return type to know this one is vector-valued).
-                Some(journal) => {
-                    let mut dispatcher = ga::LocalDispatcher::new(
-                        &fitness,
-                        ga::resolve_workers(self.opts.ga.threads),
-                    );
-                    GaRun::resume_dispatched(journal, &mut dispatcher, sink)?
-                }
-                None => {
-                    ga::evolve_journaled(&self.opts.ga, &menu, genome_len, &seeds, fitness, sink)?
-                }
-            }
+        // Batched hot loop: chunks of genomes share one lockstep
+        // simulator sweep. Bit-identical to the closure path —
+        // `Rig::measure_batch` lanes are fully independent and the
+        // engine merges results in slot order either way.
+        let batch_fitness = |genomes: &[&[Gene]]| {
+            fspec
+                .evaluate_objectives_batch(rig, genomes)
+                .into_iter()
+                .map(|(objs, delta)| {
+                    log.fold(&delta);
+                    objs
+                })
+                .collect()
         };
-        self.finish_run(name, &fspec, resonance, ga_run, log.snapshot())
+        let mut dispatcher: Box<dyn ga::EvalDispatcher + '_> =
+            if self.opts.eval_batch > 1 && self.opts.policy.is_noop() {
+                let batch = self.opts.eval_batch;
+                Box::new(ga::BatchLocalDispatcher::new(batch_fitness, batch, workers))
+            } else {
+                Box::new(ga::LocalDispatcher::new(fitness, workers))
+            };
+        let ga_run = self.ga_phase(
+            &fspec,
+            excitation,
+            seed_programs,
+            dispatcher.as_mut(),
+            sink,
+            Some(journal),
+        )?;
+        let name = format!("A-{kind}-{threads}T{tag}");
+        self.finish_run(&name, &fspec, resonance, ga_run, log.snapshot())
     }
 
     /// The GA phase evaluated through an explicit
     /// [`ga::EvalDispatcher`] — the distributed counterpart of the
-    /// closure-based path above, driven by the `audit-net` broker. The
+    /// in-process path, driven by the `audit-net` broker. The
     /// dispatcher's workers must compute
     /// [`FitnessSpec::evaluate_objectives`] for this exact `fspec`
     /// (that is what the broker's setup handshake
@@ -821,8 +700,9 @@ impl Audit {
     /// bit-identical to the in-process run for any worker count.
     ///
     /// `seed_miss_load` selects the excitation seeding (as in
-    /// [`Audit::generate_excitation`]); `resume` replays a journaled
-    /// prefix exactly as [`Audit::resume_resonant`] does.
+    /// [`Audit::generate_excitation`]); `resume` replays the journal's
+    /// GA section, if it has one, exactly as [`Audit::resume_resonant`]
+    /// does.
     ///
     /// # Errors
     ///
@@ -839,30 +719,38 @@ impl Audit {
         sink: &mut dyn JournalSink,
         resume: Option<&Journal>,
     ) -> Result<StressmarkRun, AuditError> {
-        if fspec.threads == 0 {
-            return Err(AuditError::invalid(
-                "Audit",
-                "threads",
-                "need at least one thread",
-            ));
-        }
-        let menu = self.opcode_menu();
-        let genome_len =
-            self.opts.sub_block_cycles as usize * self.rig.chip.core.fetch_width as usize;
-        let seeds = self.ga_seeds(genome_len, seed_miss_load, &[]);
-        let ga_run = match resume {
-            Some(journal) => GaRun::resume_dispatched(journal, dispatcher, sink)?,
-            None => ga::evolve_journaled_dispatched(
-                &self.opts.ga,
-                &menu,
-                genome_len,
-                &seeds,
-                dispatcher,
-                sink,
-            )?,
-        };
+        let ga_run = self.ga_phase(fspec, seed_miss_load, &[], dispatcher, sink, resume)?;
         let resilience = dispatcher.resilience();
         self.finish_run(name, fspec, resonance, ga_run, resilience)
+    }
+
+    /// The GA phase every generation path shares: checks that the chip
+    /// can place `fspec.threads`, then resumes `resume`'s GA section if
+    /// it has one — the journal's recorded config and seeds take
+    /// precedence over `self.opts.ga`, so the finished run is
+    /// bit-identical to the one that was killed — or starts a fresh
+    /// search from [`Audit::ga_seeds`].
+    fn ga_phase(
+        &self,
+        fspec: &FitnessSpec,
+        seed_miss_load: bool,
+        seed_programs: &[Program],
+        dispatcher: &mut dyn ga::EvalDispatcher,
+        sink: &mut dyn JournalSink,
+        resume: Option<&Journal>,
+    ) -> Result<GaRun, AuditError> {
+        self.rig.placement(fspec.threads)?;
+        if let Some(journal) = resume.filter(|j| j.last_ga_section().is_some()) {
+            return ga::resume(journal, dispatcher, sink);
+        }
+        let genome_len =
+            self.opts.sub_block_cycles as usize * self.rig.chip.core.fetch_width as usize;
+        let extra: Vec<Vec<Gene>> = seed_programs
+            .iter()
+            .map(|p| ga::genome::from_program(p, genome_len))
+            .collect();
+        let seeds = self.ga_seeds(genome_len, seed_miss_load, &extra);
+        ga::run(&self.opts.ga, &self.opcode_menu(), genome_len, &seeds, dispatcher, sink)
     }
 
     /// Builds the seed genomes every generation run starts from: the
@@ -1187,6 +1075,23 @@ mod tests {
                 .collect()
         };
         assert_eq!(encode(&plain_sink), encode(&batch_sink));
+        // The batched resume arm: cut the batched journal after every
+        // generation record and resume it batched; each resumed run
+        // must finish as the uninterrupted unbatched one did.
+        let batched_audit =
+            Audit::new(Rig::bulldozer(), AuditOptions::fast_demo().with_eval_batch(3));
+        for (i, record) in batch_sink.records.iter().enumerate() {
+            if !matches!(record, JournalRecord::Generation(_)) {
+                continue;
+            }
+            let mut partial = crate::journal::MemJournal {
+                records: batch_sink.records[..=i].to_vec(),
+            };
+            let journal = partial.as_journal();
+            let resumed = batched_audit.resume_resonant(&journal, 2, &mut partial).unwrap();
+            assert_eq!(plain.ga, resumed.ga, "GA diverged when cut after record {i}");
+            assert_eq!(encode(&plain_sink), encode(&partial), "journal diverged at record {i}");
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ use audit_analyze::{swing_score, MachineModel};
 use super::genome::{to_sub_block, Gene};
 use super::pareto::{extract_front, rank_population, FrontMember, Objectives, PopulationRanking};
 use crate::journal::{
-    GenerationAnalysis, GenerationRecord, Journal, JournalRecord, JournalSink, NullSink,
+    GaSection, GenerationAnalysis, GenerationRecord, Journal, JournalRecord, JournalSink, NullSink,
     ParetoFrontRecord,
 };
 use crate::resilient::ResilienceReport;
@@ -434,111 +434,6 @@ impl PartialEq for GaRun {
     }
 }
 
-impl GaRun {
-    /// Resumes the last GA section of `journal`, finishing the search
-    /// and returning a [`GaRun`] **bit-identical** to what the
-    /// uninterrupted run would have produced.
-    ///
-    /// Recorded generations are replayed without re-simulation (scores,
-    /// cache state, and best-so-far tracking are reconstructed from the
-    /// journal); evolution then continues live from the next generation.
-    /// `fitness` must be the same deterministic function the original
-    /// run used.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AuditError::Resume`] if the journal has no GA section
-    /// or its generation records are inconsistent with the recorded
-    /// [`GaConfig`], and any error the underlying search can produce.
-    pub fn resume_from<R: Into<Objectives>>(
-        journal: &Journal,
-        fitness: impl Fn(&[Gene]) -> R + Sync,
-    ) -> Result<GaRun, AuditError> {
-        Self::resume_with_sink(journal, fitness, &mut NullSink)
-    }
-
-    /// [`GaRun::resume_from`], with newly computed generations appended
-    /// to `sink` — pass a [`crate::journal::JournalWriter`] reopened with
-    /// [`crate::journal::JournalWriter::resume`] to continue the same
-    /// journal file. Replayed generations are never re-appended.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GaRun::resume_from`], plus any sink I/O error.
-    pub fn resume_with_sink<R: Into<Objectives>>(
-        journal: &Journal,
-        fitness: impl Fn(&[Gene]) -> R + Sync,
-        sink: &mut dyn JournalSink,
-    ) -> Result<GaRun, AuditError> {
-        let section = journal
-            .last_ga_section()
-            .ok_or_else(|| AuditError::resume("journal contains no GA section"))?;
-        // A scalar closure produces 1-axis vectors; resuming a journal
-        // whose fronts carry wider vectors would mix axis counts in the
-        // ranking. Multi-objective runs must resume through
-        // `resume_dispatched` with a dispatcher computing the same
-        // objective vector.
-        if section.cfg.pareto
-            && section
-                .fronts
-                .iter()
-                .any(|f| f.objectives.iter().any(|o| o.len() > 1))
-        {
-            return Err(AuditError::resume(
-                "journal records a multi-objective pareto run; resume it with \
-                 `GaRun::resume_dispatched` and a vector-fitness dispatcher",
-            ));
-        }
-        let mut null = NullSink;
-        // A section already closed by `ga_end` is replay-only: recompute
-        // the result without appending duplicate records.
-        let sink: &mut dyn JournalSink = if section.complete { &mut null } else { sink };
-        let mut dispatcher =
-            LocalDispatcher::new(fitness, resolve_workers(section.cfg.threads));
-        run_ga(
-            section.cfg,
-            section.menu,
-            section.genome_len,
-            section.seeds,
-            &mut dispatcher,
-            sink,
-            &section.generations,
-            &section.fronts,
-        )
-    }
-
-    /// [`GaRun::resume_with_sink`], evaluating through an explicit
-    /// [`EvalDispatcher`] instead of a local fitness closure — the
-    /// resume path of a distributed run (`audit-net` broker). The
-    /// dispatcher must compute the same deterministic fitness the
-    /// original run used or the replayed prefix will not line up.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GaRun::resume_with_sink`], plus any dispatch error.
-    pub fn resume_dispatched(
-        journal: &Journal,
-        dispatcher: &mut dyn EvalDispatcher,
-        sink: &mut dyn JournalSink,
-    ) -> Result<GaRun, AuditError> {
-        let section = journal
-            .last_ga_section()
-            .ok_or_else(|| AuditError::resume("journal contains no GA section"))?;
-        let mut null = NullSink;
-        let sink: &mut dyn JournalSink = if section.complete { &mut null } else { sink };
-        run_ga(
-            section.cfg,
-            section.menu,
-            section.genome_len,
-            section.seeds,
-            dispatcher,
-            sink,
-            &section.generations,
-            &section.fronts,
-        )
-    }
-}
-
 /// Evaluates one generation's cache misses, wherever the compute lives.
 ///
 /// The engine hands a dispatcher the population and the slots that need
@@ -557,7 +452,9 @@ impl GaRun {
 pub trait EvalDispatcher {
     /// Scores `jobs` (slot indices into `population`), returning one
     /// `(slot, objectives)` pair per job in any order. All vectors in
-    /// one run must have the same axis count.
+    /// one run must have the same axis count. The engine fails the run
+    /// with an [`AuditError`] on any other slot set, and in Pareto mode
+    /// on a mixed axis count.
     ///
     /// # Errors
     ///
@@ -737,132 +634,110 @@ impl<R: Into<Objectives>, F: Fn(&[&[Gene]]) -> Vec<R> + Sync> EvalDispatcher
 }
 
 /// Evolves genomes of `genome_len` slots over the opcode `menu`,
-/// maximizing `fitness`. Optionally accepts `seeds`: existing genomes
+/// maximizing the fitness `dispatcher` computes, and journals the
+/// search to `sink`. Optionally accepts `seeds`: existing genomes
 /// injected into the initial population (the paper's "seeded with
 /// existing benchmarks or stressmarks to improve the convergence rate").
+///
+/// Appends a `ga_start` record (config, menu, seeds — everything needed
+/// to resume), then one `generation` record per evaluated generation and
+/// a final `ga_end`; a run killed between appends finishes
+/// bit-identically through [`resume`]. Pass [`NullSink`] for an
+/// un-journaled run. Any conforming dispatcher — [`LocalDispatcher`],
+/// [`BatchLocalDispatcher`], or a remote broker (`audit-net`) —
+/// produces the same [`GaRun`].
+///
+/// # Errors
+///
+/// Returns [`AuditError::InvalidConfig`] for an unrunnable
+/// configuration ([`GaConfig::validate`]), an empty menu, a zero
+/// genome length, or dispatcher output that does not score exactly the
+/// dispatched slots (or, in Pareto mode, mixes axis counts); plus any
+/// dispatch or sink error.
+pub fn run(
+    cfg: &GaConfig,
+    menu: &[Opcode],
+    genome_len: usize,
+    seeds: &[Vec<Gene>],
+    dispatcher: &mut dyn EvalDispatcher,
+    sink: &mut dyn JournalSink,
+) -> Result<GaRun, AuditError> {
+    let fresh = GaSection {
+        cfg,
+        genome_len,
+        menu,
+        seeds,
+        generations: Vec::new(),
+        fronts: Vec::new(),
+        complete: false,
+    };
+    run_ga(&fresh, true, dispatcher, sink)
+}
+
+/// Resumes the last GA section of `journal`, finishing the search with
+/// a [`GaRun`] **bit-identical** to the uninterrupted [`run`]'s.
+///
+/// Recorded generations are replayed without re-simulation (scores,
+/// cache state, and best-so-far tracking are reconstructed from the
+/// journal); evolution then continues live from the next generation,
+/// appending its records to `sink` — pass a
+/// [`crate::journal::JournalWriter`] reopened with
+/// [`crate::journal::JournalWriter::resume`] to continue the same file.
+/// A section already closed by `ga_end` is replay-only: it replays into
+/// [`NullSink`] and appends nothing. `dispatcher` must compute the same
+/// deterministic fitness, with the same axis count, as the original run.
+///
+/// # Example
+///
+/// ```
+/// use audit_core::ga::{self, GaConfig, Gene, LocalDispatcher};
+/// use audit_core::journal::MemJournal;
+/// use audit_cpu::Opcode;
+///
+/// let fitness = |g: &[Gene]| g.iter().filter(|x| x.opcode == Opcode::SimdFma).count() as f64;
+/// let cfg = GaConfig { population: 6, generations: 4, ..GaConfig::default() };
+/// let menu = Opcode::stress_menu();
+/// let mut mem = MemJournal::default();
+/// let full = ga::run(&cfg, &menu, 4, &[], &mut LocalDispatcher::new(fitness, 2), &mut mem)?;
+///
+/// // Kill the run after its first generation: keep `ga_start` and
+/// // generation 0, then resume into the same journal.
+/// mem.records.truncate(2);
+/// let journal = mem.as_journal();
+/// let resumed = ga::resume(&journal, &mut LocalDispatcher::new(fitness, 2), &mut mem)?;
+/// assert_eq!(full, resumed);
+/// # Ok::<(), audit_core::AuditError>(())
+/// ```
+///
+/// # Errors
+///
+/// Returns [`AuditError::Resume`] if the journal has no GA section, its
+/// generation records are inconsistent with the recorded [`GaConfig`],
+/// or (in Pareto mode) `dispatcher` scores a different axis count than
+/// the journaled fronts; plus any error [`run`] can return.
+pub fn resume(
+    journal: &Journal,
+    dispatcher: &mut dyn EvalDispatcher,
+    sink: &mut dyn JournalSink,
+) -> Result<GaRun, AuditError> {
+    let section = journal
+        .last_ga_section()
+        .ok_or_else(|| AuditError::resume("journal contains no GA section"))?;
+    let sink: &mut dyn JournalSink = if section.complete {
+        &mut NullSink
+    } else {
+        sink
+    };
+    run_ga(&section, false, dispatcher, sink)
+}
+
+/// [`run`] over a local fitness closure, un-journaled: the convenience
+/// for tests, examples, and bench bins.
 ///
 /// `fitness` must be deterministic per genome and is called from
 /// `cfg.threads` worker threads (`0` = all cores); it only needs `Sync`,
 /// not `Clone` — per-evaluation state such as [`crate::harness::Rig`]
 /// simulators is constructed inside the call, never shared.
-///
-/// # Errors
-///
-/// Returns [`AuditError::InvalidConfig`] for an unrunnable
-/// configuration ([`GaConfig::validate`]), an empty menu, or a zero
-/// genome length.
-pub fn try_evolve<R: Into<Objectives>>(
-    cfg: &GaConfig,
-    menu: &[Opcode],
-    genome_len: usize,
-    seeds: &[Vec<Gene>],
-    fitness: impl Fn(&[Gene]) -> R + Sync,
-) -> Result<GaRun, AuditError> {
-    let mut dispatcher = LocalDispatcher::new(fitness, resolve_workers(cfg.threads));
-    run_ga(
-        cfg,
-        menu,
-        genome_len,
-        seeds,
-        &mut dispatcher,
-        &mut NullSink,
-        &[],
-        &[],
-    )
-}
-
-/// [`try_evolve`], evaluating through an explicit [`EvalDispatcher`]
-/// instead of a local fitness closure — the entry point a distributed
-/// broker (`audit-net`) drives. Results are bit-identical to the local
-/// path for any conforming dispatcher.
-///
-/// # Errors
-///
-/// Same as [`try_evolve`], plus any dispatch error.
-pub fn try_evolve_dispatched(
-    cfg: &GaConfig,
-    menu: &[Opcode],
-    genome_len: usize,
-    seeds: &[Vec<Gene>],
-    dispatcher: &mut dyn EvalDispatcher,
-) -> Result<GaRun, AuditError> {
-    run_ga(
-        cfg,
-        menu,
-        genome_len,
-        seeds,
-        dispatcher,
-        &mut NullSink,
-        &[],
-        &[],
-    )
-}
-
-/// [`try_evolve`], with every generation checkpointed to `sink`.
-///
-/// Appends a `ga_start` record (config, menu, seeds — everything needed
-/// to resume), then one `generation` record per evaluated generation and
-/// a final `ga_end`. A run killed between appends is resumable via
-/// [`GaRun::resume_from`] with a bit-identical final result.
-///
-/// # Errors
-///
-/// Same as [`try_evolve`], plus any sink I/O error.
-pub fn evolve_journaled<R: Into<Objectives>>(
-    cfg: &GaConfig,
-    menu: &[Opcode],
-    genome_len: usize,
-    seeds: &[Vec<Gene>],
-    fitness: impl Fn(&[Gene]) -> R + Sync,
-    sink: &mut dyn JournalSink,
-) -> Result<GaRun, AuditError> {
-    let mut dispatcher = LocalDispatcher::new(fitness, resolve_workers(cfg.threads));
-    evolve_journaled_dispatched(cfg, menu, genome_len, seeds, &mut dispatcher, sink)
-}
-
-/// [`evolve_journaled`], evaluating through an explicit
-/// [`EvalDispatcher`] — see [`try_evolve_dispatched`].
-///
-/// # Errors
-///
-/// Same as [`evolve_journaled`], plus any dispatch error.
-pub fn evolve_journaled_dispatched(
-    cfg: &GaConfig,
-    menu: &[Opcode],
-    genome_len: usize,
-    seeds: &[Vec<Gene>],
-    dispatcher: &mut dyn EvalDispatcher,
-    sink: &mut dyn JournalSink,
-) -> Result<GaRun, AuditError> {
-    cfg.validate()?;
-    validate_search(menu, genome_len)?;
-    sink.append(&JournalRecord::GaStart {
-        cfg: cfg.clone(),
-        genome_len,
-        menu: menu.to_vec(),
-        seeds: seeds.to_vec(),
-    })?;
-    if cfg.surrogate_budget > 0 {
-        // Marker record: flags in the journal itself that this run's
-        // scores were produced under budgeted early stopping (the
-        // config inside `ga_start` is authoritative; the marker makes
-        // the non-default mode obvious to `grep`).
-        sink.append(&JournalRecord::SurrogateBudget {
-            budget: cfg.surrogate_budget as u64,
-        })?;
-    }
-    if cfg.fast_tier_budget > 0 {
-        // Same discipline for the tiered cascade: one greppable marker,
-        // authoritative copy in `ga_start`.
-        sink.append(&JournalRecord::Cascade {
-            budget: cfg.fast_tier_budget as u64,
-        })?;
-    }
-    run_ga(cfg, menu, genome_len, seeds, dispatcher, sink, &[], &[])
-}
-
-/// Panicking convenience wrapper around [`try_evolve`] for callers that
-/// treat an invalid configuration as a bug.
 ///
 /// # Example
 ///
@@ -898,9 +773,9 @@ pub fn evolve_journaled_dispatched(
 ///
 /// # Panics
 ///
-/// Panics on any error [`try_evolve`] would return (e.g. a population
-/// smaller than 2, an empty menu, a zero genome length), or if a
-/// fitness worker panics.
+/// Panics on any error [`run`] would return (e.g. a population smaller
+/// than 2, an empty menu, a zero genome length), or if a fitness worker
+/// panics.
 pub fn evolve<R: Into<Objectives>>(
     cfg: &GaConfig,
     menu: &[Opcode],
@@ -908,7 +783,9 @@ pub fn evolve<R: Into<Objectives>>(
     seeds: &[Vec<Gene>],
     fitness: impl Fn(&[Gene]) -> R + Sync,
 ) -> GaRun {
-    try_evolve(cfg, menu, genome_len, seeds, fitness).unwrap_or_else(|e| panic!("{e}"))
+    let mut dispatcher = LocalDispatcher::new(fitness, resolve_workers(cfg.threads));
+    run(cfg, menu, genome_len, seeds, &mut dispatcher, &mut NullSink)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn validate_search(menu: &[Opcode], genome_len: usize) -> Result<(), AuditError> {
@@ -929,24 +806,53 @@ fn validate_search(menu: &[Opcode], genome_len: usize) -> Result<(), AuditError>
     Ok(())
 }
 
-/// The engine proper, shared by fresh ([`try_evolve`]) and resumed
-/// ([`GaRun::resume_from`]) runs: `replay` holds the journaled
-/// generations to reconstruct before evolution continues live, and
-/// `fronts` the journaled `pareto_front` records that carry their full
-/// objective vectors (empty for scalar runs).
-#[allow(clippy::too_many_arguments)]
+/// The engine proper, shared by [`run`] and [`resume`]. `section`
+/// carries the search (config, menu, seeds) plus the journaled
+/// generations to reconstruct before evolution continues live, and the
+/// journaled `pareto_front` records that carry their full objective
+/// vectors (both empty for a fresh run). `fresh` runs journal the
+/// section header first; a resumed section already has one.
 fn run_ga(
-    cfg: &GaConfig,
-    menu: &[Opcode],
-    genome_len: usize,
-    seeds: &[Vec<Gene>],
+    section: &GaSection<'_>,
+    fresh: bool,
     dispatcher: &mut dyn EvalDispatcher,
     sink: &mut dyn JournalSink,
-    replay: &[&GenerationRecord],
-    fronts: &[&ParetoFrontRecord],
 ) -> Result<GaRun, AuditError> {
+    let GaSection {
+        cfg,
+        genome_len,
+        menu,
+        seeds,
+        generations: ref replay,
+        ref fronts,
+        ..
+    } = *section;
     cfg.validate()?;
     validate_search(menu, genome_len)?;
+    if fresh {
+        sink.append(&JournalRecord::GaStart {
+            cfg: cfg.clone(),
+            genome_len,
+            menu: menu.to_vec(),
+            seeds: seeds.to_vec(),
+        })?;
+        if cfg.surrogate_budget > 0 {
+            // Marker record: flags in the journal itself that this run's
+            // scores were produced under budgeted early stopping (the
+            // config inside `ga_start` is authoritative; the marker makes
+            // the non-default mode obvious to `grep`).
+            sink.append(&JournalRecord::SurrogateBudget {
+                budget: cfg.surrogate_budget as u64,
+            })?;
+        }
+        if cfg.fast_tier_budget > 0 {
+            // Same discipline for the tiered cascade: one greppable marker,
+            // authoritative copy in `ga_start`.
+            sink.append(&JournalRecord::Cascade {
+                budget: cfg.fast_tier_budget as u64,
+            })?;
+        }
+    }
 
     let run_start = Instant::now();
     let mut cache = EvalCache::new(cfg.cache_capacity);
@@ -963,6 +869,7 @@ fn run_ga(
     let mut population: Vec<Vec<Gene>>;
     let mut scores: Vec<f64>;
     let mut objs: Vec<Objectives>;
+    let mut axes = None;
 
     if replay.is_empty() {
         // Fresh start: stream 0 breeds the initial population.
@@ -984,6 +891,7 @@ fn run_ga(
         let rerolls = repair_population(cfg, menu, &mut population);
         debug_verify_population(&population);
         objs = evaluate_population(&population, dispatcher, &mut cache, cfg, &mut telemetry)?;
+        check_axes(cfg, &objs, &mut axes, fresh)?;
         scores = objs.iter().map(Objectives::primary).collect();
         append_generation(sink, cfg, 0, &population, &objs, &scores, &telemetry, rerolls)?;
 
@@ -1003,6 +911,7 @@ fn run_ga(
         for (k, rec) in replay.iter().enumerate() {
             check_replay_record(cfg, genome_len, k, rec)?;
             objs = replay_objectives(cfg, k, rec, fronts)?;
+            check_axes(cfg, &objs, &mut axes, fresh)?;
             replay_into_cache(&mut cache, rec, &objs);
             telemetry.record(rec.wall_s, rec.executed, rec.cache_hits);
 
@@ -1087,6 +996,7 @@ fn run_ga(
         population = next;
         debug_verify_population(&population);
         objs = evaluate_population(&population, dispatcher, &mut cache, cfg, &mut telemetry)?;
+        check_axes(cfg, &objs, &mut axes, fresh)?;
         scores = objs.iter().map(Objectives::primary).collect();
         append_generation(
             sink,
@@ -1129,6 +1039,36 @@ fn run_ga(
         pareto_front,
         telemetry,
     })
+}
+
+/// Pareto mode's axis guard: every scored (non-deferred) vector of a
+/// run must have the axis count `axes` first saw — the journaled fronts
+/// on resume, else the first scored generation. Ranking vectors of
+/// different widths would silently truncate the dominance comparison.
+fn check_axes(
+    cfg: &GaConfig,
+    objs: &[Objectives],
+    axes: &mut Option<usize>,
+    fresh: bool,
+) -> Result<(), AuditError> {
+    if !cfg.pareto {
+        return Ok(());
+    }
+    for o in objs.iter().filter(|o| !o.is_deferred()) {
+        let want = *axes.get_or_insert(o.len());
+        if o.len() != want {
+            let msg = format!(
+                "dispatcher scored a {}-axis vector in a {want}-axis pareto run",
+                o.len()
+            );
+            return Err(if fresh {
+                AuditError::invalid("ga", "dispatcher", msg)
+            } else {
+                AuditError::resume(msg)
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Repairs every genome of an as-bred population in place (no-op
@@ -1437,21 +1377,22 @@ fn evaluate_population(
     }
 
     let mut results = dispatcher.evaluate(population, &jobs)?;
-    if results.len() != jobs.len() {
-        return Err(AuditError::invalid(
-            "ga",
-            "dispatcher",
-            format!(
-                "dispatcher returned {} results for {} jobs",
-                results.len(),
-                jobs.len()
-            ),
-        ));
-    }
     // Cache inserts must not depend on worker completion order: the
     // flush-at-capacity policy makes insert *order* observable, and the
     // determinism contract (and journal replay) require slot order.
     results.sort_unstable_by_key(|&(slot, _)| slot);
+    let mut expected = jobs.clone();
+    expected.sort_unstable();
+    if !results.iter().map(|&(slot, _)| slot).eq(expected) {
+        return Err(AuditError::invalid(
+            "ga",
+            "dispatcher",
+            format!(
+                "dispatcher did not score exactly the {} dispatched slots",
+                jobs.len()
+            ),
+        ));
+    }
 
     let executed = results.len() as u64;
     for (slot, objectives) in results {
@@ -1519,6 +1460,11 @@ mod tests {
 
     fn menu() -> Vec<Opcode> {
         Opcode::stress_menu()
+    }
+
+    /// `fitness` on a local dispatcher with every available core.
+    fn local<R: Into<Objectives>, F: Fn(&[Gene]) -> R + Sync>(fitness: F) -> LocalDispatcher<F> {
+        LocalDispatcher::new(fitness, resolve_workers(0))
     }
 
     /// A cheap synthetic fitness: count SimdFma slots. The GA must
@@ -1710,7 +1656,7 @@ mod tests {
             surrogate_budget: 3,
             ..GaConfig::default()
         };
-        let run = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
+        let run = run(&cfg, &menu(), 8, &[], &mut local(fma_count), &mut mem).unwrap();
 
         let mut saw_marker = false;
         let mut saw_deferred = false;
@@ -1750,7 +1696,7 @@ mod tests {
             surrogate_budget: 4,
             ..GaConfig::default()
         };
-        let full = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
+        let full = run(&cfg, &menu(), 8, &[], &mut local(fma_count), &mut mem).unwrap();
 
         // Cut the journal right after the second generation record, as a
         // crash would.
@@ -1766,7 +1712,7 @@ mod tests {
             }
         }
         let journal = crate::journal::Journal { records: prefix };
-        let resumed = GaRun::resume_from(&journal, fma_count).unwrap();
+        let resumed = resume(&journal, &mut local(fma_count), &mut NullSink).unwrap();
         assert_eq!(full, resumed);
         assert_eq!(full.history, resumed.history);
     }
@@ -1784,8 +1730,8 @@ mod tests {
         };
         let mut a = MemJournal::default();
         let mut b = MemJournal::default();
-        let off = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut a).unwrap();
-        let zero = evolve_journaled(
+        let off = run(&cfg, &menu(), 8, &[], &mut local(fma_count), &mut a).unwrap();
+        let zero = run(
             &GaConfig {
                 fast_tier_budget: 0,
                 ..cfg
@@ -1793,7 +1739,7 @@ mod tests {
             &menu(),
             8,
             &[],
-            fma_count,
+            &mut local(fma_count),
             &mut b,
         )
         .unwrap();
@@ -1830,8 +1776,8 @@ mod tests {
         };
         let mut a = MemJournal::default();
         let mut b = MemJournal::default();
-        let off = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut a).unwrap();
-        let explicit = evolve_journaled(
+        let off = run(&cfg, &menu(), 8, &[], &mut local(fma_count), &mut a).unwrap();
+        let explicit = run(
             &GaConfig {
                 lint_repair: false,
                 ..cfg
@@ -1839,7 +1785,7 @@ mod tests {
             &menu(),
             8,
             &[],
-            fma_count,
+            &mut local(fma_count),
             &mut b,
         )
         .unwrap();
@@ -1874,7 +1820,7 @@ mod tests {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        evolve_journaled(&cfg, &menu(), 10, &[], fma_count, &mut mem).unwrap();
+        run(&cfg, &menu(), 10, &[], &mut local(fma_count), &mut mem).unwrap();
 
         let mut pending_repair: Option<usize> = None;
         let mut total_rerolls = 0u64;
@@ -1938,7 +1884,7 @@ mod tests {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        let full = evolve_journaled(&cfg, &menu(), 6, &[], fma_count, &mut mem).unwrap();
+        let full = run(&cfg, &menu(), 6, &[], &mut local(fma_count), &mut mem).unwrap();
 
         // Kill right after each generation record (the repair marker
         // rides ahead of it, so every cut keeps matched pairs); resume
@@ -1955,7 +1901,7 @@ mod tests {
                 records: mem.records[..cut].to_vec(),
             };
             let journal = partial.as_journal();
-            let resumed = GaRun::resume_with_sink(&journal, fma_count, &mut partial).unwrap();
+            let resumed = resume(&journal, &mut local(fma_count), &mut partial).unwrap();
             assert_eq!(full, resumed, "diverged when cut at record {cut}");
             assert_eq!(
                 mem.records, partial.records,
@@ -2000,7 +1946,7 @@ mod tests {
             fast_tier_budget: 3,
             ..GaConfig::default()
         };
-        let run = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
+        let run = run(&cfg, &menu(), 8, &[], &mut local(fma_count), &mut mem).unwrap();
 
         let mut saw_marker = false;
         let mut saw_deferred = false;
@@ -2066,7 +2012,7 @@ mod tests {
             fast_tier_budget: 3,
             ..GaConfig::default()
         };
-        let run = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
+        let run = run(&cfg, &menu(), 8, &[], &mut local(fma_count), &mut mem).unwrap();
         let mut executed_total = 0;
         for rec in &mem.records {
             if let JournalRecord::Generation(g) = rec {
@@ -2097,7 +2043,7 @@ mod tests {
             fast_tier_budget: 4,
             ..GaConfig::default()
         };
-        let full = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
+        let full = run(&cfg, &menu(), 8, &[], &mut local(fma_count), &mut mem).unwrap();
 
         let mut prefix = Vec::new();
         let mut gens = 0;
@@ -2111,7 +2057,7 @@ mod tests {
             }
         }
         let journal = crate::journal::Journal { records: prefix };
-        let resumed = GaRun::resume_from(&journal, fma_count).unwrap();
+        let resumed = resume(&journal, &mut local(fma_count), &mut NullSink).unwrap();
         assert_eq!(full, resumed);
         assert_eq!(full.history, resumed.history);
     }
@@ -2154,7 +2100,7 @@ mod tests {
             let batch_fitness =
                 |genomes: &[&[Gene]]| genomes.iter().map(|g| fma_count(g)).collect::<Vec<f64>>();
             let mut dispatcher = BatchLocalDispatcher::new(batch_fitness, batch, workers);
-            let run = try_evolve_dispatched(&cfg, &menu(), 10, &[], &mut dispatcher).unwrap();
+            let run = run(&cfg, &menu(), 10, &[], &mut dispatcher, &mut NullSink).unwrap();
             assert_eq!(baseline, run, "diverged at batch {batch} workers {workers}");
         }
     }
@@ -2168,7 +2114,7 @@ mod tests {
             stall_generations: 3,
             ..GaConfig::default()
         };
-        evolve_journaled(&cfg, &menu(), 6, &[], fma_count, &mut mem).unwrap();
+        run(&cfg, &menu(), 6, &[], &mut local(fma_count), &mut mem).unwrap();
         let gens: Vec<_> = mem
             .records
             .iter()
@@ -2357,7 +2303,7 @@ mod tests {
         for cfg in &bad {
             let err = cfg.validate().unwrap_err();
             assert!(matches!(err, AuditError::InvalidConfig { .. }), "{err}");
-            let run = try_evolve(cfg, &menu(), 8, &[], fma_count);
+            let run = run(cfg, &menu(), 8, &[], &mut local(fma_count), &mut NullSink);
             assert!(run.is_err());
         }
         assert!(GaConfig::default().validate().is_ok());
@@ -2366,9 +2312,9 @@ mod tests {
     #[test]
     fn try_evolve_rejects_degenerate_searches() {
         let cfg = GaConfig::default();
-        let err = try_evolve(&cfg, &[], 8, &[], fma_count).unwrap_err();
+        let err = run(&cfg, &[], 8, &[], &mut local(fma_count), &mut NullSink).unwrap_err();
         assert!(err.to_string().contains("menu"), "{err}");
-        let err = try_evolve(&cfg, &menu(), 0, &[], fma_count).unwrap_err();
+        let err = run(&cfg, &menu(), 0, &[], &mut local(fma_count), &mut NullSink).unwrap_err();
         assert!(err.to_string().contains("genome"), "{err}");
     }
 
@@ -2393,8 +2339,7 @@ mod tests {
         };
         let plain = evolve(&cfg, &menu(), 6, &[], fma_count);
         let mut mem = MemJournal::default();
-        let journaled =
-            evolve_journaled(&cfg, &menu(), 6, &[], fma_count, &mut mem).unwrap();
+        let journaled = run(&cfg, &menu(), 6, &[], &mut local(fma_count), &mut mem).unwrap();
         assert_eq!(plain, journaled);
         // ga_start + one record per generation (incl. gen 0) + ga_end.
         assert_eq!(
@@ -2418,7 +2363,7 @@ mod tests {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        let full = evolve_journaled(&cfg, &menu(), 6, &[], fma_count, &mut mem).unwrap();
+        let full = run(&cfg, &menu(), 6, &[], &mut local(fma_count), &mut mem).unwrap();
         let gens = full.generations_run + 1;
 
         for cut in 1..=gens {
@@ -2427,7 +2372,12 @@ mod tests {
             let truncated = MemJournal {
                 records: mem.records[..1 + cut].to_vec(),
             };
-            let resumed = GaRun::resume_from(&truncated.as_journal(), fma_count).unwrap();
+            let resumed = resume(
+                &truncated.as_journal(),
+                &mut local(fma_count),
+                &mut NullSink,
+            )
+            .unwrap();
             assert_eq!(full, resumed, "diverged when cut after {cut} records");
         }
     }
@@ -2445,12 +2395,17 @@ mod tests {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        let full = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut mem).unwrap();
+        let full = run(&cfg, &menu(), 8, &[], &mut local(fma_count), &mut mem).unwrap();
         let cut = 1 + full.generations_run.div_ceil(2);
         let truncated = MemJournal {
             records: mem.records[..cut].to_vec(),
         };
-        let resumed = GaRun::resume_from(&truncated.as_journal(), fma_count).unwrap();
+        let resumed = resume(
+            &truncated.as_journal(),
+            &mut local(fma_count),
+            &mut NullSink,
+        )
+        .unwrap();
         assert_eq!(full, resumed);
         assert_eq!(full.cache_hits, resumed.cache_hits);
         assert_eq!(full.evaluations, resumed.evaluations);
@@ -2465,7 +2420,7 @@ mod tests {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        let full = evolve_journaled(&cfg, &menu(), 6, &[], fma_count, &mut mem).unwrap();
+        let full = run(&cfg, &menu(), 6, &[], &mut local(fma_count), &mut mem).unwrap();
 
         // Kill after two generation records; resume while appending to
         // the truncated journal. The rebuilt journal must equal the
@@ -2474,7 +2429,7 @@ mod tests {
             records: mem.records[..3].to_vec(),
         };
         let journal = partial.as_journal();
-        let resumed = GaRun::resume_with_sink(&journal, fma_count, &mut partial).unwrap();
+        let resumed = resume(&journal, &mut local(fma_count), &mut partial).unwrap();
         assert_eq!(full, resumed);
         assert_eq!(mem.records, partial.records);
     }
@@ -2488,10 +2443,10 @@ mod tests {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        let full = evolve_journaled(&cfg, &menu(), 4, &[], fma_count, &mut mem).unwrap();
+        let full = run(&cfg, &menu(), 4, &[], &mut local(fma_count), &mut mem).unwrap();
         let before = mem.records.len();
         let journal = mem.as_journal();
-        let resumed = GaRun::resume_with_sink(&journal, fma_count, &mut mem).unwrap();
+        let resumed = resume(&journal, &mut local(fma_count), &mut mem).unwrap();
         assert_eq!(full, resumed);
         assert_eq!(mem.records.len(), before, "complete section re-appended");
     }
@@ -2505,7 +2460,7 @@ mod tests {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        evolve_journaled(&cfg, &menu(), 4, &[], fma_count, &mut mem).unwrap();
+        run(&cfg, &menu(), 4, &[], &mut local(fma_count), &mut mem).unwrap();
 
         // Tamper with the recorded seed: stream seeds no longer match.
         let mut records = mem.records.clone();
@@ -2513,12 +2468,12 @@ mod tests {
             cfg.seed ^= 1;
         }
         let tampered = MemJournal { records };
-        let err = GaRun::resume_from(&tampered.as_journal(), fma_count).unwrap_err();
+        let err = resume(&tampered.as_journal(), &mut local(fma_count), &mut NullSink).unwrap_err();
         assert!(matches!(err, AuditError::Resume { .. }), "{err}");
 
         // And an empty journal has nothing to resume.
         let empty = MemJournal::default();
-        let err = GaRun::resume_from(&empty.as_journal(), fma_count).unwrap_err();
+        let err = resume(&empty.as_journal(), &mut local(fma_count), &mut NullSink).unwrap_err();
         assert!(err.to_string().contains("no GA section"), "{err}");
     }
 
@@ -2543,8 +2498,8 @@ mod tests {
         };
         let mut a = MemJournal::default();
         let mut b = MemJournal::default();
-        let legacy = evolve_journaled(&cfg, &menu(), 8, &[], fma_count, &mut a).unwrap();
-        let explicit = evolve_journaled(
+        let legacy = run(&cfg, &menu(), 8, &[], &mut local(fma_count), &mut a).unwrap();
+        let explicit = run(
             &GaConfig {
                 pareto: false,
                 ..cfg
@@ -2552,7 +2507,7 @@ mod tests {
             &menu(),
             8,
             &[],
-            fma_count,
+            &mut local(fma_count),
             &mut b,
         )
         .unwrap();
@@ -2585,8 +2540,15 @@ mod tests {
             ..GaConfig::default()
         };
         let mut sequential_dispatcher = LocalDispatcher::new(mo_fitness, 1);
-        let sequential =
-            try_evolve_dispatched(&base, &menu(), 10, &[], &mut sequential_dispatcher).unwrap();
+        let sequential = run(
+            &base,
+            &menu(),
+            10,
+            &[],
+            &mut sequential_dispatcher,
+            &mut NullSink,
+        )
+        .unwrap();
         let front = sequential
             .pareto_front
             .as_ref()
@@ -2606,8 +2568,7 @@ mod tests {
         }
         for threads in [2, 4, 7] {
             let mut dispatcher = LocalDispatcher::new(mo_fitness, threads);
-            let parallel =
-                try_evolve_dispatched(&base, &menu(), 10, &[], &mut dispatcher).unwrap();
+            let parallel = run(&base, &menu(), 10, &[], &mut dispatcher, &mut NullSink).unwrap();
             assert_eq!(sequential, parallel, "diverged at {threads} threads");
         }
     }
@@ -2623,9 +2584,7 @@ mod tests {
         };
         let mut mem = MemJournal::default();
         let mut dispatcher = LocalDispatcher::new(mo_fitness, 1);
-        let run =
-            evolve_journaled_dispatched(&cfg, &menu(), 6, &[], &mut dispatcher, &mut mem)
-                .unwrap();
+        let run = run(&cfg, &menu(), 6, &[], &mut dispatcher, &mut mem).unwrap();
         let mut pending_front: Option<&ParetoFrontRecord> = None;
         let mut generations = 0usize;
         for rec in &mem.records {
@@ -2665,20 +2624,13 @@ mod tests {
         };
         let mut mem = MemJournal::default();
         let mut dispatcher = LocalDispatcher::new(mo_fitness, 2);
-        let full =
-            evolve_journaled_dispatched(&cfg, &menu(), 6, &[], &mut dispatcher, &mut mem)
-                .unwrap();
+        let full = run(&cfg, &menu(), 6, &[], &mut dispatcher, &mut mem).unwrap();
         for cut in 1..mem.records.len() {
             let truncated = MemJournal {
                 records: mem.records[..cut].to_vec(),
             };
             let mut dispatcher = LocalDispatcher::new(mo_fitness, 2);
-            let resumed = GaRun::resume_dispatched(
-                &truncated.as_journal(),
-                &mut dispatcher,
-                &mut NullSink,
-            )
-            .unwrap();
+            let resumed = resume(&truncated.as_journal(), &mut dispatcher, &mut NullSink).unwrap();
             assert_eq!(full, resumed, "diverged when cut after {cut} records");
         }
     }
@@ -2694,8 +2646,45 @@ mod tests {
         };
         let mut mem = MemJournal::default();
         let mut dispatcher = LocalDispatcher::new(mo_fitness, 1);
-        evolve_journaled_dispatched(&cfg, &menu(), 4, &[], &mut dispatcher, &mut mem).unwrap();
-        let err = GaRun::resume_from(&mem.as_journal(), fma_count).unwrap_err();
-        assert!(err.to_string().contains("resume_dispatched"), "{err}");
+        run(&cfg, &menu(), 4, &[], &mut dispatcher, &mut mem).unwrap();
+        // Keep `ga_start` plus generation 0's front and record, so the
+        // scalar dispatcher scores the next generation live.
+        mem.records.truncate(3);
+        let mut scalar = LocalDispatcher::new(fma_count, 1);
+        let err = resume(&mem.as_journal(), &mut scalar, &mut NullSink).unwrap_err();
+        assert!(matches!(err, AuditError::Resume { .. }), "{err}");
+        assert!(err.to_string().contains("1-axis"), "{err}");
+    }
+
+    /// Returns a duplicate of its first slot in place of its last.
+    struct DuplicateSlot;
+
+    impl EvalDispatcher for DuplicateSlot {
+        fn evaluate(
+            &mut self,
+            population: &[Vec<Gene>],
+            jobs: &[usize],
+        ) -> Result<Vec<(usize, Objectives)>, AuditError> {
+            let mut results: Vec<(usize, Objectives)> = jobs
+                .iter()
+                .map(|&slot| (slot, fma_count(&population[slot]).into()))
+                .collect();
+            if let (Some(first), Some(last)) = (results.first().cloned(), results.last_mut()) {
+                *last = first;
+            }
+            Ok(results)
+        }
+    }
+
+    #[test]
+    fn duplicate_dispatcher_slots_are_an_error_not_a_panic() {
+        let cfg = GaConfig {
+            population: 6,
+            generations: 2,
+            ..GaConfig::default()
+        };
+        let err = run(&cfg, &menu(), 4, &[], &mut DuplicateSlot, &mut NullSink).unwrap_err();
+        assert!(matches!(err, AuditError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("dispatched slots"), "{err}");
     }
 }

@@ -12,6 +12,11 @@
 //! across worker threads with genome-level memoization, while staying
 //! bit-identical to a sequential run; see [`engine`] for the
 //! determinism contract.
+//!
+//! Every search takes one path: [`run`] starts it and [`resume`]
+//! finishes a journaled one, each over an [`EvalDispatcher`] (where
+//! fitness is computed) and a [`crate::journal::JournalSink`] (where
+//! generations are checkpointed). [`evolve`] is the closure convenience.
 
 pub mod cost;
 pub mod engine;
@@ -22,9 +27,8 @@ pub mod study;
 
 pub use cost::CostFunction;
 pub use engine::{
-    evolve, evolve_journaled, evolve_journaled_dispatched, resolve_workers, stream_seed,
-    try_evolve, try_evolve_dispatched, BatchLocalDispatcher, EvalCache, EvalDispatcher, GaConfig,
-    GaRun, GaTelemetry, LocalDispatcher,
+    evolve, resolve_workers, resume, run, stream_seed, BatchLocalDispatcher, EvalCache,
+    EvalDispatcher, GaConfig, GaRun, GaTelemetry, LocalDispatcher,
 };
 pub use genome::{from_program, to_sub_block, Gene};
 pub use repair::{offending_slots, repair_genome, repair_lint_config, REPAIR_MAX_ATTEMPTS};
@@ -32,4 +36,4 @@ pub use pareto::{
     crowding_distance, non_dominated_sort, rank_population, FrontMember, Objective, ObjectiveSet,
     Objectives, PopulationRanking,
 };
-pub use study::{resume_study, run_study, run_study_journaled, try_run_study, StudySummary};
+pub use study::{resume_study, run_study, StudySummary};

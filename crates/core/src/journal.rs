@@ -1322,7 +1322,7 @@ impl JournalSink for JournalWriter {
 }
 
 /// A fully parsed journal, ready for resume.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Journal {
     /// All records, in journal order.
     pub records: Vec<JournalRecord>,

@@ -448,7 +448,7 @@ mod tests {
 
     #[test]
     fn journal_summary_compresses_generations() {
-        use crate::ga::{evolve_journaled, GaConfig, Gene};
+        use crate::ga::{self, GaConfig, Gene, LocalDispatcher};
         use crate::journal::MemJournal;
         use audit_cpu::Opcode;
 
@@ -459,10 +459,9 @@ mod tests {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        let run = evolve_journaled(&cfg, &Opcode::stress_menu(), 4, &[], |g: &[Gene]| {
-            g.iter().filter(|x| x.opcode == Opcode::SimdFma).count() as f64
-        }, &mut mem)
-        .unwrap();
+        let fitness = |g: &[Gene]| g.iter().filter(|x| x.opcode == Opcode::SimdFma).count() as f64;
+        let mut dispatcher = LocalDispatcher::new(fitness, 1);
+        let run = ga::run(&cfg, &Opcode::stress_menu(), 4, &[], &mut dispatcher, &mut mem).unwrap();
         let summary = journal_summary(&mem.as_journal());
         let text = summary.to_string();
         assert!(text.contains("ga_start"), "{text}");

@@ -11,7 +11,7 @@
 
 use std::path::PathBuf;
 
-use audit_core::ga::{evolve_journaled, GaConfig, Gene, Objectives};
+use audit_core::ga::{self, GaConfig, Gene, LocalDispatcher, Objectives};
 use audit_core::journal::{
     Journal, JournalRecord, JournalWriter, MemJournal, ParetoFrontRecord, ShmooPointResult,
     VminOutcome,
@@ -160,12 +160,12 @@ fn fixture_records() -> Vec<JournalRecord> {
         key: 9_007_199_254_740_997,
         quarantined: 2,
     });
-    evolve_journaled(
+    ga::run(
         &fixture_cfg(),
         &Opcode::stress_menu(),
         5,
         &[],
-        fixture_fitness,
+        &mut LocalDispatcher::new(fixture_fitness, 1),
         &mut mem,
     )
     .expect("fixture GA runs");

@@ -3,14 +3,14 @@
 //! The unit tests in `ga::engine` prove resume correctness against an
 //! in-memory sink; these tests go through the full file path — a
 //! [`JournalWriter`] on disk, a "kill" simulated by truncating the
-//! file, [`JournalWriter::resume`] + [`GaRun::resume_from`] — and
+//! file, [`JournalWriter::resume`] + [`ga::resume`] — and
 //! assert the acceptance criterion: the resumed [`GaRun`] is
 //! bit-identical to the uninterrupted run's.
 
 use std::path::PathBuf;
 
-use audit_core::ga::{evolve_journaled, GaConfig, GaRun, Gene};
-use audit_core::journal::{Journal, JournalWriter};
+use audit_core::ga::{self, GaConfig, GaRun, Gene, LocalDispatcher};
+use audit_core::journal::{Journal, JournalWriter, NullSink};
 use audit_cpu::Opcode;
 use audit_measure::json::JsonValue;
 
@@ -45,7 +45,8 @@ fn fitness(g: &[Gene]) -> f64 {
 fn run_full(path: &PathBuf) -> GaRun {
     let mut writer =
         JournalWriter::create(path, "test", JsonValue::object(vec![])).expect("create journal");
-    let run = evolve_journaled(&cfg(), &Opcode::stress_menu(), 6, &[], fitness, &mut writer)
+    let mut dispatcher = LocalDispatcher::new(fitness, 2);
+    let run = ga::run(&cfg(), &Opcode::stress_menu(), 6, &[], &mut dispatcher, &mut writer)
         .expect("full run");
     writer.finish().expect("finish journal");
     run
@@ -78,7 +79,7 @@ fn truncated_journal_resumes_bit_identically() {
 
         let journal = Journal::load(&path).expect("truncated journal loads");
         let mut writer = JournalWriter::resume(&path).expect("writer resumes");
-        let resumed = GaRun::resume_with_sink(&journal, fitness, &mut writer)
+        let resumed = ga::resume(&journal, &mut LocalDispatcher::new(fitness, 2), &mut writer)
             .expect("run resumes");
         assert_eq!(full, resumed, "GaRun diverged when killed at line {cut}");
 
@@ -121,7 +122,7 @@ fn resume_is_chainable_across_multiple_kills() {
         let journal = Journal::load(&path).expect("journal loads");
         let mut writer = JournalWriter::resume(&path).expect("writer resumes");
         let resumed =
-            GaRun::resume_with_sink(&journal, fitness, &mut writer).expect("run resumes");
+            ga::resume(&journal, &mut LocalDispatcher::new(fitness, 2), &mut writer).expect("run resumes");
         assert_eq!(full, resumed);
         // Second kill: drop the last two records (ga_end and the final
         // generation) so the next iteration resumes mid-GA again.
@@ -145,11 +146,11 @@ fn resume_refuses_a_journal_from_a_different_run() {
     let mut text = std::fs::read_to_string(&path).expect("journal readable");
     text = text.replace("\"seed\":42", "\"seed\":43");
     let tampered = Journal::parse(&text).expect("tampered journal parses");
-    let err = GaRun::resume_from(&tampered, fitness).unwrap_err();
+    let err = ga::resume(&tampered, &mut LocalDispatcher::new(fitness, 2), &mut NullSink).unwrap_err();
     assert!(
         err.to_string().contains("different run"),
         "unexpected error: {err}"
     );
     // The untampered journal still resumes.
-    assert!(GaRun::resume_from(&journal, fitness).is_ok());
+    assert!(ga::resume(&journal, &mut LocalDispatcher::new(fitness, 2), &mut NullSink).is_ok());
 }

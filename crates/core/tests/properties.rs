@@ -4,7 +4,7 @@
 
 use audit_core::analyze::{verify, VerifyTarget};
 use audit_core::dither::DitherPlan;
-use audit_core::ga::{evolve_journaled, to_sub_block, CostFunction, GaConfig, Gene};
+use audit_core::ga::{self, to_sub_block, CostFunction, GaConfig, Gene, LocalDispatcher};
 use audit_core::journal::{JournalRecord, MemJournal};
 use audit_core::patterns::ActivityPattern;
 use audit_core::report::{vf_rel, Table};
@@ -78,12 +78,12 @@ proptest! {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        evolve_journaled(
+        ga::run(
             &cfg,
             &Opcode::stress_menu(),
             6,
             &[],
-            |g: &[Gene]| g.iter().filter(|x| x.opcode == Opcode::IMul).count() as f64,
+            &mut LocalDispatcher::new(|g: &[Gene]| g.iter().filter(|x| x.opcode == Opcode::IMul).count() as f64, 1),
             &mut mem,
         )
         .expect("tiny GA runs");
@@ -115,12 +115,12 @@ proptest! {
                 ..GaConfig::default()
             };
             let mut mem = MemJournal::default();
-            evolve_journaled(
+            ga::run(
                 &cfg,
                 &Opcode::stress_menu(),
                 6,
                 &[],
-                |g: &[Gene]| g.iter().filter(|x| x.opcode == Opcode::IMul).count() as f64,
+                &mut LocalDispatcher::new(|g: &[Gene]| g.iter().filter(|x| x.opcode == Opcode::IMul).count() as f64, 1),
                 &mut mem,
             )
             .expect("tiny GA runs");
@@ -155,12 +155,12 @@ proptest! {
             ..GaConfig::default()
         };
         let mut mem = MemJournal::default();
-        evolve_journaled(
+        ga::run(
             &cfg,
             &Opcode::stress_menu(),
             6,
             &[],
-            |g: &[Gene]| g.iter().filter(|x| x.opcode == Opcode::IMul).count() as f64,
+            &mut LocalDispatcher::new(|g: &[Gene]| g.iter().filter(|x| x.opcode == Opcode::IMul).count() as f64, 1),
             &mut mem,
         )
         .expect("tiny GA runs");

@@ -9,7 +9,7 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use audit_core::ga::{self, CostFunction, GaConfig, GaRun, ObjectiveSet};
+use audit_core::ga::{self, CostFunction, GaConfig, GaRun, Gene, LocalDispatcher, ObjectiveSet};
 use audit_core::resilient::genome_key;
 use audit_core::{FitnessSpec, MeasurePolicy, MeasureSpec, MemJournal, ResilienceReport, Rig};
 use audit_cpu::isa::Opcode;
@@ -53,21 +53,24 @@ fn ctx(spec: FitnessSpec) -> EvalContext {
 }
 
 /// The in-process reference run, accumulating resilience deltas the
-/// same way `Audit::evolve_kernel_journaled` does.
+/// same way the in-process `Audit` generation path does.
 fn local_run(spec: FitnessSpec, cfg: &GaConfig) -> (GaRun, MemJournal, ResilienceReport) {
     let rig = Rig::bulldozer();
     let log = Mutex::new(ResilienceReport::default());
     let mut mem = MemJournal::default();
-    let run = ga::evolve_journaled(
+    let run = ga::run(
         cfg,
         &Opcode::stress_menu(),
         GENOME_LEN,
         &[],
-        |genome| {
-            let (objectives, delta) = spec.evaluate_objectives(&rig, genome);
-            log.lock().unwrap().merge(&delta);
-            objectives
-        },
+        &mut LocalDispatcher::new(
+            |genome: &[Gene]| {
+                let (objectives, delta) = spec.evaluate_objectives(&rig, genome);
+                log.lock().unwrap().merge(&delta);
+                objectives
+            },
+            ga::resolve_workers(cfg.threads),
+        ),
         &mut mem,
     )
     .unwrap();
@@ -114,7 +117,7 @@ fn fleet_run(
                     .unwrap();
                 let mut dispatcher = pool.dispatcher(id);
                 let mut mem = MemJournal::default();
-                let run = ga::evolve_journaled_dispatched(
+                let run = ga::run(
                     &cfg,
                     &Opcode::stress_menu(),
                     GENOME_LEN,
@@ -289,7 +292,7 @@ fn identical_tenants_hit_the_cross_campaign_cache() {
             .unwrap();
         let mut dispatcher = pool.dispatcher(id);
         let mut mem = MemJournal::default();
-        let run = ga::evolve_journaled_dispatched(
+        let run = ga::run(
             &cfg,
             &Opcode::stress_menu(),
             GENOME_LEN,
@@ -342,16 +345,19 @@ fn differing_contexts_never_share_cache_entries() {
         let rig = tenant_ctx.rig().unwrap();
         let log = Mutex::new(ResilienceReport::default());
         let mut lmem = MemJournal::default();
-        let lrun = ga::evolve_journaled(
+        let lrun = ga::run(
             &cfg,
             &Opcode::stress_menu(),
             GENOME_LEN,
             &[],
-            |genome| {
-                let (objectives, delta) = base.evaluate_objectives(&rig, genome);
-                log.lock().unwrap().merge(&delta);
-                objectives
-            },
+            &mut LocalDispatcher::new(
+                |genome: &[Gene]| {
+                    let (objectives, delta) = base.evaluate_objectives(&rig, genome);
+                    log.lock().unwrap().merge(&delta);
+                    objectives
+                },
+                ga::resolve_workers(cfg.threads),
+            ),
             &mut lmem,
         )
         .unwrap();
@@ -367,7 +373,7 @@ fn differing_contexts_never_share_cache_entries() {
             .unwrap();
         let mut dispatcher = pool.dispatcher(id);
         let mut mem = MemJournal::default();
-        let run = ga::evolve_journaled_dispatched(
+        let run = ga::run(
             &cfg,
             &Opcode::stress_menu(),
             GENOME_LEN,

@@ -262,7 +262,9 @@ impl EvalContext {
     /// # Errors
     ///
     /// Returns [`AuditError::Journal`] for missing or mistyped fields
-    /// and for an unparsable fault spec.
+    /// and for an unparsable fault spec, and
+    /// [`AuditError::InvalidConfig`] for a measurement window
+    /// [`MeasureSpec::validate`] rejects or zero `sub_blocks`.
     pub fn from_json(v: &JsonValue) -> Result<EvalContext, AuditError> {
         let chip = v
             .get("chip")
@@ -303,6 +305,13 @@ impl EvalContext {
                 None => ObjectiveSet::default(),
             },
         };
+        if spec.sub_blocks == 0 {
+            return Err(AuditError::invalid(
+                "EvalContext",
+                "sub_blocks",
+                "the HP region needs at least one sub-block",
+            ));
+        }
         let fast_tier_budget = match v.get("fast_tier_budget") {
             Some(b) => decode_u64(b)? as usize,
             None => 0,
@@ -333,7 +342,9 @@ impl EvalContext {
     ///
     /// # Errors
     ///
-    /// Returns [`AuditError::InvalidConfig`] for an unknown chip name.
+    /// Returns [`AuditError::InvalidConfig`] for an unknown chip name,
+    /// a supply voltage the rig's PDN model rejects (not positive and
+    /// finite), or a thread count the chip cannot place.
     pub fn rig(&self) -> Result<Rig, AuditError> {
         let mut rig = match self.chip.as_str() {
             "bulldozer" => Rig::bulldozer(),
@@ -352,6 +363,8 @@ impl EvalContext {
         if let Some(cap) = self.throttle {
             rig = rig.with_fpu_throttle(cap);
         }
+        rig.pdn.validate()?;
+        rig.placement(self.spec.threads)?;
         Ok(rig)
     }
 }
@@ -380,7 +393,7 @@ fn encode_measure_spec(spec: &MeasureSpec) -> JsonValue {
 }
 
 fn decode_measure_spec(v: &JsonValue) -> Result<MeasureSpec, AuditError> {
-    Ok(MeasureSpec {
+    let spec = MeasureSpec {
         warmup_cycles: field_u64(v, "measure", "warmup_cycles")?,
         record_cycles: field_u64(v, "measure", "record_cycles")?,
         settle_cycles: field_u64(v, "measure", "settle_cycles")?,
@@ -388,7 +401,9 @@ fn decode_measure_spec(v: &JsonValue) -> Result<MeasureSpec, AuditError> {
         trigger_below_nominal: v.get("trigger_below_nominal").and_then(JsonValue::as_f64),
         envelope_decimation: field_u64(v, "measure", "envelope_decimation")?,
         keep_traces: field_bool(v, "measure", "keep_traces")?,
-    })
+    };
+    spec.validate()?;
+    Ok(spec)
 }
 
 fn encode_policy(policy: &MeasurePolicy) -> JsonValue {

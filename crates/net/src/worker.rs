@@ -257,6 +257,9 @@ fn serve_session(
                 let Some((rig, fspec, ctx_id)) = bound.as_ref() else {
                     return Err(AuditError::journal(0, "eval before setup"));
                 };
+                if genome.is_empty() {
+                    return Err(AuditError::journal(0, "eval of an empty genome"));
+                }
                 let key = genome_key(&genome);
                 let (objectives, resilience, cached) = match cache.lookup(*ctx_id, key) {
                     Some((objectives, resilience)) => (objectives, resilience, true),

@@ -10,7 +10,7 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use audit_core::ga::{self, CostFunction, GaConfig, GaRun, ObjectiveSet};
+use audit_core::ga::{self, CostFunction, GaConfig, GaRun, Gene, LocalDispatcher, ObjectiveSet};
 use audit_core::resilient::genome_key;
 use audit_core::{
     FitnessSpec, MeasurePolicy, MeasureSpec, MemJournal, ResilienceReport, Rig,
@@ -57,21 +57,24 @@ fn ctx(spec: FitnessSpec) -> EvalContext {
 }
 
 /// The in-process reference run, accumulating resilience deltas the
-/// same way `Audit::evolve_kernel_journaled` does.
+/// same way the in-process `Audit` generation path does.
 fn local_run(spec: FitnessSpec, cfg: &GaConfig) -> (GaRun, MemJournal, ResilienceReport) {
     let rig = Rig::bulldozer();
     let log = Mutex::new(ResilienceReport::default());
     let mut mem = MemJournal::default();
-    let run = ga::evolve_journaled(
+    let run = ga::run(
         cfg,
         &Opcode::stress_menu(),
         GENOME_LEN,
         &[],
-        |genome| {
-            let (objectives, delta) = spec.evaluate_objectives(&rig, genome);
-            log.lock().unwrap().merge(&delta);
-            objectives
-        },
+        &mut LocalDispatcher::new(
+            |genome: &[Gene]| {
+                let (objectives, delta) = spec.evaluate_objectives(&rig, genome);
+                log.lock().unwrap().merge(&delta);
+                objectives
+            },
+            ga::resolve_workers(cfg.threads),
+        ),
         &mut mem,
     )
     .unwrap();
@@ -115,7 +118,7 @@ fn distributed_run_with(
         .collect();
     broker.wait_for_workers(wait_for).unwrap();
     let mut mem = MemJournal::default();
-    let run = ga::evolve_journaled_dispatched(
+    let run = ga::run(
         cfg,
         &Opcode::stress_menu(),
         GENOME_LEN,
@@ -165,7 +168,7 @@ fn metrics_endpoint_answers_a_scrape_and_counts_work() {
     let worker = std::thread::spawn(move || run_worker(&worker_addr, &WorkerOptions::default()));
     broker.wait_for_workers(1).unwrap();
     let mut mem = MemJournal::default();
-    ga::evolve_journaled_dispatched(
+    ga::run(
         &cfg,
         &Opcode::stress_menu(),
         GENOME_LEN,
@@ -406,7 +409,7 @@ fn broker_resumes_from_journal_prefix_and_wal() {
     let worker = std::thread::spawn(move || run_worker(&addr, &WorkerOptions::default()));
     broker.wait_for_workers(1).unwrap();
     let mut mem = MemJournal::default();
-    let resumed = GaRun::resume_dispatched(&prefix, &mut broker, &mut mem).unwrap();
+    let resumed = ga::resume(&prefix, &mut broker, &mut mem).unwrap();
     broker.shutdown();
     worker.join().unwrap().unwrap();
     std::fs::remove_dir_all(&dir).ok();

@@ -6,10 +6,17 @@
 //! properties drive both through random byte soup and through
 //! adversarially-damaged valid frames.
 
+use std::net::TcpListener;
+
 use proptest::prelude::*;
 
+use audit_core::ga::{CostFunction, Gene, ObjectiveSet};
+use audit_core::{FitnessSpec, MeasurePolicy, MeasureSpec};
+use audit_cpu::isa::Opcode;
 use audit_measure::json::JsonValue;
-use audit_net::{crc32, read_frame, write_frame, FrameOutcome, Msg};
+use audit_net::{
+    crc32, read_frame, run_worker, write_frame, EvalContext, FrameOutcome, Msg, WorkerOptions,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -71,4 +78,74 @@ proptest! {
 #[test]
 fn crc32_matches_the_ieee_check_value() {
     assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+}
+
+/// Plays a broker for one worker session: reads its hello, sends
+/// `setup` and one `eval` of `genome`, then waits for the hang-up.
+fn serve_one_session(ctx: EvalContext, genome: Vec<Gene>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let _ = read_frame(&mut conn);
+        let _ = write_frame(&mut conn, &Msg::Setup { ctx }.to_json());
+        let _ = write_frame(&mut conn, &Msg::Eval { id: 1, genome }.to_json());
+        while let Ok(FrameOutcome::Frame(_)) = read_frame(&mut conn) {}
+    });
+    addr
+}
+
+#[test]
+fn bad_setup_and_eval_frames_are_worker_errors_not_panics() {
+    let spec = FitnessSpec {
+        threads: 2,
+        sub_blocks: 2,
+        lp_slots: 4,
+        cost: CostFunction::MaxDroop,
+        spec: MeasureSpec::ga_eval(),
+        policy: MeasurePolicy::disabled(),
+        objectives: ObjectiveSet::default(),
+    };
+    let good = EvalContext {
+        chip: "bulldozer".into(),
+        volts: None,
+        throttle: None,
+        spec,
+        fast_tier_budget: 0,
+    };
+    let genome = vec![Gene {
+        opcode: Opcode::SimdFma,
+        dst: 0,
+        src1: 12,
+        src2: 13,
+        miss: false,
+    }];
+    let with_spec = |spec: FitnessSpec| EvalContext {
+        spec,
+        ..good.clone()
+    };
+    let cases = [
+        ("zero volts", EvalContext { volts: Some(0.0), ..good.clone() }, genome.clone()),
+        ("negative volts", EvalContext { volts: Some(-1.0), ..good.clone() }, genome.clone()),
+        ("zero threads", with_spec(FitnessSpec { threads: 0, ..spec }), genome.clone()),
+        ("too many threads", with_spec(FitnessSpec { threads: 9, ..spec }), genome.clone()),
+        ("zero sub-blocks", with_spec(FitnessSpec { sub_blocks: 0, ..spec }), genome.clone()),
+        (
+            "empty record window",
+            with_spec(FitnessSpec {
+                spec: MeasureSpec {
+                    record_cycles: 0,
+                    ..MeasureSpec::ga_eval()
+                },
+                ..spec
+            }),
+            genome.clone(),
+        ),
+        ("empty genome", good.clone(), Vec::new()),
+    ];
+    for (what, ctx, genome) in cases {
+        let addr = serve_one_session(ctx, genome);
+        let result = run_worker(&addr, &WorkerOptions::default());
+        assert!(result.is_err(), "{what}: worker accepted the frame: {result:?}");
+    }
 }

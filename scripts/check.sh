@@ -48,6 +48,15 @@ cargo clippy --workspace --all-targets -- -D warnings -D deprecated
 echo "==> self-lint (every built-in program must be clean)"
 cargo run --release -q -p audit-cli --bin audit -- lint --all-builtins --deny-warnings
 
+echo "==> examples (every example runs to a zero exit)"
+# `cargo test` only compiles examples/; running them executes their own
+# asserts (quickstart's kill/resume bit-identity among them).
+for ex in examples/*.rs; do
+    name=$(basename "$ex" .rs)
+    cargo run --release -q -p audit-core --example "$name" > /dev/null \
+        || { echo "example $name exited non-zero" >&2; exit 1; }
+done
+
 echo "==> minimized-corpus re-lint (checked-in kernels stay publishable)"
 # The regression corpus under tests/fixtures/minimized/ was produced by
 # `audit minimize`; every witness and kernel must survive the strictest
