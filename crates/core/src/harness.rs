@@ -15,6 +15,10 @@ use audit_os::{OsConfig, OsModel};
 use audit_pdn::{PdnModel, Transient};
 use serde::{Deserialize, Serialize};
 
+/// Cycles of the chip-only dry run whose mean current sets the PDN
+/// pre-settle level of every measurement.
+const PROBE_CYCLES: u64 = 2_000;
+
 /// How a measurement run is captured.
 ///
 /// Prefer [`MeasureSpec::builder`] (or the [`MeasureSpec::ga_eval`] /
@@ -62,7 +66,9 @@ impl MeasureSpec {
     /// # Errors
     ///
     /// Returns [`AuditError::InvalidConfig`] if the recorded window is
-    /// empty, the envelope decimation is zero, or the droop-trigger
+    /// empty, warmup plus recorded window overflows a `u64`, the traces
+    /// of a `keep_traces` window would not fit in memory's address
+    /// space, the envelope decimation is zero, or the droop-trigger
     /// level is not a positive finite voltage.
     pub fn validate(&self) -> Result<(), AuditError> {
         if self.record_cycles == 0 {
@@ -70,6 +76,27 @@ impl MeasureSpec {
                 "MeasureSpec",
                 "record_cycles",
                 "recorded window must be at least one cycle",
+            ));
+        }
+        if self.warmup_cycles.checked_add(self.record_cycles).is_none() {
+            return Err(AuditError::invalid(
+                "MeasureSpec",
+                "warmup_cycles",
+                format!(
+                    "warmup ({}) plus recorded window ({}) overflows a cycle count",
+                    self.warmup_cycles, self.record_cycles
+                ),
+            ));
+        }
+        let max_trace = isize::MAX as usize / std::mem::size_of::<f64>();
+        if self.keep_traces && !usize::try_from(self.record_cycles).is_ok_and(|n| n <= max_trace) {
+            return Err(AuditError::invalid(
+                "MeasureSpec",
+                "record_cycles",
+                format!(
+                    "a kept trace of {} cycles exceeds the largest possible buffer ({max_trace})",
+                    self.record_cycles
+                ),
             ));
         }
         if self.envelope_decimation == 0 {
@@ -434,7 +461,7 @@ impl Rig {
             return Err(AuditError::timeout("harness", cycle_budget.unwrap_or(0)));
         }
         if let Some(budget) = cycle_budget {
-            let cost = spec.warmup_cycles + spec.record_cycles;
+            let cost = spec.warmup_cycles.saturating_add(spec.record_cycles);
             if cost > budget {
                 return Err(AuditError::timeout("harness", budget));
             }
@@ -524,19 +551,9 @@ impl Rig {
                 let chip = ChipSim::with_start_offsets(&self.chip, &placement, programs, &offsets)
                     .expect("programs incompatible with chip");
                 let os = self.os.map(|cfg| OsModel::new(cfg, programs.len()));
-                let mut transient = Transient::new(&self.pdn, self.chip.clock_hz);
-
-                // Per-lane mean-current probe + PDN pre-settle, same as
-                // the solo path (the settle level depends on the lane's
-                // own workload, so it cannot be shared).
-                let mut probe = chip.clone();
-                let mut amps_sum = 0.0;
-                let probe_cycles = 2_000;
-                for _ in 0..probe_cycles {
-                    amps_sum += probe.step().amps;
-                }
-                transient.settle(amps_sum / probe_cycles as f64, spec.settle_cycles);
-
+                // The settle level depends on the lane's own workload,
+                // so it cannot be shared.
+                let transient = self.settled_transient(&chip, spec);
                 let mut scope =
                     Oscilloscope::new(nominal).with_envelope_decimation(spec.envelope_decimation);
                 if let Some(below) = spec.trigger_below_nominal {
@@ -650,6 +667,20 @@ impl Rig {
         })
     }
 
+    /// A PDN transient pre-settled at the mean current of `chip`'s
+    /// first [`PROBE_CYCLES`] cycles, measured on a dry run of a copy of
+    /// the chip alone (dropped before the caller steps `chip`).
+    fn settled_transient(&self, chip: &ChipSim, spec: MeasureSpec) -> Transient {
+        let mut probe = chip.clone();
+        let mut amps_sum = 0.0;
+        for _ in 0..PROBE_CYCLES {
+            amps_sum += probe.step().amps;
+        }
+        let mut transient = Transient::new(&self.pdn, self.chip.clock_hz);
+        transient.settle(amps_sum / PROBE_CYCLES as f64, spec.settle_cycles);
+        transient
+    }
+
     /// Core co-simulation loop shared by every entry point. `noise`
     /// perturbs *observed* voltage samples only (scope statistics,
     /// envelope, traces); the simulated physics and the failure check
@@ -664,17 +695,7 @@ impl Rig {
         mut noise: Option<&mut NoiseStream>,
     ) -> Measurement {
         let nominal = self.pdn.nominal_voltage();
-        let mut transient = Transient::new(&self.pdn, self.chip.clock_hz);
-
-        // Estimate the workload's mean current with a dry run of the
-        // chip alone, then pre-settle the (cheap, chip-free) PDN there.
-        let mut probe = chip.clone();
-        let mut amps_sum = 0.0;
-        let probe_cycles = 2_000;
-        for _ in 0..probe_cycles {
-            amps_sum += probe.step().amps;
-        }
-        transient.settle(amps_sum / probe_cycles as f64, spec.settle_cycles);
+        let mut transient = self.settled_transient(chip, spec);
 
         // Warmup: co-simulate without recording.
         for _ in 0..spec.warmup_cycles {
@@ -914,5 +935,17 @@ mod tests {
                 .unwrap_err();
             assert!(err.to_string().contains("trigger"), "{err}");
         }
+        let err = MeasureSpec::builder()
+            .warmup_cycles(u64::MAX)
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
+        let untraceable = MeasureSpec::builder()
+            .warmup_cycles(0)
+            .record_cycles(u64::MAX)
+            .keep_traces(true);
+        assert!(untraceable.clone().keep_traces(false).build().is_ok());
+        let err = untraceable.build().unwrap_err();
+        assert!(err.to_string().contains("kept trace"), "{err}");
     }
 }

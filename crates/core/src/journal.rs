@@ -1150,8 +1150,12 @@ impl MemJournal {
 /// complete file to `<path>.tmp`, fsyncs, and renames over `<path>`.
 /// POSIX rename atomicity guarantees a reader (or a restart) sees either
 /// the previous journal or the new one — never a torn line. The rewrite
-/// is O(run length) per generation, which is negligible next to a
-/// generation's worth of chip + PDN co-simulation.
+/// is O(run length) per append, so a run writes O(records²) bytes. It
+/// is not negligible: `audit-perf --trace 1` (`core.journal.share`, on a
+/// 2-vCPU host) measures it at 0.16–0.24 of a `ga_resonant` campaign
+/// and 0.58 of a `ga_cascade` one (201 MB written in 20 s).
+/// ROADMAP.md's open item "Journal appends in O(1)" replaces it with one
+/// append and one `fdatasync` per record.
 #[derive(Debug)]
 pub struct JournalWriter {
     path: PathBuf,

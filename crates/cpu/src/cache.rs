@@ -156,6 +156,13 @@ impl Cache {
         self.misses
     }
 
+    /// Appends the tag array in LRU order (way 0 most recent) — all a
+    /// cache carries into its future; the hit/miss statistics are not.
+    pub(crate) fn encode_tags(&self, out: &mut Vec<u64>) {
+        out.push(self.tags.len() as u64);
+        out.extend(self.tags.iter().map(|t| t.map_or(0, |t| t + 1)));
+    }
+
     /// Miss ratio (0 when never accessed).
     pub fn miss_ratio(&self) -> f64 {
         let total = self.hits + self.misses;

@@ -1,6 +1,8 @@
 //! The whole-chip simulator: modules + uncore, stepped one clock cycle
 //! at a time, reporting total current draw.
 
+use std::borrow::Cow;
+
 use audit_error::AuditError;
 
 use crate::config::{ChipConfig, DidtLimiter};
@@ -32,6 +34,23 @@ pub struct ChipCycle {
 /// before it diverges (copy-on-write). Results are bit-identical to
 /// stepping every module separately.
 ///
+/// A loop body settles into a periodic steady state, and the chip
+/// replays it instead of stepping. While stepping, the chip looks for a
+/// cycle whose complete state equals the state `P` cycles earlier up to
+/// a shift of absolute time (Brent's cycle detection: a snapshot at
+/// power-of-two gaps, compared every cycle). The state compared is
+/// canonical: times relative to the current cycle, ROB sequence numbers
+/// relative to the next one, execution counters modulo the periods that
+/// read them, cache tags in LRU order, which sibling core has FPU
+/// priority, and the di/dt limiter's state. Once it matches, the chip
+/// steps one more period into a buffer and from then on returns that
+/// buffer cyclically; the stepped state stays where the buffer ended.
+/// [`ChipSim::inject_stall`] first steps that state up to the current
+/// cycle and restarts the search; the counters read back
+/// ([`ChipSim::thread_retired`], [`ChipSim::thread_telemetry`],
+/// [`ChipSim::limiter_triggers`]) come from a copy stepped up to it. A
+/// replayed cycle is bit-identical to the stepped one.
+///
 /// # Example
 ///
 /// ```
@@ -51,6 +70,17 @@ pub struct ChipCycle {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChipSim {
+    /// The stepped state; behind `now` while replaying.
+    live: LiveChip,
+    /// The cycle the caller sees.
+    now: u64,
+    phase: Phase,
+    placement: Placement,
+}
+
+/// The chip's state, advanced by stepping its modules.
+#[derive(Debug, Clone)]
+struct LiveChip {
     /// One simulator per distinct module.
     states: Vec<ModuleSim>,
     /// This cycle's output of each entry of `states`.
@@ -60,11 +90,101 @@ pub struct ChipSim {
     uncore_amps: f64,
     miss_amps: f64,
     now: u64,
-    placement: Placement,
     limiter: Option<DidtLimiter>,
     prev_amps: f64,
     throttle_until: u64,
     limiter_triggers: u64,
+}
+
+/// Longest period the chip replays (and largest snapshot gap): bounds
+/// the buffer at 1.5 MB.
+const MAX_PERIOD: u64 = 1 << 16;
+
+/// Cycles from the start of a search to its first snapshot; the gap to
+/// each later snapshot doubles, up to [`MAX_PERIOD`]. Short enough to
+/// lock onto a resonant loop within about a hundred cycles; a chip
+/// stalled more often than this (dither padding) never encodes its
+/// state.
+const FIRST_GAP: u64 = 32;
+
+#[derive(Debug, Clone)]
+enum Phase {
+    /// Stepping and comparing each cycle's state with `snapshot`.
+    Search {
+        /// Cycle at which `snapshot` was taken (or the search started).
+        at: u64,
+        /// The next snapshot is taken `gap` cycles after `at`.
+        gap: u64,
+        /// None until the first snapshot, `FIRST_GAP` cycles after the
+        /// search starts: the cycles right after construction or a
+        /// stall are rarely periodic yet.
+        snapshot: Option<Snapshot>,
+        /// Buffers for the current state's encoding.
+        scratch: (Vec<u64>, Vec<u64>),
+    },
+    /// The state recurred `period` cycles apart; stepping one more
+    /// period into `buf`.
+    Fill { period: usize, buf: Vec<ChipCycle> },
+    /// Returning `buf` cyclically from `pos` while `now < until`.
+    Replay {
+        buf: Vec<ChipCycle>,
+        pos: usize,
+        until: u64,
+    },
+}
+
+/// A canonical chip state, in three tiers of increasing cost: `probe`
+/// (each active core's fetch position, ROB length, stall and oldest
+/// completion time) is compared every cycle, `key` (everything but
+/// cache tags) only when the probes match, and `tags` only when the
+/// keys do.
+#[derive(Debug, Clone, Default)]
+struct Snapshot {
+    probe: Vec<u64>,
+    key: Vec<u64>,
+    tags: Vec<u64>,
+}
+
+impl Snapshot {
+    /// Re-encodes `live` into this snapshot's buffers.
+    fn take(&mut self, live: &LiveChip) {
+        self.probe.clear();
+        self.probe.extend(live.probes());
+        self.key.clear();
+        live.encode_state(&mut self.key);
+        self.tags.clear();
+        live.encode_tags(&mut self.tags);
+    }
+
+    /// Whether `live` is in this state: compared tier by tier, encoding
+    /// the key and then the tags into `scratch` only while every
+    /// earlier tier agrees.
+    fn matches(&self, live: &LiveChip, scratch: &mut (Vec<u64>, Vec<u64>)) -> bool {
+        let (key, tags) = scratch;
+        if !live.probes().eq(self.probe.iter().copied()) {
+            return false;
+        }
+        key.clear();
+        live.encode_state(key);
+        if *key != self.key {
+            return false;
+        }
+        tags.clear();
+        live.encode_tags(tags);
+        *tags == self.tags
+    }
+}
+
+impl Phase {
+    /// A search starting at cycle `now`.
+    fn search(now: u64) -> Self {
+        Phase::Search {
+            at: now,
+            gap: FIRST_GAP,
+            snapshot: None,
+            scratch: Default::default(),
+        }
+    }
 }
 
 impl ChipSim {
@@ -155,23 +275,170 @@ impl ChipSim {
             };
             module_state.push(state);
         }
-        Ok(ChipSim {
+        let live = LiveChip {
             state_cycles: vec![ModuleCycle::default(); states.len()],
             states,
             module_state,
             uncore_amps: config.energy.uncore_amps,
             miss_amps: config.energy.miss_amps,
             now: 0,
-            placement: placement.clone(),
             limiter: config.didt_limiter,
             prev_amps: 0.0,
             throttle_until: 0,
             limiter_triggers: 0,
+        };
+        Ok(ChipSim {
+            phase: Phase::search(0),
+            live,
+            now: 0,
+            placement: placement.clone(),
         })
     }
 
     /// Advances the chip one clock cycle.
+    #[inline]
     pub fn step(&mut self) -> ChipCycle {
+        if let Phase::Replay { buf, pos, until } = &mut self.phase {
+            if self.now < *until {
+                let out = buf[*pos];
+                *pos += 1;
+                if *pos == buf.len() {
+                    *pos = 0;
+                }
+                self.now += 1;
+                return out;
+            }
+        }
+        self.step_live()
+    }
+
+    /// [`ChipSim::step`] outside replay: steps the live state (caught up
+    /// first if a replay just ran out) and advances the search. Kept
+    /// out of line so that the replay path inlines into callers.
+    #[inline(never)]
+    fn step_live(&mut self) -> ChipCycle {
+        if let Phase::Replay { .. } = self.phase {
+            self.live.step_until(self.now);
+            self.phase = Phase::search(self.live.now);
+        }
+        let out = self.live.step();
+        self.now = self.live.now;
+        match &mut self.phase {
+            Phase::Search {
+                at,
+                gap,
+                snapshot,
+                scratch,
+            } => {
+                let since = self.live.now - *at;
+                if snapshot
+                    .as_ref()
+                    .is_some_and(|s| s.matches(&self.live, scratch))
+                {
+                    let period = since as usize;
+                    self.phase = Phase::Fill {
+                        period,
+                        buf: Vec::with_capacity(period),
+                    };
+                } else if since == *gap {
+                    *at = self.live.now;
+                    *gap = (*gap * 2).min(MAX_PERIOD);
+                    snapshot
+                        .get_or_insert_with(Snapshot::default)
+                        .take(&self.live);
+                }
+            }
+            Phase::Fill { period, buf } => {
+                buf.push(out);
+                if buf.len() == *period {
+                    self.phase = Phase::Replay {
+                        buf: std::mem::take(buf),
+                        pos: 0,
+                        until: self.live.now.saturating_add(self.live.exec_headroom()),
+                    };
+                }
+            }
+            Phase::Replay { .. } => unreachable!("replayed cycles return early"),
+        }
+        out
+    }
+
+    /// The live state at the caller's cycle: borrowed unless replaying,
+    /// else a copy stepped up to it.
+    fn current(&self) -> Cow<'_, LiveChip> {
+        if self.live.now == self.now {
+            return Cow::Borrowed(&self.live);
+        }
+        let mut live = self.live.clone();
+        live.step_until(self.now);
+        Cow::Owned(live)
+    }
+
+    /// Number of distinct di/dt-limiter engagements so far.
+    pub fn limiter_triggers(&self) -> u64 {
+        self.current().limiter_triggers
+    }
+
+    /// Current chip cycle.
+    pub fn now(&self) -> u64 {
+        self.now
+    }
+
+    /// Number of threads placed.
+    pub fn thread_count(&self) -> usize {
+        self.placement.thread_count()
+    }
+
+    /// Injects a front-end stall into thread `thread_idx` (by placement
+    /// order) lasting `cycles` — OS interrupt service and dither padding
+    /// both use this hook.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `thread_idx` is out of range.
+    pub fn inject_stall(&mut self, thread_idx: usize, cycles: u64) {
+        let (m, c) = self.placement.slots()[thread_idx];
+        self.live.step_until(self.now);
+        let live = &mut self.live;
+        let m = m as usize;
+        let state = live.module_state[m];
+        if live.module_state.iter().filter(|&&s| s == state).count() > 1 {
+            // Shared with another module: diverge on a private copy.
+            live.states.push(live.states[state].clone());
+            live.state_cycles.push(ModuleCycle::default());
+            live.module_state[m] = live.states.len() - 1;
+        }
+        let now = live.now;
+        live.states[live.module_state[m]]
+            .core_mut(c)
+            .inject_stall(now, cycles);
+        self.phase = Phase::search(self.live.now);
+    }
+
+    /// Total instructions retired by thread `thread_idx` since load.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `thread_idx` is out of range.
+    pub fn thread_retired(&self, thread_idx: usize) -> u64 {
+        let (m, c) = self.placement.slots()[thread_idx];
+        self.current().module(m).core(c).retired_total()
+    }
+
+    /// Cumulative pipeline telemetry for thread `thread_idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `thread_idx` is out of range.
+    pub fn thread_telemetry(&self, thread_idx: usize) -> crate::core_sim::CoreTelemetry {
+        let (m, c) = self.placement.slots()[thread_idx];
+        *self.current().module(m).core(c).telemetry()
+    }
+}
+
+impl LiveChip {
+    /// Advances one clock cycle.
+    fn step(&mut self) -> ChipCycle {
         let fetch_cap = match self.limiter {
             Some(l) if self.now < self.throttle_until => l.fetch_cap,
             _ => u32::MAX,
@@ -206,42 +473,11 @@ impl ChipSim {
         out
     }
 
-    /// Number of distinct di/dt-limiter engagements so far.
-    pub fn limiter_triggers(&self) -> u64 {
-        self.limiter_triggers
-    }
-
-    /// Current chip cycle.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Number of threads placed.
-    pub fn thread_count(&self) -> usize {
-        self.placement.thread_count()
-    }
-
-    /// Injects a front-end stall into thread `thread_idx` (by placement
-    /// order) lasting `cycles` — OS interrupt service and dither padding
-    /// both use this hook.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `thread_idx` is out of range.
-    pub fn inject_stall(&mut self, thread_idx: usize, cycles: u64) {
-        let (m, c) = self.placement.slots()[thread_idx];
-        let m = m as usize;
-        let state = self.module_state[m];
-        if self.module_state.iter().filter(|&&s| s == state).count() > 1 {
-            // Shared with another module: diverge on a private copy.
-            self.states.push(self.states[state].clone());
-            self.state_cycles.push(ModuleCycle::default());
-            self.module_state[m] = self.states.len() - 1;
+    /// Steps up to cycle `now`.
+    fn step_until(&mut self, now: u64) {
+        while self.now < now {
+            self.step();
         }
-        let now = self.now;
-        self.states[self.module_state[m]]
-            .core_mut(c)
-            .inject_stall(now, cycles);
     }
 
     /// The simulator of chip module `m`.
@@ -249,24 +485,43 @@ impl ChipSim {
         &self.states[self.module_state[m as usize]]
     }
 
-    /// Total instructions retired by thread `thread_idx` since load.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `thread_idx` is out of range.
-    pub fn thread_retired(&self, thread_idx: usize) -> u64 {
-        let (m, c) = self.placement.slots()[thread_idx];
-        self.module(m).core(c).retired_total()
+    /// Each distinct module's [`ModuleSim::probes`].
+    fn probes(&self) -> impl Iterator<Item = u64> + '_ {
+        self.states.iter().flat_map(|s| s.probes(self.now))
     }
 
-    /// Cumulative pipeline telemetry for thread `thread_idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `thread_idx` is out of range.
-    pub fn thread_telemetry(&self, thread_idx: usize) -> crate::core_sim::CoreTelemetry {
-        let (m, c) = self.placement.slots()[thread_idx];
-        *self.module(m).core(c).telemetry()
+    /// Appends the canonical state but the cache tags (see
+    /// [`ModuleSim::encode_state`]);
+    /// with a limiter fitted, its hold time relative to `now` and the
+    /// previous cycle's current come first. Which chip modules share a
+    /// state is fixed between restarts of the search, so it is left out.
+    fn encode_state(&self, key: &mut Vec<u64>) {
+        if self.limiter.is_some() {
+            key.extend([
+                self.throttle_until.saturating_sub(self.now),
+                self.prev_amps.to_bits(),
+            ]);
+        }
+        for state in &self.states {
+            state.encode_state(self.now, key);
+        }
+    }
+
+    /// Appends every distinct module's [`ModuleSim::encode_tags`].
+    fn encode_tags(&self, tags: &mut Vec<u64>) {
+        for state in &self.states {
+            state.encode_tags(tags);
+        }
+    }
+
+    /// Cycles the replay may run past `now` before an execution counter
+    /// could wrap and leave the period.
+    fn exec_headroom(&self) -> u64 {
+        self.states
+            .iter()
+            .map(ModuleSim::exec_headroom)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 }
 
@@ -449,6 +704,41 @@ mod tests {
             chip.thread_retired(0)
         };
         assert!(run(&limited) < run(&base));
+    }
+
+    /// SM-Res (`audit_stressmark::manual::sm_res`): 60 FMA/FMUL/NOP/NOP
+    /// instructions, then 60 NOPs.
+    fn sm_res() -> Program {
+        let ops = [Opcode::SimdFma, Opcode::SimdFMul, Opcode::Nop, Opcode::Nop];
+        let mut body: Vec<Inst> = (0..60u8)
+            .map(|i| match ops[i as usize % 4] {
+                Opcode::Nop => Inst::new(Opcode::Nop),
+                op => Inst::new(op).fp_dst(i % 8).fp_srcs(12, 13),
+            })
+            .collect();
+        body.extend(std::iter::repeat_n(Inst::new(Opcode::Nop), 60));
+        Program::new("SM-Res", body)
+    }
+
+    #[test]
+    fn sm_res_locks_onto_its_resonant_period() {
+        let cfg = ChipConfig::bulldozer();
+        let placement = cfg.spread_placement(4).unwrap();
+        let mut chip = ChipSim::new(&cfg, &placement, &vec![sm_res(); 4]).unwrap();
+        let mut locked = None;
+        for _ in 0..200 {
+            chip.step();
+            if let Phase::Fill { period, .. } = chip.phase {
+                locked = Some((chip.now, period));
+                break;
+            }
+        }
+        let (at, period) = locked.expect("SM-Res 4T did not lock within 200 cycles");
+        assert_eq!(period, 30, "locked at cycle {at}");
+        for _ in 0..period {
+            chip.step();
+        }
+        assert!(matches!(chip.phase, Phase::Replay { .. }));
     }
 
     #[test]

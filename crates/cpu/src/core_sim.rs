@@ -555,6 +555,88 @@ impl CoreSim {
     pub fn head_body_index(&self) -> Option<u32> {
         self.rob.front().map(|e| e.body_idx)
     }
+
+    /// A cheap necessary condition for [`CoreSim::encode_state`]
+    /// equality at cycle `now`: the fetch position and ROB occupancy,
+    /// the front-end stall, and the oldest entry's completion time
+    /// (the last two relative to `now`, as in the full encoding, and
+    /// the ones that change while a stalled or miss-bound core's fetch
+    /// position and ROB stand still).
+    pub(crate) fn probe(&self, now: u64) -> [u64; 3] {
+        let head = match self.rob.front() {
+            Some(e) if e.issued => e.done_at.saturating_sub(now),
+            _ => u64::MAX,
+        };
+        [
+            (self.next_fetch as u64) << 32 | self.rob.len() as u64,
+            self.stall_until.saturating_sub(now),
+            head,
+        ]
+    }
+
+    /// Appends the core's canonical state at cycle `now`, except the
+    /// cache tags ([`CoreSim::encode_tags`]): two cores with equal
+    /// encodings (at their own `now`) behave identically from then on.
+    /// Absolute times are stored relative to `now`, clamped at 0 (every
+    /// reader compares them with `now`); sequence numbers relative to
+    /// `next_seq` (the ROB holds exactly the `rob.len()` sequence numbers
+    /// below it); each `exec_count` modulo the period its readers see.
+    /// Left out: what only an unissued ROB entry reads, once issued (its
+    /// latency, outcome flags and producers); each entry's static
+    /// properties (decided by its body index); and the counters nothing
+    /// reads back (retired total, telemetry).
+    pub(crate) fn encode_state(&self, now: u64, key: &mut Vec<u64>) {
+        if !self.is_active() {
+            return;
+        }
+        let rel = |t: u64| t.saturating_sub(now);
+        let seq = |s: Option<u64>| s.map_or(0, |s| self.next_seq - s);
+        key.extend([
+            self.next_fetch as u64,
+            self.rob.len() as u64,
+            rel(self.stall_until),
+            rel(self.muldiv_busy_until),
+            u64::from(self.int_prf_free),
+            u64::from(self.fp_prf_free),
+            u64::from(self.int_sched_used),
+        ]);
+        key.extend(self.producer.iter().map(|&p| seq(p)));
+        for e in &self.rob {
+            key.push(u64::from(e.body_idx));
+            if e.issued {
+                key.push(rel(e.done_at));
+            } else {
+                key.extend([
+                    u64::MAX,
+                    u64::from(e.latency)
+                        | u64::from(e.mispredicts) << 32
+                        | u64::from(e.misses) << 33,
+                    seq(e.producers[0]),
+                    seq(e.producers[1]),
+                ]);
+            }
+        }
+        for (d, &count) in self.body.iter().zip(&self.exec_count) {
+            let period = exec_period(d.mem, d.branch);
+            if period > 1 {
+                key.push(u64::from(count) % period);
+            }
+        }
+    }
+
+    /// Appends the rest of the canonical state: both cache levels' tags.
+    pub(crate) fn encode_tags(&self, tags: &mut Vec<u64>) {
+        self.caches.l1().encode_tags(tags);
+        self.caches.l2().encode_tags(tags);
+    }
+
+    /// Cycles this core can run before an `exec_count` could wrap (each
+    /// grows by at most `fetch_width` per cycle): the residues in
+    /// [`CoreSim::encode_state`] decide the future only up to then.
+    pub(crate) fn exec_headroom(&self) -> u64 {
+        let max = self.exec_count.iter().copied().max().unwrap_or(0);
+        u64::from(u32::MAX - max) / u64::from(self.cfg.fetch_width.max(1))
+    }
 }
 
 fn decode(energy: &EnergyModel) -> impl Fn(&Inst) -> Decoded + '_ {
@@ -581,6 +663,39 @@ fn decode(energy: &EnergyModel) -> impl Fn(&Inst) -> Decoded + '_ {
             branch: inst.branch,
         }
     }
+}
+
+/// The period of a body slot's `exec_count` as [`CoreSim::resolve_mem`]
+/// and the mispredict check read it (1 when nothing reads the count):
+/// the least common multiple of the miss and mispredict periods and,
+/// for a strided walk, the number of distinct offsets
+/// `count · stride mod footprint` takes.
+fn exec_period(mem: MemBehavior, branch: BranchBehavior) -> u64 {
+    fn gcd(a: u64, b: u64) -> u64 {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
+    }
+    let mem = match mem {
+        MemBehavior::L1Hit => 1,
+        MemBehavior::L2MissEvery { period } | MemBehavior::MemMissEvery { period } => {
+            u64::from(period.max(1))
+        }
+        MemBehavior::Strided {
+            stride_bytes,
+            footprint_bytes,
+        } => {
+            let footprint = u64::from(footprint_bytes.max(stride_bytes.max(1)));
+            footprint / gcd(u64::from(stride_bytes), footprint)
+        }
+    };
+    let branch = match branch {
+        BranchBehavior::Predicted => 1,
+        BranchBehavior::MispredictEvery { period } => u64::from(period.max(1)),
+    };
+    mem / gcd(mem, branch) * branch
 }
 
 #[cfg(test)]

@@ -149,6 +149,45 @@ impl ModuleSim {
 
         out
     }
+
+    /// Each active core's [`CoreSim::probe`] at cycle `now`.
+    pub(crate) fn probes(&self, now: u64) -> impl Iterator<Item = u64> + '_ {
+        self.cores
+            .iter()
+            .filter(|c| c.is_active())
+            .flat_map(move |c| c.probe(now))
+    }
+
+    /// Appends the module's canonical state at cycle `now` (see
+    /// [`CoreSim::encode_state`]): which sibling gets FPU priority
+    /// (`now` modulo the core count), the shared FP scheduler
+    /// occupancy, each pipe's busy time relative to `now`, then the
+    /// cores in order.
+    pub(crate) fn encode_state(&self, now: u64, key: &mut Vec<u64>) {
+        key.push(now % self.cores.len() as u64);
+        key.push(u64::from(self.fp_sched_used));
+        key.extend(self.fp_pipe_busy.iter().map(|&b| b.saturating_sub(now)));
+        for core in &self.cores {
+            core.encode_state(now, key);
+        }
+    }
+
+    /// Appends each core's [`CoreSim::encode_tags`].
+    pub(crate) fn encode_tags(&self, tags: &mut Vec<u64>) {
+        for core in &self.cores {
+            core.encode_tags(tags);
+        }
+    }
+
+    /// Cycles until an execution counter of some core could wrap (see
+    /// [`CoreSim::exec_headroom`]).
+    pub(crate) fn exec_headroom(&self) -> u64 {
+        self.cores
+            .iter()
+            .map(CoreSim::exec_headroom)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
 }
 
 #[cfg(test)]

@@ -141,6 +141,29 @@ fn bad_setup_and_eval_frames_are_worker_errors_not_panics() {
             }),
             genome.clone(),
         ),
+        (
+            "overflowing warmup + record window",
+            with_spec(FitnessSpec {
+                spec: MeasureSpec {
+                    warmup_cycles: u64::MAX,
+                    ..MeasureSpec::ga_eval()
+                },
+                ..spec
+            }),
+            genome.clone(),
+        ),
+        (
+            "kept traces no buffer can hold",
+            with_spec(FitnessSpec {
+                spec: MeasureSpec {
+                    warmup_cycles: 0,
+                    record_cycles: u64::MAX,
+                    ..MeasureSpec::ga_eval().with_traces()
+                },
+                ..spec
+            }),
+            genome.clone(),
+        ),
         ("empty genome", good.clone(), Vec::new()),
     ];
     for (what, ctx, genome) in cases {

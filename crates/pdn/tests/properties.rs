@@ -196,6 +196,66 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// About the DC operating point that `settle(i0, u64::MAX)` reaches,
+    /// the PDN is a linear time-invariant system. With `r(δ)` the
+    /// die-voltage deviation from DC under the load `i0 + δ(t)`:
+    /// `r(a + k·b) = r(a) + k·r(b)`, and delaying `a` by `delay` cycles
+    /// (holding `i0` meanwhile) delays `r(a)` by as much, all within
+    /// 1e-12 V. A wrong DC point is not a fixed point of the step, so
+    /// its drift breaks both.
+    #[test]
+    fn pdn_is_linear_and_time_invariant_about_dc(
+        phenom in any::<bool>(),
+        load_line in any::<bool>(),
+        i0 in 0.0f64..120.0,
+        a in prop::collection::vec(-30.0f64..30.0, 1..400),
+        b in prop::collection::vec(-30.0f64..30.0, 1..400),
+        k in -2.0f64..2.0,
+        delay in 0usize..200,
+    ) {
+        let (board, clock) = if phenom {
+            (PdnModel::phenom_board(), 3.0e9)
+        } else {
+            (PdnModel::bulldozer_board(), 3.2e9)
+        };
+        let slope = if load_line { 1.0e-3 } else { 0.0 };
+        let pdn = board.with_load_line(LoadLine::with_slope(slope));
+        let mut dc = Transient::new(&pdn, clock);
+        dc.settle(i0, u64::MAX);
+        let v_dc = dc.die_voltage(i0);
+        let response = |trace: &[f64]| -> Vec<f64> {
+            let mut t = dc.clone();
+            trace.iter().map(|&d| t.step(i0 + d) - v_dc).collect()
+        };
+        let len = a.len().max(b.len());
+        let pad = |x: &[f64]| {
+            let mut x = x.to_vec();
+            x.resize(len, 0.0);
+            x
+        };
+        let (a, b) = (pad(&a), pad(&b));
+        let sum: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + k * y).collect();
+        let (ra, rb, rsum) = (response(&a), response(&b), response(&sum));
+        for (t, ((x, y), s)) in ra.iter().zip(&rb).zip(&rsum).enumerate() {
+            let err = (s - (x + k * y)).abs();
+            prop_assert!(err <= 1e-12, "superposition off by {} V at cycle {}", err, t);
+        }
+        let mut delayed = vec![0.0; delay];
+        delayed.extend_from_slice(&a);
+        let rd = response(&delayed);
+        for (t, v) in rd[..delay].iter().enumerate() {
+            prop_assert!(v.abs() <= 1e-12, "left DC by {} V at cycle {} of the delay", v, t);
+        }
+        for (t, (x, y)) in ra.iter().zip(&rd[delay..]).enumerate() {
+            let err = (x - y).abs();
+            prop_assert!(err <= 1e-12, "shifted response off by {} V at cycle {}", err, t);
+        }
+    }
+}
+
 fn any_complex() -> impl Strategy<Value = Complex> {
     (-1e3f64..1e3, -1e3f64..1e3).prop_map(|(re, im)| Complex::new(re, im))
 }

@@ -45,6 +45,14 @@ echo "==> cargo clippy (warnings are errors; deprecated calls are errors)"
 # `FitnessSpec::evaluate`/`evaluate_batch` wrappers were).
 cargo clippy --workspace --all-targets -- -D warnings -D deprecated
 
+echo "==> replay contract (1024 generated chips in release)"
+# ChipSim replays a loop's periodic steady state instead of stepping it
+# (docs/SIMULATION.md). replay_matches_stepping compares every cycle,
+# bit for bit, with a chip that steps every cycle. Tier-1's debug
+# `cargo test` draws 64 cases; this gate draws PROPTEST_CASES=1024.
+# The filter also runs the pinned mutation witnesses.
+PROPTEST_CASES=1024 cargo test --release -q -p audit-cpu --test properties replay_matches_stepping
+
 echo "==> self-lint (every built-in program must be clean)"
 cargo run --release -q -p audit-cli --bin audit -- lint --all-builtins --deny-warnings
 
