@@ -16,8 +16,9 @@
 //!    with per-code allow/warn/deny configuration ([`LintConfig`]).
 //! 3. **Pressure model** ([`pressure()`]) — critical path, per-unit
 //!    occupancy, a bottleneck IPC bound, and a static current-swing
-//!    score ([`swing_score`]) the GA uses as a deterministic surrogate
-//!    *ranking* (ordering real evaluations, never replacing them).
+//!    score ([`swing_score`]) the GA records for every generation in
+//!    its journal (analysis only: it never orders or replaces real
+//!    evaluations).
 //!
 //! Two further modules make the analysis *active* rather than merely
 //! advisory: [`dataflow`] exposes the fixpoint liveness/reaching-defs
@@ -27,7 +28,7 @@
 //! `audit minimize` CLI verb.
 //!
 //! See `docs/ANALYSIS.md` for the pass pipeline, the full lint catalog,
-//! and the surrogate-ranking determinism contract.
+//! and how the GA journal uses the swing score.
 //!
 //! # Example
 //!

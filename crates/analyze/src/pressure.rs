@@ -3,9 +3,9 @@
 //! A cheap, deterministic approximation of what the cycle-level
 //! simulator will see: dependency-graph critical path, per-unit
 //! occupancy, a bottleneck IPC bound, and a static current-swing score.
-//! The swing score doubles as the GA's *surrogate ranking* key — it
-//! orders (never replaces) real fitness evaluations, so it only has to
-//! correlate with droop potential, not predict it.
+//! The GA journals the swing score of every generation as analysis
+//! metadata; it never replaces real fitness evaluations, so it only has
+//! to correlate with droop potential, not predict it.
 //!
 //! Everything here is straight-line arithmetic over the instruction
 //! list: no hashing, no randomness, no parallelism — the same program
@@ -45,9 +45,9 @@ impl MachineModel {
         }
     }
 
-    /// A chip-agnostic 4-wide model. The GA's surrogate ranking uses
-    /// this: since ranking never changes results, the model only needs
-    /// to be fixed, not faithful to the simulated chip.
+    /// A chip-agnostic 4-wide model. The GA's journal analysis uses
+    /// this: since the analysis never changes results, the model only
+    /// needs to be fixed, not faithful to the simulated chip.
     pub fn generic() -> Self {
         MachineModel {
             fetch_width: 4,
@@ -175,10 +175,9 @@ fn group_currents(body: &[Inst], fetch_width: usize) -> Vec<f64> {
 
 /// Static current-swing score over an instruction list; see
 /// [`PressureReport::swing_score`]. Exposed separately so the GA can
-/// rank lowered genomes without building a [`Program`].
+/// score lowered genomes without building a [`Program`].
 ///
-/// This is tier 0 of the evaluation cascade (`docs/SIMULATION.md`): a
-/// burst of heavy ops followed by a quiet gap scores higher than the
+/// A burst of heavy ops followed by a quiet gap scores higher than the
 /// same ops spread evenly, because only the former puts an edge
 /// between consecutive fetch groups:
 ///

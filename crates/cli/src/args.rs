@@ -65,7 +65,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--connect-for",
     "--connect-retry",
     "--fast-tier-budget",
-    "--eval-batch",
     "--objective",
     "--grid-volts",
     "--grid-clocks",

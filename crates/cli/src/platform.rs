@@ -29,7 +29,6 @@ const GENERATE_RESULT_FLAGS: &[&str] = &[
     "--retries",
     "--cycle-budget",
     "--fast-tier-budget",
-    "--eval-batch",
     "--objective",
 ];
 
@@ -153,7 +152,9 @@ fn argv_from_flags(args: &Args, flags: &[&str]) -> Vec<JsonValue> {
 ///
 /// # Errors
 ///
-/// Returns [`ArgError`] when the metadata is missing or malformed.
+/// Returns [`ArgError`] when the metadata is missing or malformed, or
+/// records a flag this build retired (docs/RUN_JOURNAL.md, "Retired
+/// knobs").
 pub fn args_from_meta(meta: &JsonValue) -> Result<Args, ArgError> {
     let argv = meta
         .get("argv")
@@ -167,6 +168,15 @@ pub fn args_from_meta(meta: &JsonValue) -> Result<Args, ArgError> {
                 .ok_or_else(|| ArgError("journal metadata `argv` holds a non-string".into()))
         })
         .collect::<Result<Vec<_>, _>>()?;
+    // Checked before parsing: the parser does not know the flag takes
+    // a value, and would misread that value as a positional.
+    if words.iter().any(|w| w == "--eval-batch") {
+        return Err(ArgError(
+            "--eval-batch: the journal records a retired flag; \
+             resume it with the build that wrote it"
+                .into(),
+        ));
+    }
     Args::parse(words)
 }
 
@@ -174,7 +184,8 @@ pub fn args_from_meta(meta: &JsonValue) -> Result<Args, ArgError> {
 ///
 /// # Errors
 ///
-/// Returns [`ArgError`] for an unknown chip or malformed numbers.
+/// Returns [`ArgError`] for an unknown chip, malformed numbers, or a
+/// `--volts` that is not a positive finite supply.
 pub fn rig_from(args: &Args) -> Result<Rig, ArgError> {
     let chip = args.str_flag("--chip", "bulldozer");
     let mut rig = match chip.as_str() {
@@ -191,6 +202,9 @@ pub fn rig_from(args: &Args) -> Result<Rig, ArgError> {
             .parse()
             .map_err(|_| ArgError(format!("--volts: cannot parse `{v}`")))?;
         rig = rig.at_voltage(volts);
+        rig.pdn
+            .validate()
+            .map_err(|e| ArgError(format!("--volts: {e}")))?;
     }
     if let Some(cap) = args.opt_flag("--throttle") {
         let cap: u32 = cap
@@ -217,11 +231,10 @@ pub fn threads_from(args: &Args, rig: &Rig) -> Result<usize, ArgError> {
 }
 
 /// Generation options from `--fast`, `--seed`, `--cost`, `--workers`,
-/// `--fast-tier-budget`, `--eval-batch`, and `--lint-repair`.
+/// `--fast-tier-budget`, and `--lint-repair`.
 ///
 /// `--workers` sets the GA fitness-evaluation worker count (`0`, the
-/// default, means all available cores) and `--eval-batch` the number of
-/// genomes co-simulated per batched sweep; both affect wall time only,
+/// default, means all available cores); it affects wall time only,
 /// never results. `--fast-tier-budget <n>` engages the evaluation
 /// cascade — at most `n` candidates per generation reach the full
 /// simulator — and *does* shape the search, so it is recorded as a
@@ -254,12 +267,6 @@ pub fn options_from(args: &Args) -> Result<AuditOptions, ArgError> {
             .parse()
             .map_err(|_| ArgError(format!("--fast-tier-budget: cannot parse `{budget}`")))?;
         opts = opts.with_fast_tier_budget(budget);
-    }
-    if let Some(batch) = args.opt_flag("--eval-batch") {
-        let batch: usize = batch
-            .parse()
-            .map_err(|_| ArgError(format!("--eval-batch: cannot parse `{batch}`")))?;
-        opts = opts.with_eval_batch(batch);
     }
     if args.bool_flag("--lint-repair") {
         opts.ga.lint_repair = true;
@@ -575,25 +582,20 @@ mod tests {
 
     #[test]
     fn cascade_flags_parse_and_round_trip_through_meta() {
-        let args = parse(&["--fast-tier-budget", "6", "--eval-batch", "4"]);
+        let args = parse(&["--fast-tier-budget", "6"]);
         let opts = options_from(&args).unwrap();
         assert_eq!(opts.ga.fast_tier_budget, 6);
-        assert_eq!(opts.eval_batch, 4);
-        // Both flags are journaled, so --resume reconstructs the exact
-        // cascade configuration (the budget shapes the search) and
-        // keeps batching engaged.
+        // The flag is journaled, so --resume reconstructs the exact
+        // cascade configuration (the budget shapes the search).
         let meta = generate_meta(&args);
         let restored = args_from_meta(&meta).unwrap();
         let ropts = options_from(&restored).unwrap();
         assert_eq!(ropts.ga.fast_tier_budget, 6);
-        assert_eq!(ropts.eval_batch, 4);
-        // Defaults: cascade off, unbatched.
+        // Default: cascade off.
         let plain = options_from(&parse(&[])).unwrap();
         assert_eq!(plain.ga.fast_tier_budget, 0);
-        assert_eq!(plain.eval_batch, 1);
-        // Malformed or unrunnable values are rejected with the flag named.
+        // Malformed values are rejected with the flag named.
         assert!(options_from(&parse(&["--fast-tier-budget", "lots"])).is_err());
-        assert!(options_from(&parse(&["--eval-batch", "0"])).is_err());
     }
 
     #[test]

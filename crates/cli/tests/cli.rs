@@ -552,3 +552,49 @@ fn unplaceable_thread_counts_are_errors_not_panics() {
     let err = stderr(&audit(&["generate", "--fast", "--threads", "9"]));
     assert!(err.contains("capacity 8"), "{err}");
 }
+
+#[test]
+fn unusable_supply_voltages_are_errors_not_panics() {
+    // A `--volts` the PDN cannot run at must be an argument error (exit
+    // 1) naming the flag, never a simulator panic (exit 101).
+    for volts in ["-1", "0", "nan", "inf"] {
+        let generate = ["generate", "--fast", "--volts", volts];
+        let measure = [
+            "measure",
+            "--stressmark",
+            "sm-res",
+            "--fast",
+            "--volts",
+            volts,
+        ];
+        for args in [&generate[..], &measure[..]] {
+            let out = audit(args);
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert!(!err.contains("panicked"), "{args:?}: {err}");
+            assert!(err.contains("--volts"), "{args:?}: {err}");
+        }
+    }
+}
+
+#[test]
+fn resume_refuses_a_retired_eval_batch_flag() {
+    // Checkpoints from builds that had `--eval-batch` record it as a
+    // result flag. Resume must name the retired flag, not misread its
+    // value as a positional or replay under a different configuration.
+    let dir = std::env::temp_dir().join("audit-cli-retired-flag-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("batched.ndjson");
+    std::fs::write(
+        &journal,
+        "{\"kind\":\"run_start\",\"schema\":1,\"mode\":\"generate\",\
+         \"meta\":{\"argv\":[\"--seed\",\"11\",\"--eval-batch\",\"4\",\"--fast\"]}}\n",
+    )
+    .unwrap();
+    let out = audit(&["generate", "--resume", journal.to_str().unwrap()]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("--eval-batch"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(!stdout(&out).contains("resuming"), "{}", stdout(&out));
+}

@@ -49,19 +49,6 @@ pub struct AuditOptions {
     /// repeat-median, retry, watchdog). The default no-op policy keeps
     /// the plain measurement path and bit-identical results.
     pub policy: MeasurePolicy,
-    /// Genomes co-simulated per batched sweep of the full simulator
-    /// (`1` = the classic one-genome-at-a-time path). When the
-    /// resilience policy is the no-op default and this is above 1,
-    /// fitness evaluation routes through
-    /// [`Rig::measure_batch`](crate::harness::Rig::measure_batch) via a
-    /// [`ga::BatchLocalDispatcher`]: each worker pops a chunk of this
-    /// many genomes and steps their simulators in lockstep, amortizing
-    /// loop bookkeeping across the chunk. Purely a wall-clock knob —
-    /// lanes are fully independent, so results, journal bytes, and
-    /// cache state are bit-identical to the unbatched path (see
-    /// docs/SIMULATION.md).
-    #[serde(default = "default_eval_batch")]
-    pub eval_batch: usize,
     /// Objective axes the GA optimizes, always evaluated in canonical
     /// droop → power → margin order (see [`ObjectiveSet`]). The default
     /// is the paper's scalar droop objective; selecting more than one
@@ -70,15 +57,6 @@ pub struct AuditOptions {
     /// sync.
     #[serde(default)]
     pub objectives: ObjectiveSet,
-}
-
-/// Serde default for [`AuditOptions::eval_batch`]: options serialized
-/// before the batched path existed deserialize to the classic
-/// one-genome-at-a-time behavior. (Unreferenced under the offline
-/// no-op serde derive stub, hence the allow.)
-#[allow(dead_code)]
-fn default_eval_batch() -> usize {
-    1
 }
 
 impl AuditOptions {
@@ -130,13 +108,6 @@ impl AuditOptions {
                 "excitation quiet region must be at least one cycle",
             ));
         }
-        if self.eval_batch == 0 {
-            return Err(AuditError::invalid(
-                "AuditOptions",
-                "eval_batch",
-                "evaluation batch width must be at least 1 (1 = unbatched)",
-            ));
-        }
         if self.objectives.is_empty() {
             return Err(AuditError::invalid(
                 "AuditOptions",
@@ -168,7 +139,6 @@ impl AuditOptions {
             eval_spec: MeasureSpec::ga_eval(),
             excitation_quiet_cycles: 200,
             policy: MeasurePolicy::disabled(),
-            eval_batch: 1,
             objectives: ObjectiveSet::scalar_droop(),
         }
     }
@@ -189,7 +159,6 @@ impl AuditOptions {
             eval_spec: MeasureSpec::ga_eval(),
             excitation_quiet_cycles: 150,
             policy: MeasurePolicy::disabled(),
-            eval_batch: 1,
             objectives: ObjectiveSet::scalar_droop(),
         }
     }
@@ -219,13 +188,6 @@ impl AuditOptions {
     /// fault schedules are content-addressed per candidate.
     pub fn with_policy(mut self, policy: MeasurePolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets the batched-evaluation chunk width (`1` = unbatched). Never
-    /// changes results — see [`AuditOptions::eval_batch`].
-    pub fn with_eval_batch(mut self, batch: usize) -> Self {
-        self.eval_batch = batch;
         self
     }
 
@@ -330,13 +292,6 @@ impl AuditOptionsBuilder {
     /// [`MeasurePolicy::validate`] at build.
     pub fn policy(mut self, policy: MeasurePolicy) -> Self {
         self.opts.policy = policy;
-        self
-    }
-
-    /// Sets the batched-evaluation chunk width. Must be at least 1 at
-    /// build (convenience mirror of [`AuditOptions::with_eval_batch`]).
-    pub fn eval_batch(mut self, batch: usize) -> Self {
-        self.opts.eval_batch = batch;
         self
     }
 
@@ -622,8 +577,7 @@ impl Audit {
 
     /// Every in-process generation path: resumes `journal` (a fresh run
     /// resumes an empty one), reusing its resonance phase if complete,
-    /// then runs the GA phase on a local dispatcher — batched when
-    /// [`AuditOptions::eval_batch`] allows it. `tag` suffixes the
+    /// then runs the GA phase on a local dispatcher. `tag` suffixes the
     /// stressmark name.
     fn generate(
         &self,
@@ -656,32 +610,12 @@ impl Audit {
             log.fold(&delta);
             objs
         };
-        // Batched hot loop: chunks of genomes share one lockstep
-        // simulator sweep. Bit-identical to the closure path —
-        // `Rig::measure_batch` lanes are fully independent and the
-        // engine merges results in slot order either way.
-        let batch_fitness = |genomes: &[&[Gene]]| {
-            fspec
-                .evaluate_objectives_batch(rig, genomes)
-                .into_iter()
-                .map(|(objs, delta)| {
-                    log.fold(&delta);
-                    objs
-                })
-                .collect()
-        };
-        let mut dispatcher: Box<dyn ga::EvalDispatcher + '_> =
-            if self.opts.eval_batch > 1 && self.opts.policy.is_noop() {
-                let batch = self.opts.eval_batch;
-                Box::new(ga::BatchLocalDispatcher::new(batch_fitness, batch, workers))
-            } else {
-                Box::new(ga::LocalDispatcher::new(fitness, workers))
-            };
+        let mut dispatcher = ga::LocalDispatcher::new(fitness, workers);
         let ga_run = self.ga_phase(
             &fspec,
             excitation,
             seed_programs,
-            dispatcher.as_mut(),
+            &mut dispatcher,
             sink,
             Some(journal),
         )?;
@@ -974,47 +908,6 @@ impl FitnessSpec {
             (objs, delta)
         }
     }
-
-    /// Scores a chunk of genomes in one lockstep
-    /// [`Rig::measure_batch`] sweep, returning one objective vector per
-    /// genome in order. Each vector is bit-identical to
-    /// [`FitnessSpec::evaluate_objectives`] on that genome alone —
-    /// batching amortizes the hot loop's bookkeeping, never changes
-    /// results.
-    ///
-    /// Falls back to per-genome evaluation when the resilience policy
-    /// is not the no-op default (fault schedules are keyed per
-    /// evaluation, so the batched path would have to replicate the
-    /// retry loop per lane for no gain) or when the chunk has a single
-    /// genome.
-    pub fn evaluate_objectives_batch(
-        &self,
-        rig: &Rig,
-        genomes: &[&[Gene]],
-    ) -> Vec<(Objectives, ResilienceReport)> {
-        if !self.policy.is_noop() || genomes.len() <= 1 {
-            return genomes
-                .iter()
-                .map(|g| self.evaluate_objectives(rig, g))
-                .collect();
-        }
-        let lanes: Vec<Vec<Program>> = genomes
-            .iter()
-            .map(|genome| {
-                let kernel = Kernel::from_sub_blocks(
-                    "candidate",
-                    &ga::genome::to_sub_block(genome),
-                    self.sub_blocks,
-                    self.lp_slots,
-                );
-                vec![kernel.to_program(); self.threads]
-            })
-            .collect();
-        rig.measure_batch(&lanes, self.spec)
-            .iter()
-            .map(|m| (self.objectives_of(rig, m), ResilienceReport::default()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -1040,64 +933,6 @@ mod tests {
         );
         assert!(run.name.contains("A-Res"));
         assert!(!run.ga.history.is_empty());
-    }
-
-    #[test]
-    fn batched_evaluation_is_bit_identical_to_unbatched() {
-        let rig = Rig::bulldozer();
-        let mut plain_sink = crate::journal::MemJournal::default();
-        let mut batch_sink = crate::journal::MemJournal::default();
-        let plain = Audit::new(rig.clone(), AuditOptions::fast_demo())
-            .generate_resonant_journaled(2, &mut plain_sink)
-            .unwrap();
-        let batched = Audit::new(rig, AuditOptions::fast_demo().with_eval_batch(3))
-            .generate_resonant_journaled(2, &mut batch_sink)
-            .unwrap();
-        assert_eq!(plain.best_fitness.to_bits(), batched.best_fitness.to_bits());
-        assert_eq!(plain.ga, batched.ga);
-        // Byte-level: the batched run journals the exact same lines,
-        // modulo the wall-clock field (the one legitimately
-        // nondeterministic value in a generation record).
-        let strip_wall = |line: String| -> String {
-            match line.find("\"wall_s\":") {
-                Some(start) => {
-                    let rest = &line[start..];
-                    let end = rest.find(',').map(|e| start + e + 1).unwrap_or(line.len());
-                    format!("{}{}", &line[..start], &line[end..])
-                }
-                None => line,
-            }
-        };
-        let encode = |sink: &crate::journal::MemJournal| -> Vec<String> {
-            sink.records
-                .iter()
-                .map(|r| strip_wall(r.to_json().encode()))
-                .collect()
-        };
-        assert_eq!(encode(&plain_sink), encode(&batch_sink));
-        // The batched resume arm: cut the batched journal after every
-        // generation record and resume it batched; each resumed run
-        // must finish as the uninterrupted unbatched one did.
-        let batched_audit =
-            Audit::new(Rig::bulldozer(), AuditOptions::fast_demo().with_eval_batch(3));
-        for (i, record) in batch_sink.records.iter().enumerate() {
-            if !matches!(record, JournalRecord::Generation(_)) {
-                continue;
-            }
-            let mut partial = crate::journal::MemJournal {
-                records: batch_sink.records[..=i].to_vec(),
-            };
-            let journal = partial.as_journal();
-            let resumed = batched_audit.resume_resonant(&journal, 2, &mut partial).unwrap();
-            assert_eq!(plain.ga, resumed.ga, "GA diverged when cut after record {i}");
-            assert_eq!(encode(&plain_sink), encode(&partial), "journal diverged at record {i}");
-        }
-    }
-
-    #[test]
-    fn eval_batch_zero_is_rejected() {
-        let err = AuditOptions::builder().eval_batch(0).build().unwrap_err();
-        assert!(err.to_string().contains("eval_batch"), "{err}");
     }
 
     #[test]

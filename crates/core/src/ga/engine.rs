@@ -86,39 +86,18 @@ pub struct GaConfig {
     /// wholesale — a deterministic policy that keeps lookups transparent.
     #[serde(default = "default_cache_capacity")]
     pub cache_capacity: usize,
-    /// Order fitness evaluations by the static analyzer's current-swing
-    /// surrogate (`audit_analyze::swing_score`), most promising first.
-    /// Purely a *scheduling* hint: every cache miss is still evaluated
-    /// exactly once and scores land in their population slot by index,
-    /// so results are bit-identical with the flag on or off — it only
-    /// changes which candidates reach the measurement harness earliest
-    /// (useful when a wall-clock budget may cut a run short).
-    #[serde(default)]
-    pub surrogate_rank: bool,
-    /// Budgeted surrogate early stopping: when non-zero, each
-    /// generation measures only the `surrogate_budget` most promising
-    /// cache misses (ranked by `audit_analyze::swing_score`, the same
-    /// ordering [`GaConfig::surrogate_rank`] uses for dispatch) and
-    /// scores the rest at `f64::NEG_INFINITY` so they lose every
-    /// tournament. Unlike `surrogate_rank` this **changes results** —
-    /// it is off by default (`0`) and excluded from the bit-identity
-    /// invariants; journals record the budget in a `surrogate_budget`
-    /// marker so resumed runs replay the same truncated evaluations.
-    #[serde(default)]
-    pub surrogate_budget: usize,
     /// Tier-1 pruning budget of the evaluation cascade: when non-zero,
-    /// the cache misses that survive [`GaConfig::surrogate_budget`] are
-    /// re-ranked by the fast in-order scoreboard model
-    /// (`audit_cpu::tier::estimate_swing`, O(insts) per genome instead
-    /// of the full simulator's O(cycles)) and only the top
-    /// `fast_tier_budget` reach the full simulation; the rest score
-    /// `f64::NEG_INFINITY` like budget-deferred slots and are never
+    /// each generation's cache misses are ranked by the fast in-order
+    /// scoreboard model (`audit_cpu::tier::estimate_swing`, O(insts) per
+    /// genome instead of the full simulator's O(cycles)) and only the
+    /// top `fast_tier_budget` reach the full simulation; the rest score
+    /// `f64::NEG_INFINITY`, so they lose every tournament, and are never
     /// cached. All ranking happens on the calling thread, so pruning is
     /// bit-identical across thread counts, dispatchers, and resume.
-    /// Like `surrogate_budget` this **changes results** — it is off by
-    /// default (`0`) and excluded from the bit-identity invariants;
-    /// journals record the budget in a `cascade` marker. See
-    /// docs/SIMULATION.md for the full cascade contract.
+    /// This **changes results** — it is off by default (`0`) and
+    /// excluded from the bit-identity invariants; journals record the
+    /// budget in a `cascade` marker. See docs/SIMULATION.md for the full
+    /// cascade contract.
     #[serde(default)]
     pub fast_tier_budget: usize,
     /// Multi-objective (Pareto) selection. Off by default: the scalar
@@ -170,8 +149,6 @@ impl Default for GaConfig {
             seed: 0xA0D17,
             threads: default_threads(),
             cache_capacity: default_cache_capacity(),
-            surrogate_rank: false,
-            surrogate_budget: 0,
             fast_tier_budget: 0,
             pareto: false,
             lint_repair: false,
@@ -438,7 +415,7 @@ impl PartialEq for GaRun {
 ///
 /// The engine hands a dispatcher the population and the slots that need
 /// measuring (`jobs`, already deduplicated, cache-filtered, and — when
-/// surrogate ranking is on — ordered most-promising-first) and expects
+/// the cascade's fast tier is on — ordered most-promising-first) and expects
 /// one `(slot, objectives)` pair per job back, **in any order**. The
 /// engine sorts results into slot order before touching the cache, so a
 /// conforming dispatcher can never perturb results: local thread pools
@@ -541,98 +518,6 @@ impl<R: Into<Objectives>, F: Fn(&[Gene]) -> R + Sync> EvalDispatcher for LocalDi
     }
 }
 
-/// The batched in-process [`EvalDispatcher`]: pops fixed-width chunks of
-/// jobs off the same atomic work queue [`LocalDispatcher`] uses, and
-/// hands each chunk to a *batch* fitness closure (`&[&[Gene]] ->
-/// Vec<R>` with `R: Into<Objectives>`, one score per genome, in
-/// order). The closure is expected
-/// to amortize per-evaluation overhead across the chunk — the audit
-/// fitness function routes it through the structure-of-arrays
-/// `Rig::measure_batch` sweep (docs/SIMULATION.md).
-///
-/// Chunking is a scheduling detail, never a results knob: each score is
-/// required to be the same deterministic function of its genome alone,
-/// so any chunk width and any worker count produce bit-identical runs —
-/// the same contract every other dispatcher honors.
-pub struct BatchLocalDispatcher<F> {
-    fitness: F,
-    batch: usize,
-    workers: usize,
-}
-
-impl<R: Into<Objectives>, F: Fn(&[&[Gene]]) -> Vec<R> + Sync> BatchLocalDispatcher<F> {
-    /// Wraps a batch fitness closure with a chunk width (`batch`,
-    /// clamped to at least 1) and a concrete worker count (see
-    /// [`resolve_workers`]).
-    pub fn new(fitness: F, batch: usize, workers: usize) -> Self {
-        BatchLocalDispatcher {
-            fitness,
-            batch: batch.max(1),
-            workers,
-        }
-    }
-}
-
-impl<R: Into<Objectives>, F: Fn(&[&[Gene]]) -> Vec<R> + Sync> EvalDispatcher
-    for BatchLocalDispatcher<F>
-{
-    fn evaluate(
-        &mut self,
-        population: &[Vec<Gene>],
-        jobs: &[usize],
-    ) -> Result<Vec<(usize, Objectives)>, AuditError> {
-        let fitness = &self.fitness;
-        let run_chunk = |chunk: &[usize]| -> Vec<(usize, Objectives)> {
-            let genomes: Vec<&[Gene]> = chunk
-                .iter()
-                .map(|&slot| population[slot].as_slice())
-                .collect();
-            let scores = fitness(&genomes);
-            assert_eq!(
-                scores.len(),
-                chunk.len(),
-                "batch fitness returned {} scores for {} genomes",
-                scores.len(),
-                chunk.len()
-            );
-            chunk
-                .iter()
-                .copied()
-                .zip(scores.into_iter().map(Into::into))
-                .collect()
-        };
-        let chunks: Vec<&[usize]> = jobs.chunks(self.batch).collect();
-        Ok(if self.workers <= 1 || chunks.len() <= 1 {
-            chunks.into_iter().flat_map(run_chunk).collect()
-        } else {
-            let queue = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..self.workers.min(chunks.len()))
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut out: Vec<(usize, Objectives)> = Vec::new();
-                            loop {
-                                let k = queue.fetch_add(1, Ordering::Relaxed);
-                                let Some(&chunk) = chunks.get(k) else { break };
-                                out.extend(run_chunk(chunk));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("batch fitness worker panicked"))
-                    .collect()
-            })
-        })
-    }
-
-    fn workers(&self) -> usize {
-        self.workers
-    }
-}
-
 /// Evolves genomes of `genome_len` slots over the opcode `menu`,
 /// maximizing the fitness `dispatcher` computes, and journals the
 /// search to `sink`. Optionally accepts `seeds`: existing genomes
@@ -643,9 +528,8 @@ impl<R: Into<Objectives>, F: Fn(&[&[Gene]]) -> Vec<R> + Sync> EvalDispatcher
 /// to resume), then one `generation` record per evaluated generation and
 /// a final `ga_end`; a run killed between appends finishes
 /// bit-identically through [`resume`]. Pass [`NullSink`] for an
-/// un-journaled run. Any conforming dispatcher — [`LocalDispatcher`],
-/// [`BatchLocalDispatcher`], or a remote broker (`audit-net`) —
-/// produces the same [`GaRun`].
+/// un-journaled run. Any conforming dispatcher — [`LocalDispatcher`]
+/// or a remote broker (`audit-net`) — produces the same [`GaRun`].
 ///
 /// # Errors
 ///
@@ -836,18 +720,11 @@ fn run_ga(
             menu: menu.to_vec(),
             seeds: seeds.to_vec(),
         })?;
-        if cfg.surrogate_budget > 0 {
-            // Marker record: flags in the journal itself that this run's
-            // scores were produced under budgeted early stopping (the
-            // config inside `ga_start` is authoritative; the marker makes
-            // the non-default mode obvious to `grep`).
-            sink.append(&JournalRecord::SurrogateBudget {
-                budget: cfg.surrogate_budget as u64,
-            })?;
-        }
         if cfg.fast_tier_budget > 0 {
-            // Same discipline for the tiered cascade: one greppable marker,
-            // authoritative copy in `ga_start`.
+            // Marker record: flags in the journal itself that this run's
+            // scores were produced under the tiered cascade (the config
+            // inside `ga_start` is authoritative; the marker makes the
+            // non-default mode obvious to `grep`).
             sink.append(&JournalRecord::Cascade {
                 budget: cfg.fast_tier_budget as u64,
             })?;
@@ -1124,7 +1001,7 @@ fn append_generation(
     }))
 }
 
-/// Static-analyzer summary of one generation: best/mean surrogate swing
+/// Static-analyzer summary of one generation: best/mean static swing
 /// score under the generic machine model. Journal-only metadata — never
 /// feeds back into selection.
 fn analyze_population(population: &[Vec<Gene>]) -> GenerationAnalysis {
@@ -1251,7 +1128,7 @@ fn replay_into_cache(cache: &mut EvalCache, rec: &GenerationRecord, objs: &[Obje
     }
     let mut seen: HashSet<&[Gene]> = HashSet::new();
     for (genome, objectives) in rec.population.iter().zip(objs) {
-        // A `surrogate_budget` run records deferred slots as -inf
+        // A `fast_tier_budget` run records deferred slots as -inf
         // sentinels; the live run never cached those, so replay must
         // not either.
         if objectives.is_deferred() {
@@ -1285,25 +1162,12 @@ pub fn resolve_workers(threads: usize) -> usize {
 /// keeping both selection order *and* cache state identical to a
 /// sequential evaluation.
 ///
-/// `cfg.surrogate_rank` reorders the *dispatch* of cache misses by
-/// descending static swing score (ties broken by slot). Because results
-/// are sorted back into slot order before any cache insert, dispatch
-/// order is unobservable — scores, cache state, and `executed` are
-/// bit-identical with the flag on or off; only which genome is measured
-/// first changes.
-///
-/// `cfg.surrogate_budget`, by contrast, *truncates* the ranked job list:
-/// only the top `budget` misses are dispatched, and every deferred slot
-/// scores `f64::NEG_INFINITY` (never cached, so a later generation that
-/// re-breeds the genome measures it for real). This changes results and
-/// is excluded from the bit-identity invariants.
-///
-/// `cfg.fast_tier_budget` adds the cascade's middle tier: the jobs that
-/// survive the static stages are re-ranked by the tier-1 scoreboard
-/// estimate (`audit_cpu::tier`) and truncated again, under the same
-/// deferred-slot rules. Static rank → fast tier → full simulation, each
-/// stage cheaper than the next and all of them decided on the calling
-/// thread (docs/SIMULATION.md).
+/// `cfg.fast_tier_budget` adds the cascade's pruning tier: the cache
+/// misses are ranked by the tier-1 scoreboard estimate
+/// (`audit_cpu::tier`) and only the top `budget` are dispatched; every
+/// deferred slot scores `f64::NEG_INFINITY` (never cached, so a later
+/// generation that re-breeds the genome measures it for real). The
+/// decision is made on the calling thread (docs/SIMULATION.md).
 fn evaluate_population(
     population: &[Vec<Gene>],
     dispatcher: &mut dyn EvalDispatcher,
@@ -1336,29 +1200,14 @@ fn evaluate_population(
         jobs.extend(0..n);
     }
 
-    let budget = cfg.surrogate_budget;
-    if (cfg.surrogate_rank || budget > 0) && jobs.len() > 1 {
-        let model = MachineModel::generic();
-        let mut keyed: Vec<(usize, f64)> = jobs
-            .iter()
-            .map(|&slot| (slot, swing_score(&to_sub_block(&population[slot]), &model)))
-            .collect();
-        keyed.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        jobs = keyed.into_iter().map(|(slot, _)| slot).collect();
-    }
-    let mut deferred: Vec<usize> = if budget > 0 && jobs.len() > budget {
-        jobs.split_off(budget)
-    } else {
-        Vec::new()
-    };
-
-    // Cascade tier 1: re-rank the survivors with the fast in-order
+    // Cascade tier 1: rank the cache misses with the fast in-order
     // scoreboard model and keep only the top `fast_tier_budget` for the
-    // full simulation. Runs on the calling thread like the static
-    // surrogate above, so the pruning decision is a pure function of
-    // (population, config) — identical for any dispatcher, thread
-    // count, or resumed run. When the budget is 0 this block is dead
-    // and the job list (and every downstream byte) is untouched.
+    // full simulation. Runs on the calling thread, so the pruning
+    // decision is a pure function of (population, config) — identical
+    // for any dispatcher, thread count, or resumed run. When the budget
+    // is 0 this block is dead and the job list (and every downstream
+    // byte) is untouched.
+    let mut deferred: Vec<usize> = Vec::new();
     let tier_budget = cfg.fast_tier_budget;
     if tier_budget > 0 && jobs.len() > tier_budget {
         let model = audit_cpu::tier::TierModel::generic();
@@ -1373,7 +1222,7 @@ fn evaluate_population(
             .collect();
         keyed.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         jobs = keyed.into_iter().map(|(slot, _)| slot).collect();
-        deferred.extend(jobs.split_off(tier_budget));
+        deferred = jobs.split_off(tier_budget);
     }
 
     let mut results = dispatcher.evaluate(population, &jobs)?;
@@ -1400,7 +1249,7 @@ fn evaluate_population(
         scores[slot] = Some(objectives);
     }
     // Deferred-by-budget slots lose every tournament; they are not
-    // cached, so the surrogate's verdict is never mistaken for a
+    // cached, so the fast tier's verdict is never mistaken for a
     // measurement by a later generation.
     for slot in deferred {
         scores[slot] = Some(Objectives::deferred());
@@ -1567,154 +1416,6 @@ mod tests {
             assert_eq!(sequential.history, parallel.history);
             assert_eq!(sequential.best, parallel.best);
         }
-    }
-
-    #[test]
-    fn surrogate_ranking_is_bit_identical_to_plain_order() {
-        // The surrogate only reorders dispatch; results, evaluation
-        // counts, and cache-hit counts are part of GaRun equality, so
-        // this pins the full contract across worker counts.
-        let plain = GaConfig {
-            population: 12,
-            generations: 10,
-            stall_generations: 10,
-            threads: 1,
-            surrogate_rank: false,
-            ..GaConfig::default()
-        };
-        let baseline = evolve(&plain, &menu(), 10, &[], fma_count);
-        for threads in [1, 3, 6] {
-            let cfg = GaConfig {
-                threads,
-                surrogate_rank: true,
-                ..plain.clone()
-            };
-            let ranked = evolve(&cfg, &menu(), 10, &[], fma_count);
-            assert_eq!(baseline, ranked, "diverged at {threads} threads");
-            assert_eq!(baseline.evaluations, ranked.evaluations);
-            assert_eq!(baseline.cache_hits, ranked.cache_hits);
-        }
-    }
-
-    #[test]
-    fn surrogate_ranking_never_increases_evaluations() {
-        // "Surrogate" means *ordering*, never *skipping*: the cache-miss
-        // set is identical, so the simulation count must be too, even on
-        // a longer run where populations churn.
-        let base = GaConfig {
-            population: 16,
-            generations: 20,
-            stall_generations: 20,
-            ..GaConfig::default()
-        };
-        let off = evolve(&base, &menu(), 8, &[], fma_count);
-        let on = evolve(
-            &GaConfig {
-                surrogate_rank: true,
-                ..base
-            },
-            &menu(),
-            8,
-            &[],
-            fma_count,
-        );
-        assert_eq!(off.evaluations, on.evaluations);
-    }
-
-    #[test]
-    fn surrogate_budget_wider_than_population_changes_nothing() {
-        // A budget that never truncates the ranked job list must be
-        // bit-identical to running with the budget off.
-        let base = GaConfig {
-            population: 10,
-            generations: 8,
-            stall_generations: 8,
-            ..GaConfig::default()
-        };
-        let off = evolve(&base, &menu(), 8, &[], fma_count);
-        let on = evolve(
-            &GaConfig {
-                surrogate_budget: base.population,
-                ..base
-            },
-            &menu(),
-            8,
-            &[],
-            fma_count,
-        );
-        assert_eq!(off, on);
-        assert_eq!(off.evaluations, on.evaluations);
-    }
-
-    #[test]
-    fn surrogate_budget_caps_measurements_per_generation() {
-        let mut mem = crate::journal::MemJournal::default();
-        let cfg = GaConfig {
-            population: 12,
-            generations: 6,
-            stall_generations: 6,
-            surrogate_budget: 3,
-            ..GaConfig::default()
-        };
-        let run = run(&cfg, &menu(), 8, &[], &mut local(fma_count), &mut mem).unwrap();
-
-        let mut saw_marker = false;
-        let mut saw_deferred = false;
-        let mut executed_total = 0;
-        for rec in &mem.records {
-            match rec {
-                JournalRecord::SurrogateBudget { budget } => {
-                    saw_marker = true;
-                    assert_eq!(*budget, 3);
-                }
-                JournalRecord::Generation(g) => {
-                    assert!(g.executed <= 3, "generation measured past the budget");
-                    executed_total += g.executed;
-                    saw_deferred |= g.scores.contains(&f64::NEG_INFINITY);
-                }
-                _ => {}
-            }
-        }
-        assert_eq!(run.evaluations, executed_total);
-        assert!(saw_marker, "journal must carry the surrogate_budget marker");
-        assert!(
-            saw_deferred,
-            "a 3-of-12 budget must defer slots as -inf sentinels"
-        );
-    }
-
-    #[test]
-    fn surrogate_budget_resume_replays_bit_identically() {
-        // Deferred slots are journaled as -inf and were never cached, so
-        // resume must skip them during cache replay or kill/resume would
-        // diverge from an uninterrupted run.
-        let mut mem = crate::journal::MemJournal::default();
-        let cfg = GaConfig {
-            population: 12,
-            generations: 6,
-            stall_generations: 6,
-            surrogate_budget: 4,
-            ..GaConfig::default()
-        };
-        let full = run(&cfg, &menu(), 8, &[], &mut local(fma_count), &mut mem).unwrap();
-
-        // Cut the journal right after the second generation record, as a
-        // crash would.
-        let mut prefix = Vec::new();
-        let mut gens = 0;
-        for rec in &mem.records {
-            prefix.push(rec.clone());
-            if matches!(rec, JournalRecord::Generation(_)) {
-                gens += 1;
-                if gens == 2 {
-                    break;
-                }
-            }
-        }
-        let journal = crate::journal::Journal { records: prefix };
-        let resumed = resume(&journal, &mut local(fma_count), &mut NullSink).unwrap();
-        assert_eq!(full, resumed);
-        assert_eq!(full.history, resumed.history);
     }
 
     #[test]
@@ -1998,40 +1699,6 @@ mod tests {
     }
 
     #[test]
-    fn cascade_stacks_on_surrogate_budget() {
-        // Both stages active: the static budget truncates first, then
-        // the fast tier narrows the survivors further. The per-
-        // generation simulation count honors the tighter (cascade)
-        // budget.
-        let mut mem = MemJournal::default();
-        let cfg = GaConfig {
-            population: 12,
-            generations: 6,
-            stall_generations: 6,
-            surrogate_budget: 8,
-            fast_tier_budget: 3,
-            ..GaConfig::default()
-        };
-        let run = run(&cfg, &menu(), 8, &[], &mut local(fma_count), &mut mem).unwrap();
-        let mut executed_total = 0;
-        for rec in &mem.records {
-            if let JournalRecord::Generation(g) = rec {
-                assert!(g.executed <= 3, "cascade budget exceeded");
-                executed_total += g.executed;
-            }
-        }
-        assert_eq!(run.evaluations, executed_total);
-        assert!(mem
-            .records
-            .iter()
-            .any(|r| matches!(r, JournalRecord::SurrogateBudget { budget: 8 })));
-        assert!(mem
-            .records
-            .iter()
-            .any(|r| matches!(r, JournalRecord::Cascade { budget: 3 })));
-    }
-
-    #[test]
     fn cascade_resume_replays_bit_identically() {
         // Cascade-deferred slots are journaled as -inf and never cached,
         // so a mid-run kill/resume must reconverge on the identical run.
@@ -2083,26 +1750,6 @@ mod tests {
         let run = evolve(&cfg, &menu(), 8, &[], counted);
         assert_eq!(run.evaluations, calls.load(Ordering::Relaxed));
         assert_eq!(run.best_fitness, fma_count(&run.best));
-    }
-
-    #[test]
-    fn batch_dispatcher_is_bit_identical_to_local() {
-        // Chunk width is a scheduling knob: any batch size and worker
-        // count must reproduce the LocalDispatcher run exactly.
-        let cfg = GaConfig {
-            population: 12,
-            generations: 10,
-            stall_generations: 10,
-            ..GaConfig::default()
-        };
-        let baseline = evolve(&cfg, &menu(), 10, &[], fma_count);
-        for (batch, workers) in [(2, 1), (3, 2), (5, 4), (64, 2)] {
-            let batch_fitness =
-                |genomes: &[&[Gene]]| genomes.iter().map(|g| fma_count(g)).collect::<Vec<f64>>();
-            let mut dispatcher = BatchLocalDispatcher::new(batch_fitness, batch, workers);
-            let run = run(&cfg, &menu(), 10, &[], &mut dispatcher, &mut NullSink).unwrap();
-            assert_eq!(baseline, run, "diverged at batch {batch} workers {workers}");
-        }
     }
 
     #[test]

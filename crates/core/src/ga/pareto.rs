@@ -255,7 +255,7 @@ impl Objectives {
     }
 
     /// True for the budget-deferred sentinel (see the engine's
-    /// `surrogate_budget` / `fast_tier_budget` docs).
+    /// `fast_tier_budget` docs).
     pub fn is_deferred(&self) -> bool {
         self.primary() == f64::NEG_INFINITY
     }

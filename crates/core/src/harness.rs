@@ -487,147 +487,6 @@ impl Rig {
         ))
     }
 
-    /// Measures several independent workloads ("lanes") in one
-    /// structure-of-arrays sweep: all lanes step through the
-    /// probe/settle, warmup, and recorded windows in lockstep, sharing
-    /// the per-cycle loop bookkeeping (cycle counters, spec flag
-    /// checks, scheduler-state locality) that a lane-at-a-time loop
-    /// re-pays per genome. Each lane is one `programs` slice exactly as
-    /// [`Rig::measure_aligned`] takes it.
-    ///
-    /// **Bit-identity contract:** every lane owns its chip, PDN
-    /// transient, oscilloscope, and accumulators — lanes never interact
-    /// — so lane `i`'s [`Measurement`] is bit-identical to
-    /// `measure_aligned(&lanes[i], spec)` run alone. The GA's batched
-    /// dispatch path relies on this: batching is a wall-clock knob,
-    /// never a results knob (docs/SIMULATION.md).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use audit_core::harness::{MeasureSpec, Rig};
-    /// use audit_cpu::Program;
-    ///
-    /// let rig = Rig::bulldozer();
-    /// let lanes = vec![vec![Program::nops(32); 2], vec![Program::nops(48); 2]];
-    /// let batch = rig.measure_batch(&lanes, MeasureSpec::ga_eval());
-    /// let solo = rig.measure_aligned(&lanes[0], MeasureSpec::ga_eval());
-    /// assert_eq!(batch[0].stats.v_min().to_bits(), solo.stats.v_min().to_bits());
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Rig::measure_aligned`],
-    /// for any lane.
-    pub fn measure_batch(&self, lanes: &[Vec<Program>], spec: MeasureSpec) -> Vec<Measurement> {
-        // Per-lane state, structure-of-arrays: the hot loops below walk
-        // these in lane order every cycle.
-        struct Lane {
-            chip: ChipSim,
-            os: Option<OsModel>,
-            transient: Transient,
-            scope: Oscilloscope,
-            failed: bool,
-            max_path_seen: f64,
-            amps_acc: f64,
-            retired_acc: u64,
-            current_trace: Vec<f64>,
-            voltage_trace: Vec<f64>,
-        }
-
-        let nominal = self.pdn.nominal_voltage();
-        let cap = if spec.keep_traces {
-            spec.record_cycles as usize
-        } else {
-            0
-        };
-        let mut state: Vec<Lane> = lanes
-            .iter()
-            .map(|programs| {
-                let placement = self
-                    .placement(programs.len())
-                    .expect("thread count incompatible with chip");
-                let offsets = vec![0; programs.len()];
-                let chip = ChipSim::with_start_offsets(&self.chip, &placement, programs, &offsets)
-                    .expect("programs incompatible with chip");
-                let os = self.os.map(|cfg| OsModel::new(cfg, programs.len()));
-                // The settle level depends on the lane's own workload,
-                // so it cannot be shared.
-                let transient = self.settled_transient(&chip, spec);
-                let mut scope =
-                    Oscilloscope::new(nominal).with_envelope_decimation(spec.envelope_decimation);
-                if let Some(below) = spec.trigger_below_nominal {
-                    scope = scope.with_trigger(nominal - below);
-                }
-                Lane {
-                    chip,
-                    os,
-                    transient,
-                    scope,
-                    failed: false,
-                    max_path_seen: 0.0,
-                    amps_acc: 0.0,
-                    retired_acc: 0,
-                    current_trace: Vec::with_capacity(cap),
-                    voltage_trace: Vec::with_capacity(cap),
-                }
-            })
-            .collect();
-
-        // Warmup sweep: all lanes advance one cycle before any lane
-        // advances to the next.
-        for _ in 0..spec.warmup_cycles {
-            for lane in &mut state {
-                if let Some(os) = lane.os.as_mut() {
-                    let now = lane.chip.now();
-                    os.pre_cycle(now, &mut lane.chip);
-                }
-                let c = lane.chip.step();
-                lane.transient.step(c.amps);
-            }
-        }
-
-        // Recorded sweep: identical per-lane arithmetic to the solo
-        // loop, accumulated into per-lane state.
-        for _ in 0..spec.record_cycles {
-            for lane in &mut state {
-                if let Some(os) = lane.os.as_mut() {
-                    let now = lane.chip.now();
-                    os.pre_cycle(now, &mut lane.chip);
-                }
-                let c = lane.chip.step();
-                let v = lane.transient.step(c.amps);
-                lane.scope.sample(v);
-                lane.amps_acc += c.amps;
-                lane.retired_acc += c.retired as u64;
-                lane.max_path_seen = lane.max_path_seen.max(c.max_path);
-                if spec.check_failure && self.failure.fails(v, c.max_path) {
-                    lane.failed = true;
-                }
-                if spec.keep_traces {
-                    lane.current_trace.push(c.amps);
-                    lane.voltage_trace.push(v);
-                }
-            }
-        }
-
-        state
-            .into_iter()
-            .map(|lane| Measurement {
-                stats: *lane.scope.stats(),
-                histogram: lane.scope.histogram().clone(),
-                envelope: lane.scope.envelope().to_vec(),
-                trigger_events: lane.scope.trigger_events(),
-                mean_amps: lane.amps_acc / spec.record_cycles as f64,
-                ipc: lane.retired_acc as f64 / spec.record_cycles as f64,
-                failed: lane.failed,
-                max_path_seen: lane.max_path_seen,
-                current_trace: lane.current_trace,
-                voltage_trace: lane.voltage_trace,
-            })
-            .collect()
-    }
-
     /// The paper's spread placement for `n` threads.
     ///
     /// # Errors
@@ -863,40 +722,6 @@ mod tests {
             .with_os(audit_os::OsConfig::compressed(1_500).with_seed(3))
             .measure_aligned(&vec![manual::sm_res(); 4], fast());
         assert_ne!(quiet.stats.v_min(), noisy.stats.v_min());
-    }
-
-    #[test]
-    fn batched_lanes_are_bit_identical_to_solo_runs() {
-        let rig = Rig::bulldozer();
-        let lanes = vec![
-            vec![manual::sm_res(); 4],
-            vec![manual::sm1(); 2],
-            vec![Program::nops(64); 4],
-        ];
-        let batch = rig.measure_batch(&lanes, fast());
-        assert_eq!(batch.len(), lanes.len());
-        for (lane, m) in lanes.iter().zip(&batch) {
-            let solo = rig.measure_aligned(lane, fast());
-            assert_eq!(m.stats.v_min().to_bits(), solo.stats.v_min().to_bits());
-            assert_eq!(m.mean_amps.to_bits(), solo.mean_amps.to_bits());
-            assert_eq!(m.ipc.to_bits(), solo.ipc.to_bits());
-            assert_eq!(m.max_path_seen.to_bits(), solo.max_path_seen.to_bits());
-            assert_eq!(m.envelope, solo.envelope);
-        }
-    }
-
-    #[test]
-    fn batched_lanes_with_os_interference_match_solo_runs() {
-        // OS timer state is per-lane too: a freshly seeded model per
-        // lane, exactly as the solo entry point builds it.
-        let rig = Rig::bulldozer().with_os(audit_os::OsConfig::compressed(1_500).with_seed(3));
-        let lanes = vec![vec![manual::sm_res(); 4], vec![manual::sm2(); 4]];
-        let batch = rig.measure_batch(&lanes, fast());
-        for (lane, m) in lanes.iter().zip(&batch) {
-            let solo = rig.measure_aligned(lane, fast());
-            assert_eq!(m.stats.v_min().to_bits(), solo.stats.v_min().to_bits());
-            assert_eq!(m.mean_amps.to_bits(), solo.mean_amps.to_bits());
-        }
     }
 
     #[test]

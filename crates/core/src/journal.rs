@@ -27,7 +27,6 @@
 //! | `phase_start` | drivers           | phase `name`                       |
 //! | `phase_end`   | drivers           | phase `name`, free-form `payload`  |
 //! | `ga_start`    | GA engine         | full [`GaConfig`], menu, seeds     |
-//! | `surrogate_budget` | GA engine    | marker: budgeted early stopping    |
 //! | `cascade`     | GA engine         | marker: tiered cascade `budget`    |
 //! | `pareto_front` | GA engine        | per-generation objective vectors + front ranks |
 //! | `generation`  | GA engine         | population, scores, stream seed    |
@@ -63,6 +62,14 @@
 //! keep journal bytes identical to in-process runs. It is defined here
 //! so the schema fixture pins its encoding and `audit journal fsck`
 //! counts it like any other kind.
+//!
+//! Two GA knobs are retired. `surrogate_rank` only reordered dispatch,
+//! so `ga_start` still writes it as `false` and journals that set it to
+//! either value replay unchanged. `surrogate_budget` changed which
+//! candidates were measured, so a journal carrying it (a `cfg` field or
+//! a `surrogate_budget` marker record) fails to decode with
+//! [`AuditError::Resume`] naming the knob instead of replaying
+//! different results (`docs/RUN_JOURNAL.md`, "Retired knobs").
 
 use std::fs;
 use std::io::Write as _;
@@ -113,7 +120,7 @@ pub struct GenerationRecord {
 }
 
 /// Static-analysis summary riding in each generation record: the
-/// surrogate swing scores (`audit_analyze::swing_score` under the
+/// static swing scores (`audit_analyze::swing_score` under the
 /// generic machine model) of the generation's population. Lets offline
 /// tooling see how static droop potential evolved without re-lowering
 /// the journaled genomes.
@@ -172,25 +179,13 @@ pub enum JournalRecord {
         /// Seed genomes injected into the initial population.
         seeds: Vec<Vec<Gene>>,
     },
-    /// Marker: the search runs with budgeted surrogate early stopping
-    /// ([`crate::ga::GaConfig::surrogate_budget`]), so generation
-    /// `scores` contain `-inf` sentinels for slots the budget deferred.
-    /// Written once, right after `ga_start` (whose `cfg` is the
-    /// authoritative copy of the budget) — the marker makes the
-    /// non-default scoring mode greppable.
-    SurrogateBudget {
-        /// Per-generation measurement budget (top-k cache misses).
-        budget: u64,
-    },
     /// Marker: the search runs the tiered evaluation cascade
-    /// ([`crate::ga::GaConfig::fast_tier_budget`]) — after the static
-    /// surrogate stage, the fast tier-1 scoreboard model
-    /// (`audit_cpu::tier`) re-ranks the surviving cache misses and only
-    /// the top `budget` reach the full simulator; the rest score `-inf`.
-    /// Written once, right after `ga_start` (and after any
-    /// `surrogate_budget` marker); like that marker, the config inside
-    /// `ga_start` is authoritative and this record exists to make the
-    /// non-default scoring mode greppable.
+    /// ([`crate::ga::GaConfig::fast_tier_budget`]) — the fast tier-1
+    /// scoreboard model (`audit_cpu::tier`) ranks each generation's
+    /// cache misses and only the top `budget` reach the full simulator;
+    /// the rest score `-inf`. Written once, right after `ga_start`,
+    /// whose `cfg` is the authoritative copy of the budget; this record
+    /// exists to make the non-default scoring mode greppable.
     Cascade {
         /// Per-generation full-simulation budget (top-k by fast-tier
         /// swing estimate).
@@ -397,7 +392,6 @@ impl JournalRecord {
             JournalRecord::PhaseStart { .. } => "phase_start",
             JournalRecord::PhaseEnd { .. } => "phase_end",
             JournalRecord::GaStart { .. } => "ga_start",
-            JournalRecord::SurrogateBudget { .. } => "surrogate_budget",
             JournalRecord::Cascade { .. } => "cascade",
             JournalRecord::Repair { .. } => "repair",
             JournalRecord::ParetoFront(_) => "pareto_front",
@@ -452,10 +446,6 @@ impl JournalRecord {
                     "seeds",
                     JsonValue::Array(seeds.iter().map(|g| encode_genome(g)).collect()),
                 ),
-            ]),
-            JournalRecord::SurrogateBudget { budget } => JsonValue::object(vec![
-                ("kind", JsonValue::String("surrogate_budget".into())),
-                ("budget", JsonValue::from_u64(*budget)),
             ]),
             JournalRecord::Cascade { budget } => JsonValue::object(vec![
                 ("kind", JsonValue::String("cascade".into())),
@@ -619,9 +609,10 @@ impl JournalRecord {
     /// # Errors
     ///
     /// Returns [`AuditError::Journal`] (with `line` 0 — callers add the
-    /// line number) if the object is missing fields or malformed, and
+    /// line number) if the object is missing fields or malformed,
     /// [`AuditError::Schema`] for a `run_start` from an incompatible
-    /// schema version.
+    /// schema version, and [`AuditError::Resume`] for a record that uses
+    /// a retired knob (see the module docs).
     pub fn from_json(v: &JsonValue) -> Result<JournalRecord, AuditError> {
         let kind = v
             .get("kind")
@@ -683,9 +674,7 @@ impl JournalRecord {
                     seeds,
                 })
             }
-            "surrogate_budget" => Ok(JournalRecord::SurrogateBudget {
-                budget: field_u64(v, "surrogate_budget", "budget")?,
-            }),
+            "surrogate_budget" => Err(retired_knob("surrogate_budget")),
             "cascade" => Ok(JournalRecord::Cascade {
                 budget: field_u64(v, "cascade", "budget")?,
             }),
@@ -954,18 +943,12 @@ fn encode_cfg(cfg: &GaConfig) -> JsonValue {
             "cache_capacity",
             JsonValue::from_u64(cfg.cache_capacity as u64),
         ),
-        ("surrogate_rank", JsonValue::Bool(cfg.surrogate_rank)),
+        // The retired dispatch-order hint; schema v1 always carries it,
+        // so it is still written (the golden fixture pins these bytes).
+        ("surrogate_rank", JsonValue::Bool(false)),
     ];
-    // Only written when enabled: default-config journals keep their
-    // pre-budget byte encoding (the golden fixture pins this).
-    if cfg.surrogate_budget > 0 {
-        fields.push((
-            "surrogate_budget",
-            JsonValue::from_u64(cfg.surrogate_budget as u64),
-        ));
-    }
-    // Same rule for the cascade: only written when enabled, so journals
-    // of cascade-free runs keep their pre-cascade byte encoding.
+    // Only written when enabled, so journals of cascade-free runs keep
+    // their pre-cascade byte encoding.
     if cfg.fast_tier_budget > 0 {
         fields.push((
             "fast_tier_budget",
@@ -985,7 +968,22 @@ fn encode_cfg(cfg: &GaConfig) -> JsonValue {
     JsonValue::object(fields)
 }
 
+/// The error for a journal that used a knob this build no longer has.
+/// Replaying it without the knob would silently change results, so it
+/// fails by name instead (docs/RUN_JOURNAL.md, "Retired knobs").
+fn retired_knob(knob: &str) -> AuditError {
+    AuditError::resume(format!(
+        "journal uses the retired GA knob `{knob}`; replay it with the build that wrote it"
+    ))
+}
+
 fn decode_cfg(v: &JsonValue) -> Result<GaConfig, AuditError> {
+    // `surrogate_rank` (either value) only ever reordered dispatch, so
+    // journals that set it replay unchanged and the key is ignored.
+    // `surrogate_budget` changed which candidates were measured.
+    if v.get("surrogate_budget").is_some() {
+        return Err(retired_knob("surrogate_budget"));
+    }
     Ok(GaConfig {
         population: field_u64(v, "cfg", "population")? as usize,
         generations: field_u64(v, "cfg", "generations")? as usize,
@@ -1006,18 +1004,6 @@ fn decode_cfg(v: &JsonValue) -> Result<GaConfig, AuditError> {
         )?,
         threads: field_u64(v, "cfg", "threads")? as usize,
         cache_capacity: field_u64(v, "cfg", "cache_capacity")? as usize,
-        // Absent in journals written before surrogate ranking existed;
-        // the flag never changes results, so defaulting is always safe.
-        surrogate_rank: v
-            .get("surrogate_rank")
-            .and_then(JsonValue::as_bool)
-            .unwrap_or(false),
-        // Absent (meaning disabled) in journals written before budgeted
-        // early stopping, and in every journal that runs without it.
-        surrogate_budget: v
-            .get("surrogate_budget")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0) as usize,
         // Absent (meaning disabled) in journals written before the
         // tiered cascade, and in every journal that runs without it.
         fast_tier_budget: v
@@ -1339,8 +1325,8 @@ impl Journal {
     ///
     /// Returns [`AuditError::Io`] if the file cannot be read,
     /// [`AuditError::Journal`] for malformed records (1-based line in
-    /// the error), or [`AuditError::Schema`] for an incompatible
-    /// `run_start`.
+    /// the error), [`AuditError::Schema`] for an incompatible
+    /// `run_start`, or [`AuditError::Resume`] for a retired knob.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, AuditError> {
         let reader = JournalReader::open(path)?;
         Self::from_reader(&reader)
@@ -1430,11 +1416,10 @@ impl Journal {
                 // trailing front without its generation is a crash
                 // artifact that replay ignores.
                 JournalRecord::ParetoFront(f) => fronts.push(f),
-                // Informational markers inside the section (the budgets
+                // Informational markers inside the section (the budget
                 // and the repair flag themselves live in `cfg`); skip
                 // them.
-                JournalRecord::SurrogateBudget { .. }
-                | JournalRecord::Cascade { .. }
+                JournalRecord::Cascade { .. }
                 | JournalRecord::Repair { .. }
                 | JournalRecord::WorkerEvicted { .. } => continue,
                 JournalRecord::GaEnd => {
@@ -1545,7 +1530,6 @@ mod tests {
                 menu: Opcode::stress_menu(),
                 seeds: vec![sample_generation().population[0].clone()],
             },
-            JournalRecord::SurrogateBudget { budget: 6 },
             JournalRecord::Cascade { budget: 3 },
             JournalRecord::Generation(sample_generation()),
             JournalRecord::GaEnd,

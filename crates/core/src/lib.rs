@@ -28,7 +28,8 @@
 //!   per usage scenario, cross-evaluated,
 //! * [`analyze`] — the static stressmark analyzer (re-export of
 //!   `audit-analyze`): IR verifier, lint catalog, and the static
-//!   pressure model the GA uses as a pre-screen surrogate.
+//!   pressure model whose swing score each journaled GA generation
+//!   records.
 //!
 //! # Quickstart
 //!

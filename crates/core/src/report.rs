@@ -234,12 +234,6 @@ pub fn journal_summary(journal: &Journal) -> Table {
                     ),
                 ]);
             }
-            JournalRecord::SurrogateBudget { budget } => {
-                t.row(vec![
-                    "surrogate_budget".into(),
-                    format!("top-{budget} measured per generation"),
-                ]);
-            }
             JournalRecord::Cascade { budget } => {
                 t.row(vec![
                     "cascade".into(),

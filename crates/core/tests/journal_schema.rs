@@ -466,3 +466,65 @@ fn journal_without_multiobjective_kinds_still_decodes() {
     assert!(section.fronts.is_empty(), "scalar journal grew fronts");
     assert_eq!(section.cfg, &fixture_cfg());
 }
+
+#[test]
+fn retired_surrogate_rank_still_replays() {
+    // `surrogate_rank` only ever reordered dispatch, so an old journal
+    // that set it replays unchanged. Cut after the first generation so
+    // the resume evaluates live generations too.
+    let text = std::fs::read_to_string(fixture_path()).expect("golden fixture exists");
+    let patched = text.replace("\"surrogate_rank\":false", "\"surrogate_rank\":true");
+    assert_ne!(patched, text, "fixture lost its surrogate_rank key");
+    let lines: Vec<&str> = patched.lines().collect();
+    let cut = lines
+        .iter()
+        .position(|l| l.contains("\"kind\":\"generation\""))
+        .expect("a generation record");
+    let old: String = lines[..=cut].iter().map(|l| format!("{l}\n")).collect();
+    let journal = Journal::parse(&old).expect("surrogate_rank journal decodes");
+    let fitness = || LocalDispatcher::new(fixture_fitness, 1);
+    let resumed = ga::resume(&journal, &mut fitness(), &mut MemJournal::default()).unwrap();
+    let fresh = ga::run(
+        &fixture_cfg(),
+        &Opcode::stress_menu(),
+        5,
+        &[],
+        &mut fitness(),
+        &mut MemJournal::default(),
+    )
+    .unwrap();
+    assert_eq!(resumed, fresh);
+}
+
+#[test]
+fn retired_surrogate_budget_fails_by_name() {
+    // `surrogate_budget` changed which candidates were measured; a
+    // journal that used it must refuse to replay rather than replay
+    // different results — whether the budget sits in `cfg` or in the
+    // old marker record.
+    let text = std::fs::read_to_string(fixture_path()).expect("golden fixture exists");
+    let in_cfg = text.replace(
+        "\"surrogate_rank\":false",
+        "\"surrogate_rank\":false,\"surrogate_budget\":4",
+    );
+    assert_ne!(in_cfg, text, "fixture lost its surrogate_rank key");
+    let marker: String = text
+        .lines()
+        .flat_map(|l| {
+            let extra = l
+                .contains("\"kind\":\"ga_start\"")
+                .then_some("{\"kind\":\"surrogate_budget\",\"budget\":4}");
+            std::iter::once(l).chain(extra)
+        })
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert!(marker.len() > text.len(), "no marker inserted");
+    for old in [in_cfg, marker] {
+        let err = Journal::parse(&old).expect_err("retired knob must not decode");
+        assert!(
+            matches!(err, audit_error::AuditError::Resume { .. }),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("surrogate_budget"), "{err}");
+    }
+}

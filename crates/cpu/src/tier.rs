@@ -54,7 +54,7 @@ pub struct TierModel {
 
 impl TierModel {
     /// The chip-agnostic 4-wide model the GA cascade uses. Fixed — like
-    /// the static surrogate's generic model, it never has to match the
+    /// the static analyzer's generic model, it never has to match the
     /// simulated chip, only stay the same so pruning is reproducible.
     pub const fn generic() -> Self {
         TierModel {

@@ -137,8 +137,8 @@ audit=(cargo run --release -q -p audit-cli --bin audit --)
 "${audit[@]}" failure --stressmark sm-res --fast --threads 2 \
     --faults 5:crash=0.2 --retries 4 \
     --checkpoint "$smoke_dir/full.ndjson" > "$smoke_dir/full.out"
-cut=$(grep -nE '"kind":"vmin_step".*"outcome":"(passed|failed)"' \
-    "$smoke_dir/full.ndjson" | head -1 | cut -d: -f1)
+cut=$(grep -m1 -nE '"kind":"vmin_step".*"outcome":"(passed|failed)"' \
+    "$smoke_dir/full.ndjson" | cut -d: -f1)
 head -n "$cut" "$smoke_dir/full.ndjson" > "$smoke_dir/killed.ndjson"
 "${audit[@]}" failure --resume "$smoke_dir/killed.ndjson" > "$smoke_dir/resumed.out"
 grep -F "$(grep 'fails at' "$smoke_dir/full.out")" "$smoke_dir/resumed.out" > /dev/null \
@@ -151,8 +151,8 @@ cmp "$smoke_dir/full.ndjson" "$smoke_dir/killed.ndjson" \
 # byte-identical journal (docs/PARETO.md).
 "${audit[@]}" shmoo --stressmark sm-res --fast --threads 2 \
     --checkpoint "$smoke_dir/shmoo.ndjson" > "$smoke_dir/shmoo.out"
-cut=$(grep -n '"kind":"shmoo_point".*"outcome":"done"' \
-    "$smoke_dir/shmoo.ndjson" | head -1 | cut -d: -f1)
+cut=$(grep -m1 -n '"kind":"shmoo_point".*"outcome":"done"' \
+    "$smoke_dir/shmoo.ndjson" | cut -d: -f1)
 head -n "$cut" "$smoke_dir/shmoo.ndjson" > "$smoke_dir/shmoo-killed.ndjson"
 "${audit[@]}" shmoo --resume "$smoke_dir/shmoo-killed.ndjson" > "$smoke_dir/shmoo-resumed.out"
 cmp "$smoke_dir/shmoo.ndjson" "$smoke_dir/shmoo-killed.ndjson" \
@@ -170,8 +170,8 @@ cmp "$smoke_dir/shmoo.ndjson" "$smoke_dir/shmoo-killed.ndjson" \
 "${audit[@]}" minimize "$smoke_dir/witness.prog" --fast --threads 2 \
     --checkpoint "$smoke_dir/min.ndjson" --out "$smoke_dir/kernel.prog" \
     > "$smoke_dir/min.out"
-cut=$(grep -nE '"kind":"minimize_step".*"droop"' "$smoke_dir/min.ndjson" \
-    | head -1 | cut -d: -f1)
+cut=$(grep -m1 -nE '"kind":"minimize_step".*"droop"' "$smoke_dir/min.ndjson" \
+    | cut -d: -f1)
 head -n "$cut" "$smoke_dir/min.ndjson" > "$smoke_dir/min-killed.ndjson"
 "${audit[@]}" minimize --resume "$smoke_dir/min-killed.ndjson" \
     --out "$smoke_dir/kernel-resumed.prog" > "$smoke_dir/min-resumed.out"
@@ -188,7 +188,7 @@ cmp "$smoke_dir/kernel.prog" "$smoke_dir/kernel-resumed.prog" \
 "${audit[@]}" generate --fast --threads 2 \
     --faults 7:noise=0.002,hang=0.05 --repeat 2 --retries 3 \
     --checkpoint "$smoke_dir/gen.ndjson" > "$smoke_dir/gen.out"
-cut=$(grep -n '"kind":"generation"' "$smoke_dir/gen.ndjson" | head -1 | cut -d: -f1)
+cut=$(grep -m1 -n '"kind":"generation"' "$smoke_dir/gen.ndjson" | cut -d: -f1)
 head -n "$cut" "$smoke_dir/gen.ndjson" > "$smoke_dir/gen-killed.ndjson"
 "${audit[@]}" generate --resume "$smoke_dir/gen-killed.ndjson" > "$smoke_dir/gen-resumed.out"
 strip_wall() { sed -E 's/"wall_s":[0-9.eE+-]+/"wall_s":0/g' "$1"; }
@@ -276,7 +276,7 @@ echo "==> journal fsck smoke (corrupt interior -> repair -> resume byte-identity
 # non-resumable, repaired to its valid prefix atomically, and then
 # resume to the uninterrupted run's bytes (docs/ROBUSTNESS.md).
 cp "$smoke_dir/gen.ndjson" "$smoke_dir/sick.ndjson"
-rot=$(grep -n '"kind":"generation"' "$smoke_dir/sick.ndjson" | head -1 | cut -d: -f1)
+rot=$(grep -m1 -n '"kind":"generation"' "$smoke_dir/sick.ndjson" | cut -d: -f1)
 sed -i "${rot}s/.*/{\"kind\":\"gene<BITROT>/" "$smoke_dir/sick.ndjson"
 if "${audit[@]}" journal fsck "$smoke_dir/sick.ndjson" > "$smoke_dir/fsck.out" 2>&1; then
     echo "fsck exited zero on a corrupt-interior journal" >&2; exit 1
