@@ -598,3 +598,57 @@ fn resume_refuses_a_retired_eval_batch_flag() {
     assert!(!err.contains("panicked"), "{err}");
     assert!(!stdout(&out).contains("resuming"), "{}", stdout(&out));
 }
+
+#[test]
+fn a_failed_journal_write_leaves_a_clean_resumable_checkpoint() {
+    // `ulimit -f` caps the checkpoint's size, so the append that
+    // crosses the cap gets a short write and then EFBIG (SIGXFSZ is
+    // ignored): a real write failure in the middle of a line.
+    let dir = std::env::temp_dir().join("audit-cli-efbig-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let full = dir.join("full.ndjson");
+    let capped = dir.join("capped.ndjson");
+    std::fs::remove_file(&capped).ok();
+    let generate = ["generate", "--fast", "--seed", "11", "--checkpoint"];
+    let out = audit(&[&generate[..], &[full.to_str().unwrap()]].concat());
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let droop_line = |text: &str| {
+        text.lines()
+            .find(|l| l.contains("best droop"))
+            .map(str::to_string)
+            .expect("droop line")
+    };
+    let full_droop = droop_line(&stdout(&out));
+
+    // Half the full journal's size in KiB: mid-run whether `sh` counts
+    // `ulimit -f` in 512- or 1024-byte blocks.
+    let blocks = std::fs::metadata(&full).unwrap().len() / 2048;
+    let script = format!("trap '' XFSZ; ulimit -f {blocks}; exec \"$0\" \"$@\"");
+    let out = Command::new("sh")
+        .args(["-c", &script, env!("CARGO_BIN_EXE_audit")])
+        .args(generate)
+        .arg(&capped)
+        .output()
+        .expect("sh runs");
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("journal write to") && err.contains("failed"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+
+    // The failed append was cut back off: the checkpoint is clean, holds
+    // at least one generation, and resumes to the uninterrupted result.
+    let out = audit(&["journal", "fsck", capped.to_str().unwrap()]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains(": clean"), "{}", stdout(&out));
+    let text = std::fs::read_to_string(&capped).unwrap();
+    assert!(
+        text.contains("\"kind\":\"generation\""),
+        "cap hit before the GA: {text}"
+    );
+    let out = audit(&["generate", "--resume", capped.to_str().unwrap()]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert_eq!(droop_line(&stdout(&out)), full_droop);
+}

@@ -12,12 +12,16 @@
 //!
 //! # Atomicity
 //!
-//! [`JournalWriter`] never leaves a torn file behind: each append
-//! rewrites the full journal to a `.tmp` sibling, fsyncs it, and renames
-//! it over the destination — a crash at any instant leaves either the
-//! previous complete journal or the new one. The offline
-//! [`audit_measure::traceio::JournalReader`] additionally tolerates a
-//! torn final line, so journals written by simpler appenders also load.
+//! [`JournalWriter`] appends each record as one line through
+//! [`audit_measure::traceio::AppendLog`]: one write, then one
+//! `fdatasync`, before [`JournalSink::append`] returns. A failed write
+//! is cut back off the file, so the journal never keeps a partial line
+//! after an error. A kill mid-append can leave at most a torn final
+//! line. [`JournalWriter::resume`] cuts it off before appending again,
+//! and [`audit_measure::traceio::JournalReader`] drops it, with the same
+//! rule `audit journal fsck` classifies it by. Only `run_start` is staged
+//! in `<path>.ndjson.tmp` and renamed into place, so a failed
+//! [`JournalWriter::create`] leaves an existing file at the path as it was.
 //!
 //! # Record kinds (schema v1)
 //!
@@ -73,12 +77,12 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use audit_cpu::Opcode;
 use audit_error::AuditError;
 use audit_measure::json::JsonValue;
-use audit_measure::traceio::JournalReader;
+use audit_measure::traceio::{AppendLog, JournalReader};
 
 use crate::ga::{GaConfig, Gene, Objectives};
 
@@ -1130,22 +1134,12 @@ impl MemJournal {
     }
 }
 
-/// Crash-safe NDJSON journal writer.
-///
-/// Keeps the encoded journal in memory and, on every append, writes the
-/// complete file to `<path>.tmp`, fsyncs, and renames over `<path>`.
-/// POSIX rename atomicity guarantees a reader (or a restart) sees either
-/// the previous journal or the new one — never a torn line. The rewrite
-/// is O(run length) per append, so a run writes O(records²) bytes. It
-/// is not negligible: `audit-perf --trace 1` (`core.journal.share`, on a
-/// 2-vCPU host) measures it at 0.16–0.24 of a `ga_resonant` campaign
-/// and 0.58 of a `ga_cascade` one (201 MB written in 20 s).
-/// ROADMAP.md's open item "Journal appends in O(1)" replaces it with one
-/// append and one `fdatasync` per record.
+/// Crash-safe NDJSON journal writer: one write plus one `fdatasync` per
+/// record (see the module's "Atomicity" section).
 #[derive(Debug)]
 pub struct JournalWriter {
-    path: PathBuf,
-    lines: Vec<String>,
+    log: AppendLog,
+    records: usize,
 }
 
 impl JournalWriter {
@@ -1160,111 +1154,84 @@ impl JournalWriter {
         mode: &str,
         meta: JsonValue,
     ) -> Result<Self, AuditError> {
-        let mut w = JournalWriter {
-            path: path.as_ref().to_path_buf(),
-            lines: Vec::new(),
-        };
-        w.append(&JournalRecord::RunStart {
+        let path = path.as_ref();
+        let run_start = JournalRecord::RunStart {
             schema: SCHEMA_VERSION,
             mode: mode.to_string(),
             meta,
-        })?;
-        Ok(w)
+        };
+        let line = format!("{}\n", run_start.to_json().encode());
+        // Staged and renamed, then the directory synced: without that, a
+        // power cut can roll the entry back to the pre-rename file.
+        // `parent()` of a bare file name is the empty path (the current
+        // directory).
+        let tmp = path.with_extension("ndjson.tmp");
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        fs::File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(line.as_bytes())?;
+                f.sync_all()
+            })
+            .and_then(|()| fs::rename(&tmp, path))
+            .and_then(|()| sync_dir(dir.unwrap_or(Path::new("."))))
+            .map_err(|e| {
+                let _ = fs::remove_file(&tmp);
+                write_failed(path, 1, &e, "the destination keeps its previous contents")
+            })?;
+        let (log, _) = AppendLog::open(path)?;
+        Ok(JournalWriter { log, records: 1 })
     }
 
     /// Reopens an existing journal for continued appending (resume). The
-    /// already-present lines are preserved byte-for-byte; a torn final
-    /// line (from a non-atomic writer) is dropped.
+    /// already-present lines are kept byte-for-byte; a torn final line
+    /// (a kill mid-append) is cut off first.
     ///
     /// # Errors
     ///
-    /// Returns [`AuditError::Io`] if the file cannot be read, or
-    /// [`AuditError::Journal`] if a non-final line is malformed.
+    /// Returns [`AuditError::Io`] if the file cannot be opened, read or
+    /// truncated, or [`AuditError::Journal`] if a non-final line is
+    /// malformed.
     pub fn resume(path: impl AsRef<Path>) -> Result<Self, AuditError> {
-        let path = path.as_ref().to_path_buf();
-        let reader = JournalReader::open(&path)?;
-        let lines = reader.records().iter().map(JsonValue::encode).collect();
-        Ok(JournalWriter { path, lines })
+        let (log, reader) = AppendLog::open(path)?;
+        Ok(JournalWriter {
+            log,
+            records: reader.records().len(),
+        })
     }
 
     /// The journal's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Records appended so far (including any loaded by
     /// [`JournalWriter::resume`]).
     pub fn len(&self) -> usize {
-        self.lines.len()
+        self.records
     }
 
     /// True if nothing has been appended yet.
     pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
+        self.records == 0
     }
 
     /// Writes the `run_end` record — call when the run completes.
     ///
     /// # Errors
     ///
-    /// Returns [`AuditError::Journal`] on write failure; the journal
-    /// file keeps its previous complete contents.
+    /// Returns [`AuditError::Journal`] on write failure; the records
+    /// before it stay intact.
     pub fn finish(&mut self) -> Result<(), AuditError> {
         self.append(&JournalRecord::RunEnd)
     }
+}
 
-    fn flush(&self) -> Result<(), AuditError> {
-        let tmp = self.path.with_extension("ndjson.tmp");
-        match self.flush_via(&tmp) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                // Write-failure degradation (disk full, pulled volume,
-                // permissions yanked): every byte of the failure landed
-                // in the `.tmp` sibling, so the destination still holds
-                // the previous complete journal — never a torn interior
-                // line. Sweep the sibling away and surface one clean
-                // journal error the caller can report.
-                let _ = fs::remove_file(&tmp);
-                Err(AuditError::journal(
-                    self.lines.len(),
-                    format!(
-                        "journal write to `{}` failed ({e}); \
-                         the file keeps its previous complete contents",
-                        self.path.display()
-                    ),
-                ))
-            }
-        }
-    }
-
-    /// The happy path of [`JournalWriter::flush`]: stage the full
-    /// journal in `tmp`, make it durable, rename it into place.
-    fn flush_via(&self, tmp: &Path) -> Result<(), AuditError> {
-        let io_err = |e: &std::io::Error| AuditError::io(self.path.display(), e);
-        {
-            let mut f = fs::File::create(tmp).map_err(|e| io_err(&e))?;
-            for line in &self.lines {
-                f.write_all(line.as_bytes()).map_err(|e| io_err(&e))?;
-                f.write_all(b"\n").map_err(|e| io_err(&e))?;
-            }
-            f.sync_all().map_err(|e| io_err(&e))?;
-        }
-        fs::rename(tmp, &self.path).map_err(|e| io_err(&e))?;
-        // Make the rename itself durable: without fsyncing the parent
-        // directory, a power cut can roll the directory entry back to
-        // the pre-rename file even though the data blocks were synced.
-        if let Some(dir) = self.path.parent() {
-            // `parent()` of a bare file name is the empty path; the
-            // entry actually lives in the current directory.
-            let dir = if dir.as_os_str().is_empty() {
-                std::path::Path::new(".")
-            } else {
-                dir
-            };
-            sync_dir(dir).map_err(|e| io_err(&e))?;
-        }
-        Ok(())
-    }
+/// The one error a failed journal write surfaces as.
+fn write_failed(path: &Path, record: usize, e: &std::io::Error, kept: &str) -> AuditError {
+    AuditError::journal(
+        record,
+        format!("journal write to `{}` failed ({e}); {kept}", path.display()),
+    )
 }
 
 /// Fsyncs a directory so a just-renamed entry inside it survives power
@@ -1306,8 +1273,19 @@ fn dir_sync_unsupported(e: &std::io::Error) -> bool {
 
 impl JournalSink for JournalWriter {
     fn append(&mut self, record: &JournalRecord) -> Result<(), AuditError> {
-        self.lines.push(record.to_json().encode());
-        self.flush()
+        self.log
+            .append(&record.to_json().encode())
+            .and_then(|()| self.log.sync())
+            .map_err(|e| {
+                write_failed(
+                    self.path(),
+                    self.records + 1,
+                    &e,
+                    "the records before it are intact",
+                )
+            })?;
+        self.records += 1;
+        Ok(())
     }
 }
 
@@ -1668,48 +1646,10 @@ mod tests {
     }
 
     #[test]
-    fn writer_degrades_cleanly_when_the_disk_says_no() {
-        let dir = std::env::temp_dir().join(format!(
-            "audit-journal-enospc-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.ndjson");
-        let mut w = JournalWriter::create(&path, "ga", JsonValue::Null).unwrap();
-        let healthy = fs::read_to_string(&path).unwrap();
-
-        // Simulate the volume going away mid-run: every staging write
-        // now fails. The append must surface one clean journal error...
-        fs::remove_dir_all(&dir).unwrap();
-        let err = w
-            .append(&JournalRecord::Generation(sample_generation()))
-            .unwrap_err();
-        assert!(
-            matches!(err, AuditError::Journal { .. }),
-            "want a clean journal error, got {err}"
-        );
-        assert!(err.to_string().contains("previous complete contents"), "{err}");
-
-        // ...and once the volume returns, the writer still holds every
-        // record (including the one whose flush failed) and recovers to
-        // a complete, loadable journal — no torn interior line ever
-        // touches the destination.
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(&path, &healthy).unwrap();
-        w.finish().unwrap();
-        let j = Journal::load(&path).unwrap();
-        assert!(j.is_complete());
-        assert_eq!(j.records.len(), 3);
-        assert!(!dir.join("run.ndjson.tmp").exists());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn writer_accepts_a_bare_relative_path() {
         // A bare file name has an empty `parent()`; the directory fsync
-        // after rename must map that to the current directory instead of
-        // trying to open "".
+        // after staging `run_start` must map that to the current
+        // directory instead of trying to open "".
         let name = format!(
             "audit-journal-bare-{}-{:?}.ndjson",
             std::process::id(),

@@ -13,6 +13,7 @@ use audit_core::ga::{self, GaConfig, GaRun, Gene, LocalDispatcher};
 use audit_core::journal::{Journal, JournalWriter, NullSink};
 use audit_cpu::Opcode;
 use audit_measure::json::JsonValue;
+use audit_measure::traceio::{self, FsckVerdict};
 
 fn temp_journal(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("audit-core-kill-resume");
@@ -153,4 +154,106 @@ fn resume_refuses_a_journal_from_a_different_run() {
     );
     // The untampered journal still resumes.
     assert!(ga::resume(&journal, &mut LocalDispatcher::new(fitness, 2), &mut NullSink).is_ok());
+}
+
+#[test]
+fn every_byte_offset_cut_is_classified_and_resumes() {
+    // A kill can land on any byte of an append, including inside a
+    // multi-byte UTF-8 character of the run_start metadata. The run is
+    // kept small: every cut parses its whole prefix three times.
+    let small = GaConfig {
+        population: 4,
+        generations: 4,
+        stall_generations: 4,
+        ..cfg()
+    };
+    let full_path = temp_journal("bytes-full");
+    let meta = JsonValue::object(vec![(
+        "rig",
+        JsonValue::String("Bulldozer µ-arch, ΔV ≤ 5 % — ✓".into()),
+    )]);
+    let mut writer = JournalWriter::create(&full_path, "test", meta).expect("create journal");
+    let full = ga::run(
+        &small,
+        &Opcode::stress_menu(),
+        4,
+        &[],
+        &mut LocalDispatcher::new(fitness, 2),
+        &mut writer,
+    )
+    .expect("full run");
+    writer.finish().expect("finish journal");
+    let bytes = std::fs::read(&full_path).expect("journal readable");
+    assert!(
+        !bytes.is_ascii(),
+        "the metadata must put multi-byte characters on disk"
+    );
+    let full_journal = Journal::load(&full_path).expect("full journal loads");
+    let without_run_end = |j: &Journal| {
+        j.records
+            .iter()
+            .filter(|r| r.kind() != "run_end")
+            .cloned()
+            .collect::<Vec<_>>()
+    };
+
+    // Line boundaries: the byte offsets a cut leaves a clean file at.
+    let boundaries: Vec<usize> = std::iter::once(0)
+        .chain(
+            bytes
+                .iter()
+                .enumerate()
+                .filter(|(_, &b)| b == b'\n')
+                .map(|(i, _)| i + 1),
+        )
+        .collect();
+    let path = temp_journal("bytes-cut");
+    for cut in 0..=bytes.len() {
+        std::fs::write(&path, &bytes[..cut]).expect("cut journal written");
+        let lines = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
+        let valid = boundaries[lines];
+        let report = traceio::fsck(&path).expect("fsck reads the cut");
+        let want = if valid == cut {
+            FsckVerdict::Clean
+        } else {
+            FsckVerdict::TornTail
+        };
+        assert_eq!(report.verdict, want, "cut at byte {cut}");
+        assert_eq!(report.valid_bytes as usize, valid, "cut at byte {cut}");
+        let loaded = Journal::load(&path).expect("a cut journal loads");
+        assert_eq!(
+            loaded.records,
+            full_journal.records[..lines],
+            "cut at byte {cut}"
+        );
+        let writer = JournalWriter::resume(&path).expect("writer resumes");
+        assert_eq!(writer.len(), lines, "cut at byte {cut}");
+        assert_eq!(
+            std::fs::metadata(&path).expect("cut journal").len() as usize,
+            valid,
+            "resume must trim to fsck's valid prefix (cut at byte {cut})"
+        );
+    }
+
+    // Cut every line past ga_start in its middle and resume the run.
+    for (line, pair) in boundaries.windows(2).enumerate().skip(2) {
+        let cut = (pair[0] + pair[1]) / 2;
+        std::fs::write(&path, &bytes[..cut]).expect("cut journal written");
+        let journal = Journal::load(&path).expect("cut journal loads");
+        let mut writer = JournalWriter::resume(&path).expect("writer resumes");
+        let resumed = ga::resume(&journal, &mut LocalDispatcher::new(fitness, 2), &mut writer)
+            .expect("run resumes");
+        assert_eq!(
+            full,
+            resumed,
+            "GaRun diverged when cut inside line {}",
+            line + 1
+        );
+        assert_eq!(
+            without_run_end(&full_journal),
+            without_run_end(&Journal::load(&path).expect("resumed journal loads")),
+            "journal diverged when cut inside line {}",
+            line + 1
+        );
+    }
 }

@@ -1,23 +1,25 @@
-//! Trace persistence: CSV export/import for captured waveforms, plus an
-//! offline reader for NDJSON run journals.
+//! Trace persistence: CSV export/import for captured waveforms, plus the
+//! NDJSON log that run journals and dispatch WALs are written through.
 //!
 //! Lab workflows archive scope captures; the reproduction does the same
 //! so traces can be post-processed outside the simulator (plotted,
 //! diffed across runs, or replayed through alternative PDN models). The
 //! CSV format is deliberately plain: a header line, then one row per
 //! sample. Run journals (see `docs/RUN_JOURNAL.md`) are newline-delimited
-//! JSON; [`JournalReader`] iterates their records without interpreting
-//! them, tolerating the torn final line a crash can leave behind.
+//! JSON, appended through [`AppendLog`]; [`JournalReader`] iterates their
+//! records without interpreting them, dropping the torn final line a
+//! kill can leave behind.
 //!
-//! [`fsck`] / [`fsck_repair`] go further: they classify a journal or
-//! dispatch WAL as clean, torn-tail, or corrupt-interior (bit rot that
-//! resume would refuse), report the longest valid prefix with a
-//! per-kind record census, and can atomically truncate the file back to
-//! that prefix so `--resume` accepts a previously dead checkpoint. This
-//! backs `audit journal fsck`.
+//! [`fsck`] / [`fsck_repair`] classify a journal or dispatch WAL as
+//! clean, torn-tail, or corrupt-interior (bit rot that resume would
+//! refuse), report the longest valid prefix with a per-kind record
+//! census, and can truncate the file back to that prefix so `--resume`
+//! accepts a previously dead checkpoint. This backs `audit journal
+//! fsck`. All of them read with one line rule ([`fsck_bytes`]).
 
-use std::io::{self, BufRead, Write};
-use std::path::Path;
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufRead, Read, Write};
+use std::path::{Path, PathBuf};
 
 use audit_error::AuditError;
 
@@ -117,10 +119,10 @@ pub fn read_csv<R: BufRead>(r: R) -> Result<Vec<f64>, TraceReadError> {
 pub enum TailOutcome {
     /// Every line parsed as a complete record.
     Clean,
-    /// The final line was torn by a crash mid-append: either it failed
-    /// to parse, or it parsed as JSON that is not a record (a partial
-    /// write can coincidentally be valid JSON — `{}` is a prefix of
-    /// many records). The line is dropped; all prior records stand.
+    /// The final line was torn by a crash mid-append: it lacks its
+    /// `\n`, fails to parse, or parses as JSON that is not a record (a
+    /// partial write can coincidentally be valid JSON). The line is
+    /// dropped; all prior records stand.
     TruncatedTail,
 }
 
@@ -129,9 +131,8 @@ pub enum TailOutcome {
 /// Each journal line is one JSON object with a `"kind"` field. The
 /// reader is schema-agnostic: it hands back [`JsonValue`]s so tools can
 /// inspect journals written by newer builds. A torn final line (the
-/// signature of a crash mid-append under non-atomic writers) is *not* an
-/// error — it is dropped and reported as a clean
-/// [`TailOutcome::TruncatedTail`] via [`JournalReader::tail`].
+/// signature of a kill mid-append) is *not* an error — it is dropped and
+/// reported as [`TailOutcome::TruncatedTail`] via [`JournalReader::tail`].
 ///
 /// # Example
 ///
@@ -159,9 +160,8 @@ impl JournalReader {
     /// [`AuditError::Journal`] if a non-final line is malformed.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, AuditError> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| AuditError::io(path.display(), &e))?;
-        Self::parse(&text)
+        let bytes = std::fs::read(path).map_err(|e| AuditError::io(path.display(), &e))?;
+        Self::from_scan(scan(&bytes))
     }
 
     /// Parses journal text (one JSON object per line).
@@ -172,40 +172,16 @@ impl JournalReader {
     /// line other than the last fails to parse, or if a parsed record is
     /// not an object with a string `"kind"`.
     pub fn parse(text: &str) -> Result<Self, AuditError> {
-        let lines: Vec<&str> = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty())
-            .collect();
-        let mut records = Vec::with_capacity(lines.len());
-        let mut tail = TailOutcome::Clean;
-        for (idx, line) in lines.iter().enumerate() {
-            let last = idx + 1 == lines.len();
-            match JsonValue::parse(line) {
-                Ok(record) => {
-                    if record.get("kind").and_then(JsonValue::as_str).is_none() {
-                        if last {
-                            // A partial write can still be valid JSON
-                            // (`{}` is a prefix of many records) — the
-                            // same crash tail, just luckier truncation.
-                            tail = TailOutcome::TruncatedTail;
-                            continue;
-                        }
-                        return Err(AuditError::journal(
-                            idx + 1,
-                            "record is not an object with a string `kind`",
-                        ));
-                    }
-                    records.push(record);
-                }
-                Err(_) if last => {
-                    // Crash tail: an interrupted append leaves a partial
-                    // final line. Recoverable by construction.
-                    tail = TailOutcome::TruncatedTail;
-                }
-                Err(e) => return Err(AuditError::journal(idx + 1, e.to_string())),
-            }
-        }
+        Self::from_scan(scan(text.as_bytes()))
+    }
+
+    fn from_scan(scan: (FsckReport, Vec<JsonValue>, String)) -> Result<Self, AuditError> {
+        let (report, records, damage) = scan;
+        let tail = match report.verdict {
+            FsckVerdict::Clean => TailOutcome::Clean,
+            FsckVerdict::TornTail => TailOutcome::TruncatedTail,
+            FsckVerdict::CorruptInterior { line } => return Err(AuditError::journal(line, damage)),
+        };
         Ok(JournalReader { records, tail })
     }
 
@@ -294,14 +270,10 @@ impl FsckReport {
     }
 }
 
-/// Classifies raw journal bytes. See [`fsck`] for the file wrapper.
-///
-/// Operates on bytes, not `str`: a corrupted journal (the whole reason
-/// to fsck one) need not be valid UTF-8. A line is *valid* when it is
-/// UTF-8, parses as JSON, and is an object with a string `"kind"`;
-/// whitespace-only lines are tolerated as filler. The valid prefix ends
-/// just after the last valid line before the first damaged one.
-pub fn fsck_bytes(bytes: &[u8]) -> FsckReport {
+/// Reads `bytes` with the one line rule (see [`fsck_bytes`]): the
+/// report, the records of the valid prefix, and why the first damaged
+/// line is damaged.
+fn scan(bytes: &[u8]) -> (FsckReport, Vec<JsonValue>, String) {
     let mut report = FsckReport {
         verdict: FsckVerdict::Clean,
         valid_bytes: 0,
@@ -309,69 +281,73 @@ pub fn fsck_bytes(bytes: &[u8]) -> FsckReport {
         records: 0,
         kind_counts: Vec::new(),
     };
-    let mut offset = 0usize;
-    let mut line_no = 0usize;
-    let mut first_bad: Option<usize> = None;
-    let mut lines_after_bad = false;
-    while offset < bytes.len() {
-        let end = bytes[offset..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .map_or(bytes.len(), |nl| offset + nl + 1);
-        let line = &bytes[offset..end];
-        line_no += 1;
-        let text = std::str::from_utf8(line).ok().map(str::trim);
-        let record = match text {
-            Some("") => None, // whitespace filler: valid, not a record
-            Some(t) => match JsonValue::parse(t) {
-                Ok(v) if v.get("kind").and_then(JsonValue::as_str).is_some() => Some(v),
-                _ => {
-                    if first_bad.is_none() {
-                        first_bad = Some(line_no);
-                    } else {
-                        lines_after_bad = true;
-                    }
-                    offset = end;
-                    continue;
-                }
-            },
-            None => {
-                if first_bad.is_none() {
-                    first_bad = Some(line_no);
-                } else {
-                    lines_after_bad = true;
-                }
-                offset = end;
-                continue;
-            }
+    let (mut records, mut damage) = (Vec::new(), String::new());
+    let (mut valid, mut line) = (0, 0);
+    while valid < bytes.len() {
+        line += 1;
+        let rest = &bytes[valid..];
+        // An append writes a line and its `\n` in one go: a line
+        // without one is an append that never finished.
+        let (complete, end) = match rest.iter().position(|&b| b == b'\n') {
+            Some(nl) => (Some(&rest[..nl]), nl + 1),
+            None => (None, rest.len()),
         };
-        if first_bad.is_some() {
-            // A complete line after damage: the damage is interior.
-            lines_after_bad = true;
-            offset = end;
-            continue;
-        }
-        if let Some(v) = record {
-            let kind = v
-                .get("kind")
-                .and_then(JsonValue::as_str)
-                .expect("validated above")
-                .to_string();
-            match report.kind_counts.iter_mut().find(|(k, _)| *k == kind) {
-                Some((_, n)) => *n += 1,
-                None => report.kind_counts.push((kind, 1)),
+        match complete
+            .ok_or_else(|| "unterminated line".to_string())
+            .and_then(parse_line)
+        {
+            Ok(record) => {
+                records.extend(record);
+                valid += end;
             }
-            report.records += 1;
+            Err(why) => {
+                report.verdict = if end < rest.len() {
+                    FsckVerdict::CorruptInterior { line }
+                } else {
+                    FsckVerdict::TornTail
+                };
+                damage = why;
+                break;
+            }
         }
-        report.valid_bytes = end as u64;
-        offset = end;
     }
-    report.verdict = match first_bad {
-        None => FsckVerdict::Clean,
-        Some(line) if lines_after_bad => FsckVerdict::CorruptInterior { line },
-        Some(_) => FsckVerdict::TornTail,
-    };
-    report
+    for kind in records
+        .iter()
+        .filter_map(|r| r.get("kind").and_then(JsonValue::as_str))
+    {
+        match report.kind_counts.iter_mut().find(|(k, _)| k == kind) {
+            Some((_, n)) => *n += 1,
+            None => report.kind_counts.push((kind.to_string(), 1)),
+        }
+    }
+    report.records = records.len();
+    report.valid_bytes = valid as u64;
+    (report, records, damage)
+}
+
+/// One line without its `\n`: `None` for whitespace filler.
+fn parse_line(line: &[u8]) -> Result<Option<JsonValue>, String> {
+    let text = std::str::from_utf8(line).map_err(|e| e.to_string())?.trim();
+    if text.is_empty() {
+        return Ok(None);
+    }
+    let record = JsonValue::parse(text).map_err(|e| e.to_string())?;
+    match record.get("kind").and_then(JsonValue::as_str) {
+        Some(_) => Ok(Some(record)),
+        None => Err("record is not an object with a string `kind`".into()),
+    }
+}
+
+/// Classifies raw journal bytes. See [`fsck`] for the file wrapper.
+///
+/// This is the one line-validity rule: [`JournalReader`] and
+/// [`AppendLog`] read with it too. A line is *valid* when it ends in
+/// `\n` and is whitespace or a UTF-8 JSON object with a string `"kind"`
+/// (bytes, not `str`: a damaged journal need not be UTF-8). The first
+/// invalid line is a torn tail if nothing follows it, else a corrupt
+/// interior; the valid prefix ends just before it.
+pub fn fsck_bytes(bytes: &[u8]) -> FsckReport {
+    scan(bytes).0
 }
 
 /// Classifies a journal (or dispatch WAL) file on disk: clean, torn
@@ -388,35 +364,101 @@ pub fn fsck(path: impl AsRef<Path>) -> Result<FsckReport, AuditError> {
     Ok(fsck_bytes(&bytes))
 }
 
-/// Runs [`fsck`] and, when the file is damaged, atomically truncates it
-/// to its longest valid prefix: the prefix is staged in a `.fsck.tmp`
-/// sibling, fsynced, and renamed over the original, so a crash during
-/// repair leaves either the damaged original or the repaired file —
-/// never a third state. A clean file is left byte-untouched.
+/// Runs [`fsck`] and, when the file is damaged, truncates it in place
+/// to its longest valid prefix (`set_len`, then `fsync`): one metadata
+/// update, so a crash during repair leaves the damaged file or the
+/// repaired one. A clean file is left byte-untouched.
 ///
 /// Returns the pre-repair report (so callers can print what was cut).
 ///
 /// # Errors
 ///
-/// Returns [`AuditError::Io`] if the file cannot be read or the
-/// repaired prefix cannot be staged and renamed into place.
+/// Returns [`AuditError::Io`] if the file cannot be read, truncated or
+/// synced.
 pub fn fsck_repair(path: impl AsRef<Path>) -> Result<FsckReport, AuditError> {
     let path = path.as_ref();
-    let bytes = std::fs::read(path).map_err(|e| AuditError::io(path.display(), &e))?;
-    let report = fsck_bytes(&bytes);
-    if report.verdict == FsckVerdict::Clean {
-        return Ok(report);
+    let report = fsck(path)?;
+    if report.verdict != FsckVerdict::Clean {
+        let io_err = |e: io::Error| AuditError::io(path.display(), &e);
+        let file = OpenOptions::new().write(true).open(path).map_err(io_err)?;
+        file.set_len(report.valid_bytes).map_err(io_err)?;
+        file.sync_all().map_err(io_err)?;
     }
-    let io_err = |e: &io::Error| AuditError::io(path.display(), e);
-    let tmp = path.with_extension("fsck.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp).map_err(|e| io_err(&e))?;
-        f.write_all(&bytes[..report.valid_bytes as usize])
-            .map_err(|e| io_err(&e))?;
-        f.sync_all().map_err(|e| io_err(&e))?;
-    }
-    std::fs::rename(&tmp, path).map_err(|e| io_err(&e))?;
     Ok(report)
+}
+
+/// An append-only NDJSON log: the one writer under the run journal
+/// (`audit_core::journal::JournalWriter`) and the dispatch WAL
+/// (`audit_net::wal::Wal`). Opening reads the file with [`fsck_bytes`]'s
+/// rule and cuts a torn tail off before anything is appended after it.
+/// An append is one write, cut back off if it fails. Syncing is the
+/// caller's call ([`AppendLog::sync`]).
+#[derive(Debug)]
+pub struct AppendLog {
+    path: PathBuf,
+    file: File,
+    /// Bytes of complete lines: where a failed append is cut back to.
+    len: u64,
+}
+
+impl AppendLog {
+    /// Opens the existing log at `path` for appending, cutting a torn
+    /// tail off, and returns it with the records it already holds.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuditError::Io`] if the file cannot be opened, read or
+    /// truncated, and [`AuditError::Journal`] if a non-final line is
+    /// damaged.
+    pub fn open(path: impl AsRef<Path>) -> Result<(AppendLog, JournalReader), AuditError> {
+        let path = path.as_ref().to_path_buf();
+        let io_err = |e: io::Error| AuditError::io(path.display(), &e);
+        let mut file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .open(&path)
+            .map_err(io_err)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes).map_err(io_err)?;
+        let scan = scan(&bytes);
+        let len = scan.0.valid_bytes;
+        let reader = JournalReader::from_scan(scan)?;
+        if len < bytes.len() as u64 {
+            file.set_len(len).map_err(io_err)?;
+        }
+        Ok((AppendLog { path, file, len }, reader))
+    }
+
+    /// The log's file path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Appends `line` (one JSON record) and its `\n` in one write.
+    ///
+    /// # Errors
+    ///
+    /// Returns the write's error after cutting any partial line off.
+    pub fn append(&mut self, line: &str) -> io::Result<()> {
+        let bytes = [line.as_bytes(), b"\n"].concat();
+        if let Err(e) = self.file.write_all(&bytes) {
+            // If even this fails, the partial line still reads as a
+            // torn tail; the write's error is the one to report.
+            let _ = self.file.set_len(self.len);
+            return Err(e);
+        }
+        self.len += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Makes every append so far durable (`fdatasync`).
+    ///
+    /// # Errors
+    ///
+    /// Returns the sync's error.
+    pub fn sync(&self) -> io::Result<()> {
+        self.file.sync_data()
+    }
 }
 
 #[cfg(test)]
@@ -580,6 +622,19 @@ mod tests {
             assert_eq!(r.valid_bytes as usize, good.len());
             assert_eq!(r.records, 1);
         }
+    }
+
+    #[test]
+    fn an_unterminated_record_is_a_torn_tail() {
+        // A record is committed by its `\n`: a valid object cut just
+        // before it is still an append that never finished.
+        let text = "{\"kind\":\"run_start\",\"schema\":1}\n{\"kind\":\"run_end\"}";
+        let r = fsck_bytes(text.as_bytes());
+        assert_eq!(r.verdict, FsckVerdict::TornTail);
+        assert_eq!(r.valid_bytes as usize, text.find('\n').unwrap() + 1);
+        let reader = JournalReader::parse(text).unwrap();
+        assert_eq!(reader.kinds(), vec!["run_start"]);
+        assert!(reader.torn_tail());
     }
 
     #[test]

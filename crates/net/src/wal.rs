@@ -2,25 +2,28 @@
 //! ([`crate::pool`]), whether `audit serve`'s one or a fleet's many.
 //!
 //! The WAL is NDJSON next to the run journal (`<checkpoint>.wal`),
-//! appended and flushed per record. `dispatch` records are written
-//! before an `Eval` frame goes out; `result` records after the answer
-//! arrives (or a quarantine verdict is reached); `worker_evicted`
-//! records when cross-validation catches a lying worker. Only `result`
-//! records feed the resume prefill — the others are evidence of what
-//! was outstanding and what the defense layer did about it. A torn
-//! final line (the ordinary kill signature) is tolerated on open,
-//! mirroring the journal's torn-tail rule; a corrupt interior line is
-//! an error.
+//! written through the journal's [`AppendLog`], so a torn final line
+//! (the ordinary kill signature) is cut off on open and a corrupt
+//! interior line is an error. `dispatch` records are written before an
+//! `Eval` frame goes out; `result` records after the answer arrives (or
+//! a quarantine verdict is reached); `worker_evicted` records when
+//! cross-validation catches a lying worker. Only `result` records feed
+//! the resume prefill — the others are evidence of what was outstanding
+//! and what the defense layer did about it.
+//!
+//! Unlike the journal, the WAL is not synced per record (two lines per
+//! evaluation would each block the pool thread): it survives a process
+//! kill, not a power cut. A lost result is simply evaluated again.
 
 use std::collections::HashMap;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use audit_core::ga::Objectives;
 use audit_core::journal::{decode_u64, encode_u64, JournalRecord};
 use audit_core::ResilienceReport;
 use audit_error::AuditError;
 use audit_measure::json::JsonValue;
+use audit_measure::traceio::AppendLog;
 
 use crate::proto::{decode_objectives, decode_resilience, encode_objectives, encode_resilience};
 
@@ -30,101 +33,67 @@ pub type Prefill = HashMap<u64, (Objectives, ResilienceReport)>;
 
 /// One dispatch write-ahead log. See the module docs.
 pub struct Wal {
-    path: PathBuf,
-    file: std::fs::File,
+    log: AppendLog,
 }
 
 impl Wal {
     /// Opens (and replays) the WAL at `path`, returning the log handle
     /// and the prefill map of every `result` already recorded there by
-    /// a previous (killed) broker. The file is created if absent and
-    /// appended otherwise.
+    /// a previous (killed) broker. The file is created if absent; a
+    /// torn final line is cut off before anything is appended.
     ///
     /// # Errors
     ///
-    /// Returns [`AuditError::Io`] if the file cannot be read or opened
-    /// for append, and [`AuditError::Journal`] if a non-final line is
-    /// corrupt.
+    /// Returns [`AuditError::Io`] if the file cannot be created, read or
+    /// truncated, and [`AuditError::Journal`] if a non-final line is
+    /// corrupt or a `result` record lacks a field.
     pub fn open(path: &Path) -> Result<(Wal, Prefill), AuditError> {
-        let io_err = |e: &std::io::Error| AuditError::io(path.display(), e);
-        let mut prefill = HashMap::new();
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let lines: Vec<&str> = text.lines().collect();
-                for (i, line) in lines.iter().enumerate() {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let value = match JsonValue::parse(line) {
-                        Ok(v) => v,
-                        // A torn final line is the normal kill
-                        // signature; corruption earlier is not.
-                        Err(_) if i + 1 == lines.len() => break,
-                        Err(e) => {
-                            return Err(AuditError::journal(i + 1, format!("WAL: {e}")))
-                        }
-                    };
-                    if value.get("kind").and_then(JsonValue::as_str) == Some("result") {
-                        let key = decode_u64(
-                            value
-                                .get("key")
-                                .ok_or_else(|| AuditError::journal(i + 1, "WAL result has no key"))?,
-                        )?;
-                        let fitness = value
-                            .get("fitness")
-                            .and_then(JsonValue::as_f64)
-                            .ok_or_else(|| {
-                                AuditError::journal(i + 1, "WAL result has no fitness")
-                            })?;
-                        // Scalar results carry only `fitness` (the
-                        // historical encoding); vector results add the
-                        // full axis array alongside it.
-                        let objectives = match value.get("objectives") {
-                            Some(arr) => decode_objectives(arr)?,
-                            None => Objectives::scalar(fitness),
-                        };
-                        let resilience = decode_resilience(value.get("resilience").ok_or_else(
-                            || AuditError::journal(i + 1, "WAL result has no resilience"),
-                        )?)?;
-                        prefill.insert(key, (objectives, resilience));
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(io_err(&e)),
-        }
-        let file = std::fs::OpenOptions::new()
+        // A fresh campaign starts an empty log: `AppendLog` opens only
+        // existing files.
+        std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
-            .map_err(|e| io_err(&e))?;
-        Ok((
-            Wal {
-                path: path.to_path_buf(),
-                file,
-            },
-            prefill,
-        ))
+            .map_err(|e| AuditError::io(path.display(), &e))?;
+        let (log, reader) = AppendLog::open(path)?;
+        let mut prefill = HashMap::new();
+        for (i, value) in reader.records().iter().enumerate() {
+            if value.get("kind").and_then(JsonValue::as_str) != Some("result") {
+                continue;
+            }
+            let missing =
+                |name: &str| AuditError::journal(i + 1, format!("WAL result has no {name}"));
+            let field = |name: &str| value.get(name).ok_or_else(|| missing(name));
+            let fitness = field("fitness")?
+                .as_f64()
+                .ok_or_else(|| missing("fitness"))?;
+            // Scalar results carry only `fitness` (the historical
+            // encoding); vector results add the full axis array.
+            let objectives = match value.get("objectives") {
+                Some(arr) => decode_objectives(arr)?,
+                None => Objectives::scalar(fitness),
+            };
+            let resilience = decode_resilience(field("resilience")?)?;
+            prefill.insert(decode_u64(field("key")?)?, (objectives, resilience));
+        }
+        Ok((Wal { log }, prefill))
     }
 
     /// The log's file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Deletes the WAL file (call after the run completes — its
     /// contents are now redundant with the journal).
     pub fn discard(self) {
-        std::fs::remove_file(&self.path).ok();
+        std::fs::remove_file(self.log.path()).ok();
     }
 
     fn append(&mut self, value: &JsonValue) -> Result<(), AuditError> {
-        let io_err = |e: &std::io::Error| AuditError::io(self.path.display(), e);
-        let mut line = value.encode();
-        line.push('\n');
-        self.file.write_all(line.as_bytes()).map_err(|e| io_err(&e))?;
-        self.file.flush().map_err(|e| io_err(&e))?;
-        Ok(())
+        self.log
+            .append(&value.encode())
+            .map_err(|e| AuditError::io(self.log.path().display(), &e))
     }
 
     /// Logs a dispatch about to be sent.
@@ -230,6 +199,32 @@ mod tests {
             prefill.get(&0xBEEF),
             Some(&(Objectives(vec![-0.5, 7.25]), delta))
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn appends_after_a_torn_tail_survive_the_next_open() {
+        // A broker killed twice: the first reopen must cut the torn
+        // line off before appending, or the second reopen finds it in
+        // the interior.
+        let dir = std::env::temp_dir().join(format!("audit-wal-twice-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.wal");
+        let delta = ResilienceReport::default();
+        std::fs::write(&path, "{\"kind\":\"disp").unwrap();
+        {
+            let (mut wal, prefill) = Wal::open(&path).unwrap();
+            assert!(prefill.is_empty());
+            wal.log_dispatch(0xABCD, 0, 0).unwrap();
+            wal.log_result(0xABCD, &Objectives::scalar(-0.25), &delta)
+                .unwrap();
+            wal.log_result(0xBEEF, &Objectives(vec![-0.5, 1.0]), &delta)
+                .unwrap();
+        }
+        let (_wal, prefill) = Wal::open(&path).expect("second open after a torn tail");
+        assert_eq!(prefill.len(), 2);
+        assert_eq!(prefill[&0xABCD], (Objectives::scalar(-0.25), delta));
+        assert_eq!(prefill[&0xBEEF], (Objectives(vec![-0.5, 1.0]), delta));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -199,6 +199,15 @@ cmp <(strip_wall "$smoke_dir/gen.ndjson") <(strip_wall "$smoke_dir/gen-killed.nd
 # evaluations.)
 grep -F "$(grep 'best droop' "$smoke_dir/gen.out")" "$smoke_dir/gen-resumed.out" > /dev/null \
     || { echo "resumed faulty GA result drifted from the uninterrupted run" >&2; exit 1; }
+# Killed mid-append instead: the cut lands a few bytes into the next
+# line, and the resume must cut that torn line off before appending.
+torn=$(( $(head -n "$cut" "$smoke_dir/gen.ndjson" | wc -c) + 7 ))
+head -c "$torn" "$smoke_dir/gen.ndjson" > "$smoke_dir/gen-torn.ndjson"
+"${audit[@]}" generate --resume "$smoke_dir/gen-torn.ndjson" > "$smoke_dir/gen-torn.out"
+cmp <(strip_wall "$smoke_dir/gen.ndjson") <(strip_wall "$smoke_dir/gen-torn.ndjson") \
+    || { echo "torn-tail resume journal drifted (beyond wall_s)" >&2; exit 1; }
+grep -F "$(grep 'best droop' "$smoke_dir/gen.out")" "$smoke_dir/gen-torn.out" > /dev/null \
+    || { echo "torn-tail resume result drifted from the uninterrupted run" >&2; exit 1; }
 
 echo "==> live scrape of audit serve (shared front door, metrics before any worker)"
 # `audit serve` and `audit fleet serve` share one front door and one
