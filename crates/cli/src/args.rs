@@ -41,7 +41,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--throttle",
     "--cycles",
     "--seed",
-    "--cost",
     "--period",
     "--file",
     "--save",

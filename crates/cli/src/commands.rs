@@ -5,10 +5,11 @@ use std::path::Path;
 
 use audit_analyze::{check, Code, Diagnostic, LintConfig, Severity, VerifyTarget};
 use audit_core::audit::{Audit, StressmarkRun};
+use audit_core::ga::EvalDispatcher;
 use audit_core::harness::Rig;
-use audit_core::journal::{Journal, JournalSink, JournalWriter, NullSink};
+use audit_core::journal::{Journal, JournalSink, NullSink};
 use audit_core::minimize::{MinimizeResult, MinimizeSearch};
-use audit_core::report::{journal_summary, mv, Table};
+use audit_core::report::{mv, Table};
 use audit_core::resilient::{self, VminResult, VminSearch};
 use audit_core::resonance::{self, ResonanceResult};
 use audit_core::shmoo::{ShmooResult, ShmooSweep};
@@ -20,6 +21,7 @@ use audit_net::{run_worker, Broker, BrokerConfig, EvalContext, NetFaultPlan, Wor
 use audit_stressmark::{manual, nasm, progfile, workloads};
 
 use crate::args::{ArgError, Args};
+use crate::checkpoint::{self, Checkpoint};
 use crate::platform;
 
 /// Maps a core error to a CLI error.
@@ -63,8 +65,7 @@ USAGE:
       the per-generation fronts journaled. The droop axis may be
       spelled as a cost variant (droop-per-amp, sensitive). Axes are
       order-normalized before journaling, so --resume is insensitive
-      to flag order. (--cost is a deprecated alias for the droop
-      variants.)
+      to flag order.
       --checkpoint journals every generation to an NDJSON file,
       atomically, so a killed run can be continued.
       --faults injects deterministic measurement faults (e.g.
@@ -268,53 +269,105 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
 }
 
 fn generate_inner(args: &Args, distributed: bool) -> Result<(), ArgError> {
-    if let Some(journal_path) = args.opt_flag("--resume") {
-        return resume_generate(args, &journal_path, distributed);
-    }
-    let rig = platform::rig_from(args)?;
-    let threads = args.num_flag("--threads", 4usize)?;
-    let kind = args.str_flag("--kind", "res");
-    let opts = platform::options_from(args)?;
+    let (mut checkpoint, cfg) = Checkpoint::new(args, "generate")?;
+    let setup = GenerateConfig::from_args(&cfg)?;
     let out = args.opt_flag("--out");
     let save = args.opt_flag("--save");
     let iterations = args.num_flag("--iterations", 100_000_000u64)?;
-    let checkpoint = args.opt_flag("--checkpoint");
-    let meta = platform::generate_meta(args);
     let dist = distributed.then(|| dist_flags(args)).transpose()?;
-    args.reject_unknown()?;
-
-    let audit = Audit::new(rig, opts);
-    let mut writer = match &checkpoint {
-        Some(path) => Some(JournalWriter::create(path, "generate", meta).map_err(core_err)?),
-        None => None,
-    };
-    let sink: &mut dyn JournalSink = match writer.as_mut() {
-        Some(writer) => writer,
-        None => &mut NullSink,
-    };
+    let wal = checkpoint.path().map(|path| format!("{path}.wal"));
+    let (journal, sink) = checkpoint.open()?;
     let run = match &dist {
-        Some(dist) => run_distributed(
-            &audit,
-            args,
-            dist,
-            threads,
-            &kind,
-            sink,
-            None,
-            checkpoint.as_deref(),
-        )?,
-        None => match kind.as_str() {
-            "res" => audit.generate_resonant_journaled(threads, sink),
-            "ex" => audit.generate_excitation_journaled(threads, sink),
-            other => return Err(ArgError(format!("unknown kind `{other}` (res | ex)"))),
-        }
-        .map_err(core_err)?,
+        Some(dist) => run_distributed(&setup, &cfg, dist, journal, sink, wal)?,
+        None => setup.run_local(journal, sink)?,
     };
-    if let (Some(path), Some(writer)) = (&checkpoint, &mut writer) {
-        writer.finish().map_err(core_err)?;
-        println!("checkpoint: {path} ({} records)", writer.len());
-    }
+    checkpoint.close()?;
     print_run(&run, out, save, iterations)
+}
+
+/// A `generate` run's result-shaping configuration (`--chip`,
+/// `--threads`, `--kind`, the GA options), read from the live argv or a
+/// checkpoint's saved one and validated before any journal exists.
+pub(crate) struct GenerateConfig {
+    audit: Audit,
+    threads: usize,
+    /// `--kind ex`: the excitation search; otherwise the resonant one.
+    excitation: bool,
+}
+
+impl GenerateConfig {
+    pub(crate) fn from_args(cfg: &Args) -> Result<Self, ArgError> {
+        let rig = platform::rig_from(cfg)?;
+        let threads = platform::threads_from(cfg, &rig)?;
+        let excitation = match cfg.str_flag("--kind", "res").as_str() {
+            "res" => false,
+            "ex" => true,
+            other => return Err(ArgError(format!("unknown kind `{other}` (res | ex)"))),
+        };
+        let audit = Audit::new(rig, platform::options_from(cfg)?);
+        Ok(GenerateConfig {
+            audit,
+            threads,
+            excitation,
+        })
+    }
+
+    /// Runs the search in-process, resuming `journal`.
+    fn run_local(
+        &self,
+        journal: &Journal,
+        sink: &mut dyn JournalSink,
+    ) -> Result<StressmarkRun, ArgError> {
+        if self.excitation {
+            self.audit.resume_excitation(journal, self.threads, sink)
+        } else {
+            self.audit.resume_resonant(journal, self.threads, sink)
+        }
+        .map_err(core_err)
+    }
+
+    /// Runs the search through the dispatcher `connect` builds from the
+    /// worker context, resuming `journal`. The resonance sweep runs
+    /// here, not on workers: it is cheap next to the GA, and its result
+    /// describes the fitness function to them; a completed sweep is
+    /// decoded from the journal. Returns the dispatcher with the GA's
+    /// outcome, so the caller settles it either way.
+    pub(crate) fn run_dispatched<D: EvalDispatcher>(
+        &self,
+        cfg: &Args,
+        journal: &Journal,
+        sink: &mut dyn JournalSink,
+        connect: impl FnOnce(EvalContext) -> Result<D, ArgError>,
+    ) -> Result<(D, Result<StressmarkRun, AuditError>), ArgError> {
+        let (audit, threads) = (&self.audit, self.threads);
+        let resonance = match journal.phase_payload("resonance") {
+            Some(payload) => ResonanceResult::from_json(payload).map_err(core_err)?,
+            None => audit.journaled_resonance(threads, sink).map_err(core_err)?,
+        };
+        let (fspec, name) = if self.excitation {
+            (audit.excitation_fitness_spec(threads), format!("A-Ex-{threads}T"))
+        } else {
+            let fspec = audit.resonant_fitness_spec(threads, resonance.period_cycles);
+            (fspec, format!("A-Res-{threads}T"))
+        };
+        let mut dispatcher = connect(eval_context(cfg, fspec)?)?;
+        // `seed_miss_load` selects the excitation seeding.
+        let run = audit.evolve_dispatched(
+            &name,
+            &fspec,
+            resonance,
+            self.excitation,
+            &mut dispatcher,
+            sink,
+            Some(journal),
+        );
+        Ok((dispatcher, run))
+    }
+
+    /// The GA seed (it also seeds dispatch's assignment hashes).
+    pub(crate) fn seed(&self) -> u64 {
+        self.audit.options().ga.seed
+    }
 }
 
 /// `audit work`: serve evaluations to a broker until released.
@@ -425,17 +478,17 @@ fn journal_fsck(args: &Args, path: &str) -> Result<(), ArgError> {
 /// configuration produce byte-identical journals — including a run
 /// under chaos, whose defenses (re-dispatch, cross-validation,
 /// eviction) converge on the same bytes.
-struct DistFlags {
-    listen: String,
-    min_workers: usize,
-    window: usize,
-    heartbeat: std::time::Duration,
-    dead_after: std::time::Duration,
-    verify_fraction: f64,
-    chaos: NetFaultPlan,
+pub(crate) struct DistFlags {
+    pub(crate) listen: String,
+    pub(crate) min_workers: usize,
+    pub(crate) window: usize,
+    pub(crate) heartbeat: std::time::Duration,
+    pub(crate) dead_after: std::time::Duration,
+    pub(crate) verify_fraction: f64,
+    pub(crate) chaos: NetFaultPlan,
 }
 
-fn dist_flags(args: &Args) -> Result<DistFlags, ArgError> {
+pub(crate) fn dist_flags(args: &Args) -> Result<DistFlags, ArgError> {
     let heartbeat = args.num_flag("--heartbeat", 1000u64)?;
     let dead_after = args.num_flag("--dead-after", 10_000u64)?;
     if heartbeat == 0 {
@@ -468,82 +521,48 @@ fn dist_flags(args: &Args) -> Result<DistFlags, ArgError> {
     })
 }
 
-/// The distributed `generate` driver: local resonance phase, then a
-/// broker dispatching GA evaluations to `audit work` processes. `plat`
-/// carries the platform flags (`--chip`, `--volts`, `--throttle`) — on
-/// resume those come from the journal's saved argv, not the current
-/// command line. With a checkpoint, dispatch is write-ahead-logged to
-/// `<checkpoint>.wal`; the WAL is deleted once the run completes.
-#[allow(clippy::too_many_arguments)]
+/// The distributed `generate` driver: a broker dispatching GA
+/// evaluations to `audit work` processes. With a checkpoint, dispatch
+/// is write-ahead-logged to `wal`, which is deleted once the run
+/// completes.
 fn run_distributed(
-    audit: &Audit,
-    plat: &Args,
+    setup: &GenerateConfig,
+    cfg: &Args,
     dist: &DistFlags,
-    threads: usize,
-    kind: &str,
+    journal: &Journal,
     sink: &mut dyn JournalSink,
-    resume: Option<&Journal>,
-    wal_base: Option<&str>,
+    wal: Option<String>,
 ) -> Result<StressmarkRun, ArgError> {
-    // The resonance sweep runs locally: it is cheap next to the GA, and
-    // the broker needs its result to describe the fitness function to
-    // workers. On resume a completed sweep is decoded from the journal.
-    let resonance = match resume.and_then(|j| j.phase_payload("resonance")) {
-        Some(payload) => ResonanceResult::from_json(payload).map_err(core_err)?,
-        None => audit.journaled_resonance(threads, sink).map_err(core_err)?,
-    };
-    let (fspec, name, seed_miss_load) = match kind {
-        "res" => (
-            audit.resonant_fitness_spec(threads, resonance.period_cycles),
-            format!("A-Res-{threads}T"),
-            false,
-        ),
-        "ex" => (
-            audit.excitation_fitness_spec(threads),
-            format!("A-Ex-{threads}T"),
-            true,
-        ),
-        other => return Err(ArgError(format!("unknown kind `{other}` (res | ex)"))),
-    };
-    let ctx = eval_context(plat, fspec)?;
-    let cfg = BrokerConfig {
-        seed: audit.options().ga.seed,
-        window: dist.window.max(1),
-        heartbeat: dist.heartbeat,
-        dead_after: dist.dead_after,
-        verify_fraction: dist.verify_fraction,
-        chaos: dist.chaos,
-        ..BrokerConfig::default()
-    };
-    let mut broker = Broker::bind(&dist.listen, &ctx, cfg).map_err(core_err)?;
-    if let Some(base) = wal_base {
-        let wal_path = format!("{base}.wal");
-        broker.attach_wal(Path::new(&wal_path)).map_err(core_err)?;
-    }
-    println!("broker listening on {}", broker.addr());
-    println!("  join with: audit work --connect {}", broker.addr());
-    if dist.min_workers > 0 {
-        println!("waiting for {} worker(s)…", dist.min_workers);
-        broker.wait_for_workers(dist.min_workers).map_err(core_err)?;
-    }
-    let run = audit
-        .evolve_dispatched(
-            &name,
-            &fspec,
-            resonance,
-            seed_miss_load,
-            &mut broker,
-            sink,
-            resume,
-        )
-        .map_err(core_err)?;
+    let (mut broker, run) = setup.run_dispatched(cfg, journal, sink, |ctx| {
+        let broker_cfg = BrokerConfig {
+            seed: setup.seed(),
+            window: dist.window.max(1),
+            heartbeat: dist.heartbeat,
+            dead_after: dist.dead_after,
+            verify_fraction: dist.verify_fraction,
+            chaos: dist.chaos,
+            ..BrokerConfig::default()
+        };
+        let mut broker = Broker::bind(&dist.listen, &ctx, broker_cfg).map_err(core_err)?;
+        if let Some(wal) = wal {
+            broker.attach_wal(Path::new(&wal)).map_err(core_err)?;
+        }
+        println!("broker listening on {}", broker.addr());
+        println!("  join with: audit work --connect {}", broker.addr());
+        if dist.min_workers > 0 {
+            println!("waiting for {} worker(s)…", dist.min_workers);
+            broker.wait_for_workers(dist.min_workers).map_err(core_err)?;
+        }
+        Ok(broker)
+    })?;
+    let run = run.map_err(core_err)?;
     broker.discard_wal();
     broker.shutdown();
     Ok(run)
 }
 
 /// Builds the worker-setup context from the platform flags.
-pub(crate) fn eval_context(
+fn eval_context(
     plat: &Args,
     fspec: audit_core::FitnessSpec,
 ) -> Result<EvalContext, ArgError> {
@@ -574,64 +593,6 @@ pub(crate) fn eval_context(
         spec: fspec,
         fast_tier_budget,
     })
-}
-
-/// `audit generate --resume <journal>`: reconstructs the run's
-/// configuration from the journal's `run_start` metadata, replays the
-/// journaled work without re-simulation, and finishes the run live —
-/// the result is bit-identical to an uninterrupted run's.
-fn resume_generate(args: &Args, journal_path: &str, distributed: bool) -> Result<(), ArgError> {
-    let out = args.opt_flag("--out");
-    let save = args.opt_flag("--save");
-    let iterations = args.num_flag("--iterations", 100_000_000u64)?;
-    let dist = distributed.then(|| dist_flags(args)).transpose()?;
-    args.reject_unknown()?;
-
-    let journal = Journal::load(journal_path).map_err(core_err)?;
-    if journal.mode() != Some("generate") {
-        return Err(ArgError(format!(
-            "{journal_path}: not a `generate` checkpoint (mode {:?})",
-            journal.mode().unwrap_or("<none>")
-        )));
-    }
-    let meta = journal
-        .meta()
-        .ok_or_else(|| ArgError(format!("{journal_path}: journal has no run_start record")))?;
-    let saved = platform::args_from_meta(meta)?;
-    let rig = platform::rig_from(&saved)?;
-    let threads = saved.num_flag("--threads", 4usize)?;
-    let kind = saved.str_flag("--kind", "res");
-    let opts = platform::options_from(&saved)?;
-
-    println!("resuming {journal_path}:");
-    print!("{}", journal_summary(&journal));
-    let complete = journal.is_complete();
-
-    let mut writer = JournalWriter::resume(journal_path).map_err(core_err)?;
-    let audit = Audit::new(rig, opts);
-    let run = match &dist {
-        Some(dist) => run_distributed(
-            &audit,
-            &saved,
-            dist,
-            threads,
-            &kind,
-            &mut writer,
-            Some(&journal),
-            Some(journal_path),
-        )?,
-        None => match kind.as_str() {
-            "res" => audit.resume_resonant(&journal, threads, &mut writer),
-            "ex" => audit.resume_excitation(&journal, threads, &mut writer),
-            other => return Err(ArgError(format!("journal has unknown kind `{other}`"))),
-        }
-        .map_err(core_err)?,
-    };
-    if !complete {
-        writer.finish().map_err(core_err)?;
-    }
-    println!("checkpoint: {journal_path} ({} records)", writer.len());
-    print_run(&run, out, save, iterations)
 }
 
 /// Prints a finished run and writes its `--out` / `--save` artifacts.
@@ -744,17 +705,13 @@ pub fn measure(args: &Args) -> Result<(), ArgError> {
 
 /// `audit failure`: the crash-tolerant Vmin bisection.
 pub fn failure(args: &Args) -> Result<(), ArgError> {
-    if let Some(journal_path) = args.opt_flag("--resume") {
-        return resume_failure(args, &journal_path);
-    }
-    let rig = platform::rig_from(args)?;
-    let threads = platform::threads_from(args, &rig)?;
-    let spec = platform::spec_from(args)?;
-    let policy = platform::policy_from(args)?;
-    let program = platform::program_from(args)?;
-    let checkpoint = args.opt_flag("--checkpoint");
-    let meta = platform::failure_meta(args);
-    args.reject_unknown()?;
+    let (mut checkpoint, cfg) = Checkpoint::new(args, "failure")?;
+    let rig = platform::rig_from(&cfg)?;
+    let threads = platform::threads_from(&cfg, &rig)?;
+    let spec = platform::spec_from(&cfg)?;
+    let policy = platform::policy_from(&cfg)?;
+    let program = platform::program_from(&cfg)?;
+    let (journal, sink) = checkpoint.open()?;
 
     let programs = vec![program.clone(); threads];
     let offsets = vec![0; threads];
@@ -764,61 +721,10 @@ pub fn failure(args: &Args) -> Result<(), ArgError> {
         search.v_start,
         search.resolution * 1e3
     );
-    let result = match &checkpoint {
-        Some(path) => {
-            let mut writer = JournalWriter::create(path, "failure", meta).map_err(core_err)?;
-            let result = search
-                .run(&rig, &programs, &offsets, spec, &mut writer)
-                .map_err(core_err)?;
-            writer.finish().map_err(core_err)?;
-            println!("checkpoint: {path} ({} records)", writer.len());
-            result
-        }
-        None => search
-            .run(&rig, &programs, &offsets, spec, &mut NullSink)
-            .map_err(core_err)?,
-    };
-    print_vmin(program.name(), threads, &result);
-    Ok(())
-}
-
-/// `audit failure --resume <journal>`: restores the search from its
-/// `run_start` metadata, replays settled probes, and finishes live.
-fn resume_failure(args: &Args, journal_path: &str) -> Result<(), ArgError> {
-    args.reject_unknown()?;
-
-    let journal = Journal::load(journal_path).map_err(core_err)?;
-    if journal.mode() != Some("failure") {
-        return Err(ArgError(format!(
-            "{journal_path}: not a `failure` checkpoint (mode {:?})",
-            journal.mode().unwrap_or("<none>")
-        )));
-    }
-    let meta = journal
-        .meta()
-        .ok_or_else(|| ArgError(format!("{journal_path}: journal has no run_start record")))?;
-    let saved = platform::args_from_meta(meta)?;
-    let rig = platform::rig_from(&saved)?;
-    let threads = platform::threads_from(&saved, &rig)?;
-    let spec = platform::spec_from(&saved)?;
-    let policy = platform::policy_from(&saved)?;
-    let program = platform::program_from(&saved)?;
-
-    println!("resuming {journal_path}:");
-    print!("{}", journal_summary(&journal));
-    let complete = journal.is_complete();
-
-    let programs = vec![program.clone(); threads];
-    let offsets = vec![0; threads];
-    let search = VminSearch::paper(rig.pdn.nominal_voltage(), policy);
-    let mut writer = JournalWriter::resume(journal_path).map_err(core_err)?;
     let result = search
-        .resume_from(&journal, &rig, &programs, &offsets, spec, &mut writer)
+        .resume_from(journal, &rig, &programs, &offsets, spec, sink)
         .map_err(core_err)?;
-    if !complete {
-        writer.finish().map_err(core_err)?;
-    }
-    println!("checkpoint: {journal_path} ({} records)", writer.len());
+    checkpoint.close()?;
     print_vmin(program.name(), threads, &result);
     Ok(())
 }
@@ -845,22 +751,13 @@ fn print_vmin(name: &str, threads: usize, result: &VminResult) {
 
 /// `audit minimize`: the delta-debugged witness minimizer.
 pub fn minimize(args: &Args) -> Result<(), ArgError> {
-    if let Some(journal_path) = args.opt_flag("--resume") {
-        return resume_minimize(args, &journal_path);
-    }
-    let input = args
-        .positionals()
-        .get(1)
-        .cloned()
-        .or_else(|| args.opt_flag("--input"))
-        .ok_or_else(|| {
-            ArgError("audit minimize needs an input: a .prog file or a generate checkpoint".into())
-        })?;
-    let meta = platform::minimize_meta(args, &input);
+    let (mut checkpoint, cfg) = Checkpoint::new(args, "minimize")?;
+    let input = platform::minimize_input(&cfg).ok_or_else(|| {
+        ArgError("audit minimize needs an input: a .prog file or a generate checkpoint".into())
+    })?;
+    let (program, search, rig) = minimize_setup(&cfg, &input)?;
     let out = args.opt_flag("--out");
-    let checkpoint = args.opt_flag("--checkpoint");
-    let (program, search, rig) = minimize_setup(args, &input)?;
-    args.reject_unknown()?;
+    let (journal, sink) = checkpoint.open()?;
 
     println!(
         "minimizing {} ({} instructions), keeping ≥{:.0}% of baseline droop…",
@@ -868,100 +765,35 @@ pub fn minimize(args: &Args) -> Result<(), ArgError> {
         program.len(),
         search.retain * 100.0
     );
-    let result = match &checkpoint {
-        Some(path) => {
-            let mut writer = JournalWriter::create(path, "minimize", meta).map_err(core_err)?;
-            let result = search.run(&rig, &program, &mut writer).map_err(core_err)?;
-            writer.finish().map_err(core_err)?;
-            println!("checkpoint: {path} ({} records)", writer.len());
-            result
-        }
-        None => search
-            .run(&rig, &program, &mut NullSink)
-            .map_err(core_err)?,
-    };
-    print_minimize(&program, search.threads, &result, out)
-}
-
-/// `audit minimize --resume <journal>`: restores the input and knobs
-/// from the checkpoint's `run_start` metadata, replays settled probes,
-/// and finishes the search live.
-fn resume_minimize(args: &Args, journal_path: &str) -> Result<(), ArgError> {
-    let out = args.opt_flag("--out");
-    args.reject_unknown()?;
-
-    let journal = Journal::load(journal_path).map_err(core_err)?;
-    if journal.mode() != Some("minimize") {
-        return Err(ArgError(format!(
-            "{journal_path}: not a `minimize` checkpoint (mode {:?})",
-            journal.mode().unwrap_or("<none>")
-        )));
-    }
-    let meta = journal
-        .meta()
-        .ok_or_else(|| ArgError(format!("{journal_path}: journal has no run_start record")))?;
-    let saved = platform::args_from_meta(meta)?;
-    let input = saved
-        .opt_flag("--input")
-        .ok_or_else(|| ArgError(format!("{journal_path}: checkpoint records no input path")))?;
-    let (program, search, rig) = minimize_setup(&saved, &input)?;
-
-    println!("resuming {journal_path}:");
-    print!("{}", journal_summary(&journal));
-    let complete = journal.is_complete();
-
-    let mut writer = JournalWriter::resume(journal_path).map_err(core_err)?;
     let result = search
-        .resume_from(&journal, &rig, &program, &mut writer)
+        .resume_from(journal, &rig, &program, sink)
         .map_err(core_err)?;
-    if !complete {
-        writer.finish().map_err(core_err)?;
-    }
-    println!("checkpoint: {journal_path} ({} records)", writer.len());
+    checkpoint.close()?;
     print_minimize(&program, search.threads, &result, out)
 }
 
 /// Builds the (witness, search, rig) triple from the minimize input:
 /// either a finished `generate` checkpoint — the evolved stressmark
 /// and the platform it was evolved on are reconstructed from the
-/// journal — or a `.prog` file, with the platform taken from the
-/// command line. The probe spec always comes from the command line
-/// (`--fast` / `--cycles`), so probe cost is the caller's choice.
+/// journal — or a `.prog` file, with the platform taken from `args`.
+/// The probe spec always comes from `args` (`--fast` / `--cycles`), so
+/// probe cost is the minimizing run's own choice.
 fn minimize_setup(args: &Args, input: &str) -> Result<(Program, MinimizeSearch, Rig), ArgError> {
     let retain = args.num_flag("--retain", 0.9f64)?;
     let spec = platform::spec_from(args)?;
     let text =
         fs::read_to_string(input).map_err(|e| ArgError(format!("reading {input}: {e}")))?;
     let (program, threads, rig) = if text.trim_start().starts_with('{') {
-        let journal = Journal::load(input).map_err(core_err)?;
-        if journal.mode() != Some("generate") {
-            return Err(ArgError(format!(
-                "{input}: not a `generate` checkpoint (mode {:?})",
-                journal.mode().unwrap_or("<none>")
-            )));
-        }
+        let (journal, saved) = checkpoint::load(input, "generate")?;
         if !journal.is_complete() {
             return Err(ArgError(format!(
                 "{input}: generate run is incomplete — finish it with \
                  `audit generate --resume {input}` first"
             )));
         }
-        let meta = journal
-            .meta()
-            .ok_or_else(|| ArgError(format!("{input}: journal has no run_start record")))?;
-        let saved = platform::args_from_meta(meta)?;
-        let rig = platform::rig_from(&saved)?;
-        let threads = platform::threads_from(&saved, &rig)?;
-        let kind = saved.str_flag("--kind", "res");
-        let opts = platform::options_from(&saved)?;
-        let audit = Audit::new(rig.clone(), opts);
-        let run = match kind.as_str() {
-            "res" => audit.resume_resonant(&journal, threads, &mut NullSink),
-            "ex" => audit.resume_excitation(&journal, threads, &mut NullSink),
-            other => return Err(ArgError(format!("journal has unknown kind `{other}`"))),
-        }
-        .map_err(core_err)?;
-        (run.program, threads, rig)
+        let setup = GenerateConfig::from_args(&saved)?;
+        let run = setup.run_local(&journal, &mut NullSink)?;
+        (run.program, setup.threads, setup.audit.rig().clone())
     } else {
         let program = progfile::parse(&text).map_err(|e| ArgError(format!("{input}: {e}")))?;
         let rig = platform::rig_from(args)?;
@@ -1010,18 +842,14 @@ fn print_minimize(
 /// `audit shmoo`: sweep the V/F plane, running a Vmin search at every
 /// operating point, and report the safe-margin surface.
 pub fn shmoo(args: &Args) -> Result<(), ArgError> {
-    if let Some(journal_path) = args.opt_flag("--resume") {
-        return resume_shmoo(args, &journal_path);
-    }
-    let rig = platform::rig_from(args)?;
-    let threads = platform::threads_from(args, &rig)?;
-    let spec = platform::spec_from(args)?;
-    let policy = platform::policy_from(args)?;
-    let program = platform::program_from(args)?;
-    let sweep = shmoo_sweep(args, &rig, spec, policy)?;
-    let checkpoint = args.opt_flag("--checkpoint");
-    let meta = platform::shmoo_meta(args);
-    args.reject_unknown()?;
+    let (mut checkpoint, cfg) = Checkpoint::new(args, "shmoo")?;
+    let rig = platform::rig_from(&cfg)?;
+    let threads = platform::threads_from(&cfg, &rig)?;
+    let spec = platform::spec_from(&cfg)?;
+    let policy = platform::policy_from(&cfg)?;
+    let program = platform::program_from(&cfg)?;
+    let sweep = shmoo_sweep(&cfg, &rig, spec, policy)?;
+    let (journal, sink) = checkpoint.open()?;
 
     let programs = vec![program.clone(); threads];
     let offsets = vec![0; threads];
@@ -1030,61 +858,10 @@ pub fn shmoo(args: &Args) -> Result<(), ArgError> {
         sweep.volts.len(),
         sweep.clocks_hz.len()
     );
-    let result = match &checkpoint {
-        Some(path) => {
-            let mut writer = JournalWriter::create(path, "shmoo", meta).map_err(core_err)?;
-            let result = sweep
-                .run(&rig, &programs, &offsets, &mut writer)
-                .map_err(core_err)?;
-            writer.finish().map_err(core_err)?;
-            println!("checkpoint: {path} ({} records)", writer.len());
-            result
-        }
-        None => sweep
-            .run(&rig, &programs, &offsets, &mut NullSink)
-            .map_err(core_err)?,
-    };
-    print_shmoo(program.name(), threads, &sweep, &result);
-    Ok(())
-}
-
-/// `audit shmoo --resume <journal>`: restores the sweep from its
-/// `run_start` metadata, replays done points, and finishes the plane.
-fn resume_shmoo(args: &Args, journal_path: &str) -> Result<(), ArgError> {
-    args.reject_unknown()?;
-
-    let journal = Journal::load(journal_path).map_err(core_err)?;
-    if journal.mode() != Some("shmoo") {
-        return Err(ArgError(format!(
-            "{journal_path}: not a `shmoo` checkpoint (mode {:?})",
-            journal.mode().unwrap_or("<none>")
-        )));
-    }
-    let meta = journal
-        .meta()
-        .ok_or_else(|| ArgError(format!("{journal_path}: journal has no run_start record")))?;
-    let saved = platform::args_from_meta(meta)?;
-    let rig = platform::rig_from(&saved)?;
-    let threads = platform::threads_from(&saved, &rig)?;
-    let spec = platform::spec_from(&saved)?;
-    let policy = platform::policy_from(&saved)?;
-    let program = platform::program_from(&saved)?;
-    let sweep = shmoo_sweep(&saved, &rig, spec, policy)?;
-
-    println!("resuming {journal_path}:");
-    print!("{}", journal_summary(&journal));
-    let complete = journal.is_complete();
-
-    let programs = vec![program.clone(); threads];
-    let offsets = vec![0; threads];
-    let mut writer = JournalWriter::resume(journal_path).map_err(core_err)?;
     let result = sweep
-        .resume_from(&journal, &rig, &programs, &offsets, &mut writer)
+        .resume_from(journal, &rig, &programs, &offsets, sink)
         .map_err(core_err)?;
-    if !complete {
-        writer.finish().map_err(core_err)?;
-    }
-    println!("checkpoint: {journal_path} ({} records)", writer.len());
+    checkpoint.close()?;
     print_shmoo(program.name(), threads, &sweep, &result);
     Ok(())
 }
@@ -1391,8 +1168,8 @@ pub fn spice(args: &Args) -> Result<(), ArgError> {
     let rig = platform::rig_from(args)?;
     let out = args.str_flag("--out", "pdn_tran.sp");
     let cycles = args.num_flag("--cycles", 2_000u64)?;
-    let fast = args.bool_flag("--fast");
-    let _ = fast;
+    // Accepted for symmetry: the deck always samples the GA's spec.
+    args.bool_flag("--fast");
     args.reject_unknown()?;
 
     let spec = MeasureSpec {
@@ -1400,6 +1177,7 @@ pub fn spice(args: &Args) -> Result<(), ArgError> {
         ..MeasureSpec::ga_eval()
     }
     .with_traces();
+    spec.validate().map_err(core_err)?;
     let program = platform::stressmark_by_name("sm-res").expect("built-in stressmark");
     let m = rig.measure_aligned(&vec![program; 4], spec);
     let deck = audit_pdn::spice::emit_deck(&rig.pdn, &m.current_trace, rig.chip.clock_hz, 1_000);

@@ -16,15 +16,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use audit_core::audit::Audit;
-use audit_core::journal::{Journal, JournalWriter};
-use audit_core::resonance::ResonanceResult;
 use audit_fleet::{CampaignSpec, Fleet, FleetConfig, PoolHandle, Submission};
 use audit_measure::json::JsonValue;
-use audit_net::NetFaultPlan;
 
 use crate::args::{ArgError, Args};
-use crate::commands::{core_err, eval_context};
+use crate::checkpoint::Checkpoint;
+use crate::commands::{core_err, dist_flags, GenerateConfig};
 use crate::platform;
 
 /// `audit fleet <serve|submit|status|metrics>`.
@@ -45,51 +42,28 @@ pub fn fleet(args: &Args) -> Result<(), ArgError> {
 
 /// `audit fleet serve`: host the campaign manager.
 fn serve(args: &Args) -> Result<(), ArgError> {
-    let listen = args.str_flag("--listen", "127.0.0.1:0");
-    let min_workers = args.num_flag("--min-workers", 1usize)?;
+    let dist = dist_flags(args)?;
     let campaigns_target = args.num_flag("--campaigns", 0usize)?;
-    let window = args.num_flag("--window", 2usize)?;
-    let heartbeat = args.num_flag("--heartbeat", 1000u64)?;
-    let dead_after = args.num_flag("--dead-after", 10_000u64)?;
-    if heartbeat == 0 {
-        return Err(ArgError("--heartbeat must be at least 1 ms".into()));
-    }
-    if dead_after <= heartbeat {
-        return Err(ArgError(format!(
-            "--dead-after ({dead_after} ms) must exceed --heartbeat ({heartbeat} ms); \
-             a worker must miss at least one ping before it is declared lost"
-        )));
-    }
-    let verify_fraction = args.num_flag("--verify-fraction", 0.0f64)?;
-    if !(0.0..=1.0).contains(&verify_fraction) {
-        return Err(ArgError(format!(
-            "--verify-fraction must be within 0..=1, got {verify_fraction}"
-        )));
-    }
-    let chaos = match args.opt_flag("--net-faults") {
-        Some(spec) => NetFaultPlan::parse(&spec).map_err(core_err)?,
-        None => NetFaultPlan::disabled(),
-    };
     args.reject_unknown()?;
 
     let cfg = FleetConfig {
-        window: window.max(1),
-        heartbeat: Duration::from_millis(heartbeat),
-        dead_after: Duration::from_millis(dead_after),
-        verify_fraction,
-        chaos,
+        window: dist.window.max(1),
+        heartbeat: dist.heartbeat,
+        dead_after: dist.dead_after,
+        verify_fraction: dist.verify_fraction,
+        chaos: dist.chaos,
         ..FleetConfig::default()
     };
-    let mut manager = Fleet::bind(&listen, cfg).map_err(core_err)?;
+    let mut manager = Fleet::bind(&dist.listen, cfg).map_err(core_err)?;
     println!("fleet listening on {}", manager.addr());
     println!("  workers join with : audit work --connect {}", manager.addr());
     println!(
         "  submit with       : audit fleet submit --connect {} --checkpoint run.ndjson [generate flags]",
         manager.addr()
     );
-    if min_workers > 0 {
-        println!("waiting for {} worker(s)…", min_workers);
-        manager.wait_for_workers(min_workers).map_err(core_err)?;
+    if dist.min_workers > 0 {
+        println!("waiting for {} worker(s)…", dist.min_workers);
+        manager.wait_for_workers(dist.min_workers).map_err(core_err)?;
     }
 
     // Each campaign runs on its own thread (the GA engine blocks per
@@ -138,114 +112,53 @@ fn run_campaign(pool: &PoolHandle, mut sub: Submission) {
     }
 }
 
-/// The managed counterpart of `run_distributed`: reconstructs the
-/// campaign's configuration from its argv (or, on resume, from the
-/// journal's `run_start` metadata — exactly as `generate --resume`
-/// does), registers it with the pool, and evolves through a
-/// [`CampaignDispatcher`](audit_fleet::CampaignDispatcher). Dispatch is
-/// write-ahead-logged to `<checkpoint>.wal`; the WAL is deleted once
-/// the campaign completes and kept when it fails, so a manager killed
-/// mid-campaign resumes without re-evaluating logged work.
+/// The managed counterpart of `run_distributed`: the campaign runs
+/// the `generate` checkpoint path — a fresh argv, or `--resume` of its
+/// checkpoint — with its evaluations dispatched through the pool.
+/// Dispatch is write-ahead-logged to `<checkpoint>.wal`; the WAL is
+/// deleted once the campaign completes and kept when it fails, so a
+/// manager killed mid-campaign resumes without re-evaluating logged
+/// work.
 fn run_campaign_inner(
     pool: &PoolHandle,
     sub: &mut Submission,
     campaign_id: &mut Option<u64>,
 ) -> Result<String, ArgError> {
     let checkpoint = sub.checkpoint.clone();
-    let (saved, journal) = if sub.resume {
-        let journal = Journal::load(&checkpoint).map_err(core_err)?;
-        if journal.mode() != Some("generate") {
-            return Err(ArgError(format!(
-                "{checkpoint}: not a `generate` checkpoint (mode {:?})",
-                journal.mode().unwrap_or("<none>")
-            )));
-        }
-        let meta = journal
-            .meta()
-            .ok_or_else(|| ArgError(format!("{checkpoint}: journal has no run_start record")))?;
-        (platform::args_from_meta(meta)?, Some(journal))
-    } else {
-        (Args::parse(sub.argv.clone())?, None)
-    };
-    let complete = journal.as_ref().is_some_and(Journal::is_complete);
-    let rig = platform::rig_from(&saved)?;
-    let threads = saved.num_flag("--threads", 4usize)?;
-    let kind = saved.str_flag("--kind", "res");
-    let opts = platform::options_from(&saved)?;
-    let audit = Audit::new(rig, opts);
-
-    let mut writer = match &journal {
-        Some(_) => JournalWriter::resume(&checkpoint).map_err(core_err)?,
-        None => JournalWriter::create(&checkpoint, "generate", platform::generate_meta(&saved))
-            .map_err(core_err)?,
-    };
-    // The resonance sweep runs on the manager, like the solo broker
-    // path: it is cheap next to the GA, and the pool needs its result
-    // to describe the fitness function to workers.
-    let resonance = match journal.as_ref().and_then(|j| j.phase_payload("resonance")) {
-        Some(payload) => ResonanceResult::from_json(payload).map_err(core_err)?,
-        None => audit
-            .journaled_resonance(threads, &mut writer)
-            .map_err(core_err)?,
-    };
-    let (fspec, name, seed_miss_load) = match kind.as_str() {
-        "res" => (
-            audit.resonant_fitness_spec(threads, resonance.period_cycles),
-            format!("A-Res-{threads}T"),
-            false,
-        ),
-        "ex" => (
-            audit.excitation_fitness_spec(threads),
-            format!("A-Ex-{threads}T"),
-            true,
-        ),
-        other => return Err(ArgError(format!("unknown kind `{other}` (res | ex)"))),
-    };
-    let ctx = eval_context(&saved, fspec)?;
-    let id = pool
-        .register(CampaignSpec {
-            name: campaign_label(&checkpoint),
-            ctx,
-            seed: audit.options().ga.seed,
-            weight: sub.weight,
-            wal: Some(format!("{checkpoint}.wal").into()),
-        })
-        .map_err(core_err)?;
-    *campaign_id = Some(id);
-    sub.respond_accepted(id);
-    println!("campaign {id} started: {checkpoint}");
-
-    let mut dispatcher = pool.dispatcher(id);
-    let run = audit.evolve_dispatched(
-        &name,
-        &fspec,
-        resonance,
-        seed_miss_load,
-        &mut dispatcher,
-        &mut writer,
-        journal.as_ref(),
-    );
-    match run {
-        Ok(run) => {
-            // The journal now supersedes the WAL.
-            pool.finish(id, true);
-            if !complete {
-                writer.finish().map_err(core_err)?;
-            }
-            Ok(format!(
-                "best droop {:.6} V after {} generation(s); checkpoint {checkpoint} \
-                 ({} records)",
-                run.best_droop,
-                run.ga.generations_run,
-                writer.len()
-            ))
-        }
-        Err(e) => {
-            // Keep the WAL: a resubmit with --resume prefills from it.
-            pool.finish(id, false);
-            Err(core_err(e))
-        }
-    }
+    // The argv a solo `generate` would take; a resume's configuration
+    // is its journal's alone.
+    let mut argv = if sub.resume { Vec::new() } else { sub.argv.clone() };
+    let flag = if sub.resume { "--resume" } else { "--checkpoint" };
+    argv.extend([flag.to_string(), checkpoint.clone()]);
+    let live = Args::parse(argv)?;
+    let (mut session, cfg) = Checkpoint::new(&live, "generate")?;
+    let setup = GenerateConfig::from_args(&cfg)?;
+    let (journal, sink) = session.open()?;
+    let (_, run) = setup.run_dispatched(&cfg, journal, sink, |ctx| {
+        let id = pool
+            .register(CampaignSpec {
+                name: campaign_label(&checkpoint),
+                ctx,
+                seed: setup.seed(),
+                weight: sub.weight,
+                wal: Some(format!("{checkpoint}.wal").into()),
+            })
+            .map_err(core_err)?;
+        *campaign_id = Some(id);
+        sub.respond_accepted(id);
+        println!("campaign {id} started: {checkpoint}");
+        Ok(pool.dispatcher(id))
+    })?;
+    // A finished GA's journal supersedes the WAL; a failed campaign
+    // keeps it for a resubmit with --resume to prefill from.
+    pool.finish(campaign_id.unwrap_or_default(), run.is_ok());
+    let run = run.map_err(core_err)?;
+    let records = session.close()?;
+    Ok(format!(
+        "best droop {:.6} V after {} generation(s); checkpoint {checkpoint} \
+         ({records} records)",
+        run.best_droop, run.ga.generations_run,
+    ))
 }
 
 /// The campaign's display name (metrics/status label): the checkpoint
@@ -282,10 +195,13 @@ fn submit(args: &Args) -> Result<(), ArgError> {
     if weight == 0 {
         return Err(ArgError("--weight must be at least 1".into()));
     }
+    // Refused here rather than by the manager, and before any journal
+    // exists.
+    GenerateConfig::from_args(args)?;
     // The submitted argv is the normalized result-flag list — the same
     // normalization `generate --checkpoint` journals, so the manager's
     // replay produces byte-identical `run_start` metadata.
-    let meta = platform::generate_meta(args);
+    let meta = platform::meta("generate", args);
     args.reject_unknown()?;
     let argv: Vec<String> = meta
         .get("argv")

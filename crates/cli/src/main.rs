@@ -4,12 +4,15 @@
 //! ```text
 //! audit resonance  [--chip bulldozer|phenom] [--threads N] [--fast]
 //! audit generate   [--chip C] [--threads N] [--kind res|ex] [--seed S]
-//!                  [--cost droop|droop-per-amp|sensitive] [--throttle N]
-//!                  [--out file.asm] [--iterations N] [--fast]
+//!                  [--objective droop|droop-per-amp|sensitive|power|margin]...
+//!                  [--throttle N] [--out file.asm] [--iterations N] [--fast]
 //!                  [--checkpoint run.ndjson | --resume run.ndjson]
 //! audit measure    (--workload NAME | --stressmark NAME) [--threads N]
 //!                  [--chip C] [--volts V] [--throttle N] [--cycles N] [--fast]
 //! audit failure    (--workload NAME | --stressmark NAME) [--threads N] [--chip C] [--fast]
+//!                  [--checkpoint run.ndjson | --resume run.ndjson]
+//! audit shmoo      (--workload NAME | --stressmark NAME) [--grid-volts V1,..]
+//!                  [--grid-clocks HZ1,..] [--checkpoint run.ndjson | --resume run.ndjson]
 //! audit minimize   (<witness.prog> | <generate-ckpt.ndjson>) [--retain F]
 //!                  [--checkpoint run.ndjson | --resume run.ndjson] [--out kernel.prog]
 //! audit serve      [generate flags] [--listen ADDR] [--min-workers N] [--window N]
@@ -30,6 +33,7 @@
 //! ```
 
 mod args;
+mod checkpoint;
 mod commands;
 mod fleet;
 mod platform;

@@ -11,120 +11,70 @@ use audit_stressmark::{manual, progfile, workloads};
 
 use crate::args::{ArgError, Args};
 
-/// The `generate` flags that determine the *result* of a run (as
-/// opposed to where its artifacts are written). These are recorded in
-/// the checkpoint journal's `run_start` metadata so `--resume` can
+/// Captures a journaled mode's result-determining flags (as opposed to
+/// where its artifacts are written) as its `run_start` metadata
+/// (`{"argv": ["--chip", "phenom", ...]}`), so `--resume` can
 /// reconstruct the exact configuration without re-passing them.
-const GENERATE_RESULT_FLAGS: &[&str] = &[
-    "--chip",
-    "--threads",
-    "--kind",
-    "--volts",
-    "--throttle",
-    "--seed",
-    "--workers",
-    "--cost",
-    "--faults",
-    "--repeat",
-    "--retries",
-    "--cycle-budget",
-    "--fast-tier-budget",
-    "--objective",
-];
-
-/// The `shmoo` flags that determine the *result* of a DVFS sweep,
-/// recorded in its checkpoint journal so `--resume` can reconstruct
-/// the exact grid, workload, and fault policy.
-const SHMOO_RESULT_FLAGS: &[&str] = &[
-    "--chip",
-    "--threads",
-    "--throttle",
-    "--cycles",
-    "--workload",
-    "--stressmark",
-    "--file",
-    "--faults",
-    "--repeat",
-    "--retries",
-    "--cycle-budget",
-    "--grid-volts",
-    "--grid-clocks",
-];
-
-/// The `failure` flags that determine the *result* of a Vmin search,
-/// recorded in its checkpoint journal so `--resume` can reconstruct
-/// the exact configuration (including the program selector and fault
-/// policy — a resumed search must redraw the same fault schedules).
-const FAILURE_RESULT_FLAGS: &[&str] = &[
-    "--chip",
-    "--threads",
-    "--volts",
-    "--throttle",
-    "--cycles",
-    "--workload",
-    "--stressmark",
-    "--file",
-    "--faults",
-    "--repeat",
-    "--retries",
-    "--cycle-budget",
-];
-
-/// The `minimize` flags that determine the *result* of a witness
-/// minimization, recorded in its checkpoint journal (together with the
-/// input path) so `--resume` can reconstruct the exact search.
-const MINIMIZE_RESULT_FLAGS: &[&str] = &[
-    "--chip",
-    "--threads",
-    "--volts",
-    "--throttle",
-    "--cycles",
-    "--retain",
-];
-
-/// Captures the result-determining `generate` flags as a `run_start`
-/// metadata object (`{"argv": ["--chip", "phenom", ...]}`).
-pub fn generate_meta(args: &Args) -> JsonValue {
-    let mut argv = argv_from_flags(args, GENERATE_RESULT_FLAGS);
-    // `--lint-repair` shapes every bred population, so resume must
-    // restore it (and its absence must leave the argv untouched — the
-    // byte-invisibility contract in docs/ANALYSIS.md).
-    if args.bool_flag("--lint-repair") {
-        argv.push(JsonValue::String("--lint-repair".to_string()));
-    }
-    JsonValue::object(vec![("argv", JsonValue::Array(argv))])
-}
-
-/// Captures the result-determining `minimize` flags — plus the input
-/// path, spelled `--input` so the replayed argv parses — as a
-/// `run_start` metadata object.
-pub fn minimize_meta(args: &Args, input: &str) -> JsonValue {
-    let mut argv = argv_from_flags(args, MINIMIZE_RESULT_FLAGS);
-    argv.push(JsonValue::String("--input".to_string()));
-    argv.push(JsonValue::String(input.to_string()));
-    JsonValue::object(vec![("argv", JsonValue::Array(argv))])
-}
-
-/// Captures the result-determining `failure` flags as a `run_start`
-/// metadata object.
-pub fn failure_meta(args: &Args) -> JsonValue {
-    meta_from_flags(args, FAILURE_RESULT_FLAGS)
-}
-
-/// Captures the result-determining `shmoo` flags as a `run_start`
-/// metadata object.
-pub fn shmoo_meta(args: &Args) -> JsonValue {
-    meta_from_flags(args, SHMOO_RESULT_FLAGS)
-}
-
-fn meta_from_flags(args: &Args, flags: &[&str]) -> JsonValue {
-    JsonValue::object(vec![(
-        "argv",
-        JsonValue::Array(argv_from_flags(args, flags)),
-    )])
-}
-
-fn argv_from_flags(args: &Args, flags: &[&str]) -> Vec<JsonValue> {
+/// `minimize` also records its input path, spelled `--input` so the
+/// replayed argv parses.
+pub fn meta(mode: &str, args: &Args) -> JsonValue {
+    let flags: &[&str] = match mode {
+        "generate" => &[
+            "--chip",
+            "--threads",
+            "--kind",
+            "--volts",
+            "--throttle",
+            "--seed",
+            "--workers",
+            "--faults",
+            "--repeat",
+            "--retries",
+            "--cycle-budget",
+            "--fast-tier-budget",
+            "--objective",
+        ],
+        // The program selector and the fault policy too: a resumed
+        // search must redraw the same fault schedules.
+        "failure" => &[
+            "--chip",
+            "--threads",
+            "--volts",
+            "--throttle",
+            "--cycles",
+            "--workload",
+            "--stressmark",
+            "--file",
+            "--faults",
+            "--repeat",
+            "--retries",
+            "--cycle-budget",
+        ],
+        "shmoo" => &[
+            "--chip",
+            "--threads",
+            "--throttle",
+            "--cycles",
+            "--workload",
+            "--stressmark",
+            "--file",
+            "--faults",
+            "--repeat",
+            "--retries",
+            "--cycle-budget",
+            "--grid-volts",
+            "--grid-clocks",
+        ],
+        "minimize" => &[
+            "--chip",
+            "--threads",
+            "--volts",
+            "--throttle",
+            "--cycles",
+            "--retain",
+        ],
+        other => unreachable!("`{other}` is not a journaled mode"),
+    };
     let mut argv = Vec::new();
     for flag in flags {
         if let Some(mut v) = args.opt_flag(flag) {
@@ -137,18 +87,44 @@ fn argv_from_flags(args: &Args, flags: &[&str]) -> Vec<JsonValue> {
                     v = objective_spec_string(set, variant);
                 }
             }
-            argv.push(JsonValue::String((*flag).to_string()));
-            argv.push(JsonValue::String(v));
+            argv.extend([flag.to_string(), v]);
         }
     }
     if args.bool_flag("--fast") {
-        argv.push(JsonValue::String("--fast".to_string()));
+        argv.push("--fast".to_string());
     }
-    argv
+    // `--lint-repair` shapes every bred population, so resume must
+    // restore it (and its absence must leave the argv untouched — the
+    // byte-invisibility contract in docs/ANALYSIS.md).
+    if mode == "generate" && args.bool_flag("--lint-repair") {
+        argv.push("--lint-repair".to_string());
+    }
+    if mode == "minimize" {
+        if let Some(input) = minimize_input(args) {
+            argv.extend(["--input".to_string(), input]);
+        }
+    }
+    JsonValue::object(vec![(
+        "argv",
+        JsonValue::Array(argv.into_iter().map(JsonValue::String).collect()),
+    )])
 }
 
-/// Reconstructs the recorded `generate` flags from `run_start`
-/// metadata written by [`generate_meta`].
+/// The `minimize` input: its positional argument, or `--input` (the
+/// spelling its journal records).
+pub fn minimize_input(args: &Args) -> Option<String> {
+    args.positionals()
+        .get(1)
+        .cloned()
+        .or_else(|| args.opt_flag("--input"))
+}
+
+/// Flags this build retired (docs/RUN_JOURNAL.md, "Retired knobs"): a
+/// journal that records one cannot replay here.
+const RETIRED_FLAGS: &[&str] = &["--eval-batch", "--cost"];
+
+/// Reconstructs the recorded flags from `run_start` metadata written
+/// by [`meta`].
 ///
 /// # Errors
 ///
@@ -168,14 +144,13 @@ pub fn args_from_meta(meta: &JsonValue) -> Result<Args, ArgError> {
                 .ok_or_else(|| ArgError("journal metadata `argv` holds a non-string".into()))
         })
         .collect::<Result<Vec<_>, _>>()?;
-    // Checked before parsing: the parser does not know the flag takes
+    // Checked before parsing: the parser does not know these flags take
     // a value, and would misread that value as a positional.
-    if words.iter().any(|w| w == "--eval-batch") {
-        return Err(ArgError(
-            "--eval-batch: the journal records a retired flag; \
+    if let Some(flag) = words.iter().find(|w| RETIRED_FLAGS.contains(&w.as_str())) {
+        return Err(ArgError(format!(
+            "{flag}: the journal records a retired flag; \
              resume it with the build that wrote it"
-                .into(),
-        ));
+        )));
     }
     Args::parse(words)
 }
@@ -230,8 +205,9 @@ pub fn threads_from(args: &Args, rig: &Rig) -> Result<usize, ArgError> {
     Ok(threads)
 }
 
-/// Generation options from `--fast`, `--seed`, `--cost`, `--workers`,
-/// `--fast-tier-budget`, and `--lint-repair`.
+/// Generation options from `--fast`, `--seed`, `--workers`,
+/// `--fast-tier-budget`, `--lint-repair`, `--objective`, and the
+/// resilience flags.
 ///
 /// `--workers` sets the GA fitness-evaluation worker count (`0`, the
 /// default, means all available cores); it affects wall time only,
@@ -242,8 +218,7 @@ pub fn threads_from(args: &Args, rig: &Rig) -> Result<usize, ArgError> {
 ///
 /// # Errors
 ///
-/// Returns [`ArgError`] for an unknown cost function or a malformed
-/// count.
+/// Returns [`ArgError`] for an unknown objective or a malformed count.
 pub fn options_from(args: &Args) -> Result<AuditOptions, ArgError> {
     let mut opts = if args.bool_flag("--fast") {
         AuditOptions::fast_demo()
@@ -277,25 +252,6 @@ pub fn options_from(args: &Args) -> Result<AuditOptions, ArgError> {
         if let Some(cost) = variant {
             opts = opts.with_cost(cost);
         }
-    }
-    // `--cost` is the pre-`--objective` spelling of the droop axis's
-    // cost function; it is kept as a hidden alias (old journals replay
-    // it, old scripts keep working) and still wins when both are given,
-    // matching its historical behavior.
-    if let Some(cost) = args.opt_flag("--cost") {
-        eprintln!(
-            "warning: --cost is deprecated; use --objective droop|droop-per-amp|sensitive"
-        );
-        opts = opts.with_cost(match cost.as_str() {
-            "droop" => CostFunction::MaxDroop,
-            "droop-per-amp" => CostFunction::DroopPerAmp,
-            "sensitive" => CostFunction::SensitivePathDroop,
-            other => {
-                return Err(ArgError(format!(
-                    "unknown cost `{other}` (droop | droop-per-amp | sensitive)"
-                )))
-            }
-        });
     }
     opts = opts.with_policy(policy_from(args)?);
     opts.validate().map_err(|e| ArgError(e.to_string()))?;
@@ -420,7 +376,8 @@ pub fn policy_from(args: &Args) -> Result<MeasurePolicy, ArgError> {
 ///
 /// # Errors
 ///
-/// Returns [`ArgError`] for a malformed cycle count.
+/// Returns [`ArgError`] for a malformed cycle count or a spec that
+/// fails [`MeasureSpec::validate`] (e.g. `--cycles 0`).
 pub fn spec_from(args: &Args) -> Result<MeasureSpec, ArgError> {
     let mut spec = if args.bool_flag("--fast") {
         MeasureSpec::ga_eval()
@@ -433,6 +390,7 @@ pub fn spec_from(args: &Args) -> Result<MeasureSpec, ArgError> {
             .map_err(|_| ArgError(format!("--cycles: cannot parse `{c}`")))?;
         spec.record_cycles = cycles;
     }
+    spec.validate().map_err(|e| ArgError(e.to_string()))?;
     Ok(spec)
 }
 
@@ -486,14 +444,13 @@ mod tests {
     fn lint_repair_flag_round_trips_through_the_journal_meta() {
         let args = parse(&["--lint-repair", "--fast"]);
         assert!(options_from(&args).unwrap().ga.lint_repair);
-        let meta = generate_meta(&args);
-        let saved = args_from_meta(&meta).unwrap();
+        let saved = args_from_meta(&meta("generate", &args)).unwrap();
         assert!(options_from(&saved).unwrap().ga.lint_repair);
         // Absent, the flag leaves both the options and the recorded
         // argv untouched (the byte-invisibility contract).
         let plain = parse(&["--fast"]);
         assert!(!options_from(&plain).unwrap().ga.lint_repair);
-        assert!(!generate_meta(&plain).encode().contains("lint-repair"));
+        assert!(!meta("generate", &plain).encode().contains("lint-repair"));
     }
 
     #[test]
@@ -534,8 +491,9 @@ mod tests {
 
     #[test]
     fn options_cost_parse() {
-        assert!(options_from(&parse(&["--cost", "droop-per-amp"])).is_ok());
-        assert!(options_from(&parse(&["--cost", "cheapest"])).is_err());
+        let opts = options_from(&parse(&["--objective", "droop-per-amp"])).unwrap();
+        assert_eq!(opts.cost, CostFunction::DroopPerAmp);
+        assert!(options_from(&parse(&["--objective", "cheapest"])).is_err());
         let fast = options_from(&parse(&["--fast"])).unwrap();
         assert!(fast.ga.population <= 8);
     }
@@ -569,8 +527,7 @@ mod tests {
         assert_eq!(policy.cycle_budget, Some(1 << 20));
         // The same flags land in the options and are journaled as
         // result flags, so --resume reconstructs the policy.
-        let meta = generate_meta(&args);
-        let restored = args_from_meta(&meta).unwrap();
+        let restored = args_from_meta(&meta("generate", &args)).unwrap();
         assert_eq!(options_from(&restored).unwrap().policy, policy);
         // Defaults are the no-op policy.
         assert!(policy_from(&parse(&[])).unwrap().is_noop());
@@ -587,8 +544,7 @@ mod tests {
         assert_eq!(opts.ga.fast_tier_budget, 6);
         // The flag is journaled, so --resume reconstructs the exact
         // cascade configuration (the budget shapes the search).
-        let meta = generate_meta(&args);
-        let restored = args_from_meta(&meta).unwrap();
+        let restored = args_from_meta(&meta("generate", &args)).unwrap();
         let ropts = options_from(&restored).unwrap();
         assert_eq!(ropts.ga.fast_tier_budget, 6);
         // Default: cascade off.
@@ -608,12 +564,12 @@ mod tests {
         assert!(opts.ga.pareto, "multi-axis sets engage pareto mode");
         let b = parse(&["--objective", "droop", "--objective", "margin"]);
         assert_eq!(
-            generate_meta(&a).encode(),
-            generate_meta(&b).encode(),
+            meta("generate", &a).encode(),
+            meta("generate", &b).encode(),
             "journaled argv must not depend on flag order"
         );
         // The restored argv reconstructs the same options.
-        let restored = args_from_meta(&generate_meta(&a)).unwrap();
+        let restored = args_from_meta(&meta("generate", &a)).unwrap();
         assert_eq!(options_from(&restored).unwrap().objectives, opts.objectives);
         // Droop variants select the axis and its cost function.
         let v = options_from(&parse(&["--objective", "droop-per-amp,power"])).unwrap();
@@ -626,13 +582,6 @@ mod tests {
         // Unknown axes and conflicting variants are rejected.
         assert!(options_from(&parse(&["--objective", "ipc"])).is_err());
         assert!(options_from(&parse(&["--objective", "droop-per-amp,sensitive"])).is_err());
-    }
-
-    #[test]
-    fn deprecated_cost_alias_still_wins() {
-        let opts = options_from(&parse(&["--cost", "sensitive"])).unwrap();
-        assert_eq!(opts.cost, CostFunction::SensitivePathDroop);
-        assert_eq!(opts.objectives, ObjectiveSet::scalar_droop());
     }
 
     #[test]
@@ -659,8 +608,7 @@ mod tests {
             "--chip", "phenom", "--threads", "2", "--kind", "ex", "--seed", "9", "--fast",
             "--out", "ignored.asm",
         ]);
-        let meta = generate_meta(&original);
-        let restored = args_from_meta(&meta).unwrap();
+        let restored = args_from_meta(&meta("generate", &original)).unwrap();
         let rig = rig_from(&restored).unwrap();
         assert_eq!(rig.chip.name, "phenom-x4");
         assert_eq!(restored.num_flag("--threads", 4usize).unwrap(), 2);
@@ -680,5 +628,62 @@ mod tests {
             JsonValue::Array(vec![JsonValue::Number(3.0)]),
         )]))
         .is_err());
+    }
+
+    #[test]
+    fn each_mode_journals_its_argv_byte_for_byte() {
+        // Literals captured from the per-mode meta functions this one
+        // replaced: a checkpoint's `run_start` must not move a byte.
+        let cases: [(&str, &[&str], &str); 4] = [
+            (
+                "generate",
+                &[
+                    "generate", "--fast", "--lint-repair", "--chip", "phenom", "--threads", "2",
+                    "--seed", "9", "--objective", "margin,droop-per-amp", "--faults",
+                    "7:noise=0.002", "--repeat", "2", "--fast-tier-budget", "3", "--workers", "1",
+                    "--kind", "ex", "--throttle", "2", "--retries", "3", "--cycle-budget",
+                    "1000000", "--volts", "1.3", "--checkpoint", "g.ndjson", "--save", "g.prog",
+                ],
+                r#"{"argv":["--chip","phenom","--threads","2","--kind","ex","--volts","1.3","--throttle","2","--seed","9","--workers","1","--faults","7:noise=0.002","--repeat","2","--retries","3","--cycle-budget","1000000","--fast-tier-budget","3","--objective","droop-per-amp,margin","--fast","--lint-repair"]}"#,
+            ),
+            (
+                "failure",
+                &[
+                    "failure", "--stressmark", "sm-res", "--fast", "--threads", "2", "--volts",
+                    "1.2", "--throttle", "2", "--cycles", "3000", "--faults", "5:crash=0.2",
+                    "--repeat", "2", "--retries", "4", "--cycle-budget", "100000", "--chip",
+                    "bulldozer", "--checkpoint", "f.ndjson",
+                ],
+                r#"{"argv":["--chip","bulldozer","--threads","2","--volts","1.2","--throttle","2","--cycles","3000","--stressmark","sm-res","--faults","5:crash=0.2","--repeat","2","--retries","4","--cycle-budget","100000","--fast"]}"#,
+            ),
+            (
+                "shmoo",
+                &[
+                    "shmoo", "--workload", "zeusmp", "--fast", "--threads", "2", "--chip",
+                    "phenom", "--throttle", "1", "--cycles", "2000", "--faults", "3:noise=0.001",
+                    "--repeat", "3", "--retries", "2", "--cycle-budget", "500000", "--grid-volts",
+                    "1.1,1.2", "--grid-clocks", "2.8e9,3.0e9", "--checkpoint", "s.ndjson",
+                ],
+                r#"{"argv":["--chip","phenom","--threads","2","--throttle","1","--cycles","2000","--workload","zeusmp","--faults","3:noise=0.001","--repeat","3","--retries","2","--cycle-budget","500000","--grid-volts","1.1,1.2","--grid-clocks","2.8e9,3.0e9","--fast"]}"#,
+            ),
+            (
+                "minimize",
+                &[
+                    "minimize", "--input", "w.prog", "--fast", "--threads", "2", "--chip",
+                    "bulldozer", "--volts", "1.2", "--throttle", "3", "--cycles", "2000",
+                    "--retain", "0.8", "--checkpoint", "m.ndjson", "--out", "k.prog",
+                ],
+                r#"{"argv":["--chip","bulldozer","--threads","2","--volts","1.2","--throttle","3","--cycles","2000","--retain","0.8","--fast","--input","w.prog"]}"#,
+            ),
+        ];
+        for (mode, argv, pinned) in cases {
+            assert_eq!(meta(mode, &parse(argv)).encode(), pinned, "{mode}");
+        }
+        // A positional minimize input is journaled as `--input`.
+        let positional = parse(&["minimize", "w.prog", "--fast"]);
+        assert_eq!(
+            meta("minimize", &positional).encode(),
+            r#"{"argv":["--fast","--input","w.prog"]}"#
+        );
     }
 }

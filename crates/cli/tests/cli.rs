@@ -579,24 +579,29 @@ fn unusable_supply_voltages_are_errors_not_panics() {
 
 #[test]
 fn resume_refuses_a_retired_eval_batch_flag() {
-    // Checkpoints from builds that had `--eval-batch` record it as a
-    // result flag. Resume must name the retired flag, not misread its
-    // value as a positional or replay under a different configuration.
+    // Checkpoints from builds that had `--eval-batch` (or the `--cost`
+    // alias) record it as a result flag. Resume must name the retired
+    // flag, not misread its value as a positional or replay under a
+    // different configuration.
     let dir = std::env::temp_dir().join("audit-cli-retired-flag-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let journal = dir.join("batched.ndjson");
-    std::fs::write(
-        &journal,
-        "{\"kind\":\"run_start\",\"schema\":1,\"mode\":\"generate\",\
-         \"meta\":{\"argv\":[\"--seed\",\"11\",\"--eval-batch\",\"4\",\"--fast\"]}}\n",
-    )
-    .unwrap();
-    let out = audit(&["generate", "--resume", journal.to_str().unwrap()]);
-    let err = stderr(&out);
-    assert_eq!(out.status.code(), Some(1), "{err}");
-    assert!(err.contains("--eval-batch"), "{err}");
-    assert!(!err.contains("panicked"), "{err}");
-    assert!(!stdout(&out).contains("resuming"), "{}", stdout(&out));
+    for (flag, value) in [("--eval-batch", "4"), ("--cost", "sensitive")] {
+        let journal = dir.join(format!("{}.ndjson", &flag[2..]));
+        std::fs::write(
+            &journal,
+            format!(
+                "{{\"kind\":\"run_start\",\"schema\":1,\"mode\":\"generate\",\
+                 \"meta\":{{\"argv\":[\"--seed\",\"11\",\"{flag}\",\"{value}\",\"--fast\"]}}}}\n"
+            ),
+        )
+        .unwrap();
+        let out = audit(&["generate", "--resume", journal.to_str().unwrap()]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{err}");
+        assert!(err.contains(flag), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+        assert!(!stdout(&out).contains("resuming"), "{}", stdout(&out));
+    }
 }
 
 #[test]
@@ -651,4 +656,145 @@ fn a_failed_journal_write_leaves_a_clean_resumable_checkpoint() {
     let out = audit(&["generate", "--resume", capped.to_str().unwrap()]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert_eq!(droop_line(&stdout(&out)), full_droop);
+}
+
+#[test]
+fn argument_errors_leave_no_checkpoint() {
+    // `--kind` and `--threads` are validated before the journal exists:
+    // a checkpoint holding only a doomed `run_start` (or a journaled
+    // resonance sweep) could never resume.
+    let dir = std::env::temp_dir().join("audit-cli-no-checkpoint-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("doomed.ndjson");
+    let path = journal.to_str().unwrap();
+    // No manager listens here: `fleet submit` must refuse the flags
+    // before it connects.
+    let manager = format!("unix:{}", dir.join("none.sock").display());
+    let cases: [(&[&str], &str); 4] = [
+        (&["generate", "--fast", "--kind", "bogus", "--checkpoint", path], "bogus"),
+        (&["generate", "--fast", "--threads", "9", "--checkpoint", path], "--threads"),
+        (&["serve", "--fast", "--kind", "bogus", "--checkpoint", path], "bogus"),
+        (
+            &["fleet", "submit", "--connect", &manager, "--kind", "bogus", "--checkpoint", path],
+            "bogus",
+        ),
+    ];
+    for (args, culprit) in cases {
+        std::fs::remove_file(&journal).ok();
+        let out = audit(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(culprit), "{args:?}: {err}");
+        assert!(!journal.exists(), "{args:?} left a checkpoint behind");
+    }
+}
+
+#[test]
+fn zero_cycle_windows_are_argument_errors() {
+    let dir = std::env::temp_dir().join("audit-cli-zero-cycles-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let witness = dir.join("witness.prog");
+    std::fs::write(&witness, "# name: w\nsimdfma f0 f12 f13 t=1.00\nnop\n").unwrap();
+    let deck = dir.join("pdn.sp");
+    let cases: [&[&str]; 5] = [
+        &["measure", "--stressmark", "sm1", "--fast"],
+        &["failure", "--stressmark", "sm-res", "--fast"],
+        &["shmoo", "--stressmark", "sm-res", "--fast"],
+        &["minimize", witness.to_str().unwrap(), "--fast"],
+        &["spice", "--out", deck.to_str().unwrap()],
+    ];
+    for args in cases {
+        let out = audit(&[args, &["--cycles", "0"]].concat());
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains("record_cycles"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn checkpointed_shmoo_sweep_survives_a_kill() {
+    let dir = std::env::temp_dir().join("audit-cli-shmoo-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("shmoo.ndjson");
+    let out = audit(&[
+        "shmoo",
+        "--stressmark",
+        "sm-res",
+        "--fast",
+        "--threads",
+        "2",
+        "--checkpoint",
+        journal.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    // The margin surface: every table row, without the live/replayed
+    // tally that follows it.
+    let surface = |text: &str| {
+        text.lines()
+            .skip_while(|l| !l.starts_with("Vdd"))
+            .take_while(|l| !l.is_empty())
+            .map(str::to_string)
+            .collect::<Vec<_>>()
+    };
+    let full_surface = surface(&stdout(&out));
+    assert!(full_surface.len() > 2, "{}", stdout(&out));
+    let full_journal = std::fs::read_to_string(&journal).unwrap();
+
+    // Kill right after the first settled operating point.
+    let lines: Vec<&str> = full_journal.lines().collect();
+    let cut = lines
+        .iter()
+        .position(|l| l.contains("\"kind\":\"shmoo_point\"") && l.contains("\"outcome\":\"done\""))
+        .expect("a settled point");
+    assert!(cut + 1 < lines.len(), "cut must drop something");
+    std::fs::write(&journal, format!("{}\n", lines[..=cut].join("\n"))).unwrap();
+    let out = audit(&["shmoo", "--resume", journal.to_str().unwrap()]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let resumed_text = stdout(&out);
+    assert!(resumed_text.contains("resuming"), "{resumed_text}");
+    assert!(resumed_text.contains("1 replayed"), "{resumed_text}");
+    assert_eq!(surface(&resumed_text), full_surface);
+    assert_eq!(std::fs::read_to_string(&journal).unwrap(), full_journal);
+}
+
+#[test]
+fn resume_takes_its_config_from_the_checkpoint_alone() {
+    // Each journaled command refuses another mode's checkpoint, and a
+    // configuration flag next to --resume is an error that leaves the
+    // checkpoint's bytes alone (its torn tail included).
+    let dir = std::env::temp_dir().join("audit-cli-resume-config-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let witness = dir.join("witness.prog");
+    std::fs::write(&witness, "# name: w\nsimdfma f0 f12 f13 t=1.00\nnop\n").unwrap();
+    let witness = witness.to_str().unwrap().to_string();
+    let cases = [
+        ("generate", vec!["--fast"]),
+        ("failure", vec!["--stressmark", "sm-res", "--fast"]),
+        ("shmoo", vec!["--stressmark", "sm-res", "--fast"]),
+        ("minimize", vec!["--fast", "--input", &witness]),
+    ];
+    for (i, (mode, argv)) in cases.iter().enumerate() {
+        let journal = dir.join(format!("{mode}.ndjson"));
+        let path = journal.to_str().unwrap();
+        let argv: Vec<String> = argv.iter().map(|w| format!("{w:?}")).collect();
+        let text = format!(
+            "{{\"kind\":\"run_start\",\"schema\":1,\"mode\":\"{mode}\",\
+             \"meta\":{{\"argv\":[{}]}}}}\n{{\"kind\":\"phase_st",
+            argv.join(",")
+        );
+        std::fs::write(&journal, &text).unwrap();
+
+        let out = audit(&[mode, "--resume", path, "--chip", "phenom"]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{mode}: {err}");
+        assert!(err.contains("--chip"), "{mode}: {err}");
+        assert_eq!(std::fs::read_to_string(&journal).unwrap(), text, "{mode}");
+
+        let (other, _) = cases[(i + 1) % cases.len()];
+        let out = audit(&[other, "--resume", path]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{other}: {err}");
+        assert!(err.contains(&format!("not a `{other}` checkpoint")), "{other}: {err}");
+        assert_eq!(std::fs::read_to_string(&journal).unwrap(), text, "{other}");
+    }
 }

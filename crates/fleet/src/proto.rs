@@ -4,8 +4,8 @@
 //! worker protocol ([`audit_net::frame`]), on the same listening
 //! socket — the accept loop tells the two apart by the first frame's
 //! `kind`. A submission carries the campaign's *generate argv* (the
-//! normalized flag list the CLI's `generate_meta` round-trips), not a
-//! pre-built config: the manager replays the argv through the same
+//! normalized flag list a `generate` checkpoint records in its
+//! `run_start` meta), not a pre-built config: the manager replays the argv through the same
 //! code path a solo `audit generate` uses, which is what makes the
 //! managed journal byte-identical to the solo one from the
 //! `run_start` meta onward.
