@@ -53,6 +53,7 @@ pub fn meta(mode: &str, args: &Args) -> JsonValue {
         "shmoo" => &[
             "--chip",
             "--threads",
+            "--volts",
             "--throttle",
             "--cycles",
             "--workload",
@@ -634,7 +635,7 @@ mod tests {
     fn each_mode_journals_its_argv_byte_for_byte() {
         // Literals captured from the per-mode meta functions this one
         // replaced: a checkpoint's `run_start` must not move a byte.
-        let cases: [(&str, &[&str], &str); 4] = [
+        let cases: [(&str, &[&str], &str); 5] = [
             (
                 "generate",
                 &[
@@ -665,6 +666,14 @@ mod tests {
                     "1.1,1.2", "--grid-clocks", "2.8e9,3.0e9", "--checkpoint", "s.ndjson",
                 ],
                 r#"{"argv":["--chip","phenom","--threads","2","--throttle","1","--cycles","2000","--workload","zeusmp","--faults","3:noise=0.001","--repeat","3","--retries","2","--cycle-budget","500000","--grid-volts","1.1,1.2","--grid-clocks","2.8e9,3.0e9","--fast"]}"#,
+            ),
+            (
+                "shmoo",
+                &[
+                    "shmoo", "--stressmark", "sm-res", "--volts", "1.15", "--fast", "--threads",
+                    "2", "--checkpoint", "v.ndjson",
+                ],
+                r#"{"argv":["--threads","2","--volts","1.15","--stressmark","sm-res","--fast"]}"#,
             ),
             (
                 "minimize",

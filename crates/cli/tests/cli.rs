@@ -713,10 +713,24 @@ fn zero_cycle_windows_are_argument_errors() {
 
 #[test]
 fn checkpointed_shmoo_sweep_survives_a_kill() {
-    let dir = std::env::temp_dir().join("audit-cli-shmoo-test");
+    shmoo_checkpoint_survives_a_kill("audit-cli-shmoo-test", &[]);
+}
+
+#[test]
+fn shmoo_grid_from_volts_survives_a_kill() {
+    // The default grid is derived from `--volts`, so the checkpoint must
+    // record it for the resumed sweep to rebuild the same grid.
+    shmoo_checkpoint_survives_a_kill("audit-cli-shmoo-volts-test", &["--volts", "1.15"]);
+}
+
+/// Runs a checkpointed `sm-res` shmoo sweep with `extra` flags, cuts its
+/// journal after the first settled point, resumes it flaglessly and
+/// checks that the margin surface and the journal bytes come out equal.
+fn shmoo_checkpoint_survives_a_kill(scratch: &str, extra: &[&str]) {
+    let dir = std::env::temp_dir().join(scratch);
     std::fs::create_dir_all(&dir).unwrap();
     let journal = dir.join("shmoo.ndjson");
-    let out = audit(&[
+    let base = [
         "shmoo",
         "--stressmark",
         "sm-res",
@@ -725,7 +739,8 @@ fn checkpointed_shmoo_sweep_survives_a_kill() {
         "2",
         "--checkpoint",
         journal.to_str().unwrap(),
-    ]);
+    ];
+    let out = audit(&[&base[..], extra].concat());
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     // The margin surface: every table row, without the live/replayed
     // tally that follows it.

@@ -5,7 +5,8 @@ use std::borrow::Cow;
 
 use audit_error::AuditError;
 
-use crate::config::{ChipConfig, DidtLimiter};
+use crate::config::{ChipConfig, CoreConfig, DidtLimiter, ModuleConfig};
+use crate::energy::EnergyModel;
 use crate::inst::Program;
 use crate::module_sim::{ModuleCycle, ModuleSim};
 use crate::placement::Placement;
@@ -26,13 +27,24 @@ pub struct ChipCycle {
 
 /// The chip simulator.
 ///
-/// Modules share no state, so chip modules given equal loads — the same
-/// programs on the same cores at the same start offsets, as when one
-/// stressmark is replicated one thread per module — step identically.
-/// The chip keeps one [`ModuleSim`] per *distinct* module and steps each
-/// once per cycle; [`ChipSim::inject_stall`] gives a module its own copy
-/// before it diverges (copy-on-write). Results are bit-identical to
-/// stepping every module separately.
+/// Modules share no state, so chip modules whose loads are equal up to a
+/// start-time shift — the same programs on the same cores, every start
+/// offset later by the same delay `d`, as when one stressmark or
+/// benchmark is replicated one thread per module at a skew — step
+/// identically, `d` cycles apart. The chip keeps one [`ModuleSim`] per
+/// such class, loaded as its earliest member, and a ring of its last
+/// outputs; a member delayed by `d` reads the class's output of `d`
+/// cycles ago (the idle module's output before the class has run that
+/// long). A module with two active cores shares only at delays that are
+/// a multiple of its core count (sibling cores alternate FPU priority
+/// and fetch by cycle parity), and with a di/dt limiter fitted only at
+/// delay 0 (the chip-wide fetch cap differs between the cycles). Before
+/// a member diverges, [`ChipSim::inject_stall`] gives it a simulator of
+/// its own: a copy of the class's if it is not delayed, else one
+/// rebuilt by stepping its loads from cycle 0, no more than stepping it
+/// all along would have cost. [`ChipSim::thread_retired`] and
+/// [`ChipSim::thread_telemetry`] read a delayed member the same way.
+/// Results are bit-identical to stepping every module separately.
 ///
 /// A loop body settles into a periodic steady state, and the chip
 /// replays it instead of stepping. While stepping, the chip looks for a
@@ -42,7 +54,8 @@ pub struct ChipCycle {
 /// canonical: times relative to the current cycle, ROB sequence numbers
 /// relative to the next one, execution counters modulo the periods that
 /// read them, cache tags in LRU order, which sibling core has FPU
-/// priority, and the di/dt limiter's state. Once it matches, the chip
+/// priority, the ring entries a delayed member has still to read, and
+/// the di/dt limiter's state. Once it matches, the chip
 /// steps one more period into a buffer and from then on returns that
 /// buffer cyclically; the stepped state stays where the buffer ended.
 /// [`ChipSim::inject_stall`] first steps that state up to the current
@@ -81,12 +94,16 @@ pub struct ChipSim {
 /// The chip's state, advanced by stepping its modules.
 #[derive(Debug, Clone)]
 struct LiveChip {
-    /// One simulator per distinct module.
-    states: Vec<ModuleSim>,
-    /// This cycle's output of each entry of `states`.
-    state_cycles: Vec<ModuleCycle>,
-    /// Chip module `m` is simulated by `states[module_state[m]]`.
-    module_state: Vec<usize>,
+    /// One class per set of chip modules equal up to a start-time shift.
+    classes: Vec<Class>,
+    /// Chip module `m` is `classes[members[m].0]` delayed by
+    /// `members[m].1` cycles.
+    members: Vec<(usize, u64)>,
+    /// Each chip module's loads, `(core, program, start offset)`: what a
+    /// delayed member that leaves its class is rebuilt from.
+    loads: Vec<Vec<(u32, Program, u64)>>,
+    /// What a module is built from.
+    module_config: (ModuleConfig, CoreConfig, EnergyModel),
     uncore_amps: f64,
     miss_amps: f64,
     now: u64,
@@ -95,6 +112,26 @@ struct LiveChip {
     throttle_until: u64,
     limiter_triggers: u64,
 }
+
+/// Chip modules whose loads are equal up to a start-time shift,
+/// simulated once.
+#[derive(Debug, Clone)]
+struct Class {
+    /// Loaded as the class's earliest member.
+    sim: ModuleSim,
+    /// `sim`'s output of cycle `t` at `ring[t % ring.len()]`, the length
+    /// a power of two above `span`; the idle module's output in the
+    /// slots not yet written.
+    ring: Vec<ModuleCycle>,
+    /// The largest delay of a member: how many past outputs are still
+    /// read.
+    span: u64,
+}
+
+/// Largest delay at which a module joins a class; a module started
+/// later than that after every equal one steps on its own. Bounds a
+/// ring at 8 k entries and the state encoding at 4 words per entry.
+const MAX_DELAY: u64 = 1 << 12;
 
 /// Longest period the chip replays (and largest snapshot gap): bounds
 /// the buffer at 1.5 MB.
@@ -242,8 +279,8 @@ impl ChipSim {
             }
         }
         // Each module's loads, `(core, program, start offset)` sorted by
-        // core: modules with equal loads share one simulator.
-        let mut loads: Vec<Vec<(u32, &Program, u64)>> = vec![Vec::new(); config.modules as usize];
+        // core.
+        let mut loads: Vec<Vec<(u32, Program, u64)>> = vec![Vec::new(); config.modules as usize];
         for ((&(m, c), program), &offset) in
             placement.slots().iter().zip(programs).zip(start_offsets)
         {
@@ -254,31 +291,75 @@ impl ChipSim {
                     format!("slot ({m}, {c}) does not exist on this chip"),
                 ));
             }
-            loads[m as usize].push((c, program, offset));
+            loads[m as usize].push((c, program.clone(), offset));
         }
         for module_loads in &mut loads {
             module_loads.sort_by_key(|&(c, ..)| c);
         }
-        let mut states = Vec::new();
-        let mut module_state: Vec<usize> = Vec::with_capacity(loads.len());
-        for (m, module_loads) in loads.iter().enumerate() {
-            let state = match loads[..m].iter().position(|l| l == module_loads) {
-                Some(earlier) => module_state[earlier],
-                None => {
-                    let mut sim = ModuleSim::new(config.module, config.core, config.energy);
-                    for &(c, program, offset) in module_loads {
-                        sim.load(c, program, offset);
-                    }
-                    states.push(sim);
-                    states.len() - 1
-                }
-            };
-            module_state.push(state);
+        // Group the modules into classes, earliest start first so that
+        // each class is loaded as its first member. A module joins a
+        // class when its loads are the leader's delayed by `delay`; at a
+        // nonzero delay only without a limiter (its fetch cap is
+        // chip-wide), up to `MAX_DELAY`, and with two active cores only
+        // at a multiple of the core count (siblings alternate by
+        // `now % cores`).
+        let start = |m: usize| loads[m].iter().map(|&(.., o)| o).min().unwrap_or(0);
+        let shares = |leader: usize, m: usize, delay: u64| {
+            let (a, b) = (&loads[leader], &loads[m]);
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|((ca, pa, oa), (cb, pb, ob))| ca == cb && oa + delay == *ob && pa == pb)
+                && (delay == 0
+                    || config.didt_limiter.is_none()
+                        && delay <= MAX_DELAY
+                        && (b.len() <= 1 || delay.is_multiple_of(u64::from(config.module.cores))))
+        };
+        let mut order: Vec<usize> = (0..loads.len()).collect();
+        order.sort_by_key(|&m| start(m));
+        let mut leaders: Vec<usize> = Vec::new();
+        let mut members = vec![(0, 0); loads.len()];
+        for m in order {
+            let joined = leaders.iter().enumerate().find_map(|(class, &leader)| {
+                let delay = start(m) - start(leader);
+                shares(leader, m, delay).then_some((class, delay))
+            });
+            members[m] = joined.unwrap_or_else(|| {
+                leaders.push(m);
+                (leaders.len() - 1, 0)
+            });
         }
+        let module_config = (config.module, config.core, config.energy);
+        // What a delayed member reads before its first fetch: the idle
+        // module's output. Nothing reads a ring slot before it is
+        // written unless some member is delayed.
+        let idle = if members.iter().any(|&(_, delay)| delay > 0) {
+            fresh_module(module_config, &[]).step(0)
+        } else {
+            ModuleCycle::default()
+        };
+        let classes = leaders
+            .iter()
+            .enumerate()
+            .map(|(class, &leader)| {
+                let span = members
+                    .iter()
+                    .filter(|&&(c, _)| c == class)
+                    .map(|&(_, delay)| delay)
+                    .max()
+                    .unwrap_or(0);
+                Class {
+                    sim: fresh_module(module_config, &loads[leader]),
+                    ring: vec![idle; (span + 1).next_power_of_two() as usize],
+                    span,
+                }
+            })
+            .collect();
         let live = LiveChip {
-            state_cycles: vec![ModuleCycle::default(); states.len()],
-            states,
-            module_state,
+            classes,
+            members,
+            loads,
+            module_config,
             uncore_amps: config.energy.uncore_amps,
             miss_amps: config.energy.miss_amps,
             now: 0,
@@ -399,20 +480,12 @@ impl ChipSim {
     pub fn inject_stall(&mut self, thread_idx: usize, cycles: u64) {
         let (m, c) = self.placement.slots()[thread_idx];
         self.live.step_until(self.now);
-        let live = &mut self.live;
-        let m = m as usize;
-        let state = live.module_state[m];
-        if live.module_state.iter().filter(|&&s| s == state).count() > 1 {
-            // Shared with another module: diverge on a private copy.
-            live.states.push(live.states[state].clone());
-            live.state_cycles.push(ModuleCycle::default());
-            live.module_state[m] = live.states.len() - 1;
-        }
-        let now = live.now;
-        live.states[live.module_state[m]]
+        let now = self.live.now;
+        self.live
+            .own(m as usize)
             .core_mut(c)
             .inject_stall(now, cycles);
-        self.phase = Phase::search(self.live.now);
+        self.phase = Phase::search(now);
     }
 
     /// Total instructions retired by thread `thread_idx` since load.
@@ -422,7 +495,9 @@ impl ChipSim {
     /// Panics if `thread_idx` is out of range.
     pub fn thread_retired(&self, thread_idx: usize) -> u64 {
         let (m, c) = self.placement.slots()[thread_idx];
-        self.current().module(m).core(c).retired_total()
+        let live = self.current();
+        let module = live.module(m);
+        module.core(c).retired_total()
     }
 
     /// Cumulative pipeline telemetry for thread `thread_idx`.
@@ -432,7 +507,9 @@ impl ChipSim {
     /// Panics if `thread_idx` is out of range.
     pub fn thread_telemetry(&self, thread_idx: usize) -> crate::core_sim::CoreTelemetry {
         let (m, c) = self.placement.slots()[thread_idx];
-        *self.current().module(m).core(c).telemetry()
+        let live = self.current();
+        let module = live.module(m);
+        *module.core(c).telemetry()
     }
 }
 
@@ -443,8 +520,9 @@ impl LiveChip {
             Some(l) if self.now < self.throttle_until => l.fetch_cap,
             _ => u32::MAX,
         };
-        for (state, cycle) in self.states.iter_mut().zip(&mut self.state_cycles) {
-            *cycle = state.step_with_fetch_cap(self.now, fetch_cap);
+        for class in &mut self.classes {
+            let slot = self.now as usize & (class.ring.len() - 1);
+            class.ring[slot] = class.sim.step_with_fetch_cap(self.now, fetch_cap);
         }
         // Fold in chip-module order, one term per module, exactly as if
         // every module had been stepped on its own.
@@ -452,8 +530,9 @@ impl LiveChip {
             amps: self.uncore_amps,
             ..ChipCycle::default()
         };
-        for &state in &self.module_state {
-            let mc = self.state_cycles[state];
+        for &(class, delay) in &self.members {
+            let ring = &self.classes[class].ring;
+            let mc = ring[self.now.wrapping_sub(delay) as usize & (ring.len() - 1)];
             out.amps += mc.amps + mc.misses as f64 * self.miss_amps;
             out.retired += mc.retired;
             out.fp_issued += mc.fp_issued;
@@ -480,21 +559,66 @@ impl LiveChip {
         }
     }
 
-    /// The simulator of chip module `m`.
-    fn module(&self, m: u32) -> &ModuleSim {
-        &self.states[self.module_state[m as usize]]
+    /// Chip module `m`'s simulator at `now`: its class's, or for a
+    /// delayed member one rebuilt from its loads.
+    fn module(&self, m: u32) -> Cow<'_, ModuleSim> {
+        match self.members[m as usize] {
+            (class, 0) => Cow::Borrowed(&self.classes[class].sim),
+            _ => Cow::Owned(self.rebuild(m as usize)),
+        }
     }
 
-    /// Each distinct module's [`ModuleSim::probes`].
+    /// A simulator of chip module `m`'s loads stepped from cycle 0 up to
+    /// `now`. Only a chip without a limiter delays a member, so no cycle
+    /// had its fetch capped.
+    fn rebuild(&self, m: usize) -> ModuleSim {
+        debug_assert!(self.limiter.is_none(), "a limited chip delays no member");
+        let mut sim = fresh_module(self.module_config, &self.loads[m]);
+        for now in 0..self.now {
+            sim.step(now);
+        }
+        sim
+    }
+
+    /// Chip module `m`'s simulator, given a class of its own first: a
+    /// member that is delayed or shares its class leaves it, with a
+    /// rebuilt simulator if delayed and else a copy of the class's.
+    fn own(&mut self, m: usize) -> &mut ModuleSim {
+        let (class, delay) = self.members[m];
+        let shared = self.members.iter().filter(|&&(c, _)| c == class).count() > 1;
+        if shared || delay > 0 {
+            let own = Class {
+                sim: match delay {
+                    0 => self.classes[class].sim.clone(),
+                    _ => self.rebuild(m),
+                },
+                ring: vec![ModuleCycle::default()],
+                span: 0,
+            };
+            let class = if shared {
+                self.classes.push(own);
+                self.classes.len() - 1
+            } else {
+                self.classes[class] = own;
+                class
+            };
+            self.members[m] = (class, 0);
+        }
+        &mut self.classes[self.members[m].0].sim
+    }
+
+    /// Each class's [`ModuleSim::probes`].
     fn probes(&self) -> impl Iterator<Item = u64> + '_ {
-        self.states.iter().flat_map(|s| s.probes(self.now))
+        self.classes.iter().flat_map(|c| c.sim.probes(self.now))
     }
 
-    /// Appends the canonical state but the cache tags (see
-    /// [`ModuleSim::encode_state`]);
-    /// with a limiter fitted, its hold time relative to `now` and the
-    /// previous cycle's current come first. Which chip modules share a
-    /// state is fixed between restarts of the search, so it is left out.
+    /// Appends the canonical state but the cache tags: with a limiter
+    /// fitted, its hold time relative to `now` and the previous cycle's
+    /// current first; then each class's [`ModuleSim::encode_state`] and
+    /// the bits of the `span` outputs a delayed member has still to
+    /// read, newest first. Which chip modules form a class, and at which
+    /// delays, is fixed between restarts of the search, so it is left
+    /// out.
     fn encode_state(&self, key: &mut Vec<u64>) {
         if self.limiter.is_some() {
             key.extend([
@@ -502,27 +626,48 @@ impl LiveChip {
                 self.prev_amps.to_bits(),
             ]);
         }
-        for state in &self.states {
-            state.encode_state(self.now, key);
+        for class in &self.classes {
+            class.sim.encode_state(self.now, key);
+            for back in 1..=class.span {
+                let mc = class.ring[self.now.wrapping_sub(back) as usize & (class.ring.len() - 1)];
+                key.extend([
+                    mc.amps.to_bits(),
+                    mc.max_path.to_bits(),
+                    u64::from(mc.retired) | u64::from(mc.fp_issued) << 32,
+                    u64::from(mc.misses),
+                ]);
+            }
         }
     }
 
-    /// Appends every distinct module's [`ModuleSim::encode_tags`].
+    /// Appends every class's [`ModuleSim::encode_tags`].
     fn encode_tags(&self, tags: &mut Vec<u64>) {
-        for state in &self.states {
-            state.encode_tags(tags);
+        for class in &self.classes {
+            class.sim.encode_tags(tags);
         }
     }
 
     /// Cycles the replay may run past `now` before an execution counter
     /// could wrap and leave the period.
     fn exec_headroom(&self) -> u64 {
-        self.states
+        self.classes
             .iter()
-            .map(ModuleSim::exec_headroom)
+            .map(|c| c.sim.exec_headroom())
             .min()
             .unwrap_or(u64::MAX)
     }
+}
+
+/// A module built from `config` with `loads` loaded.
+fn fresh_module(
+    (module, core, energy): (ModuleConfig, CoreConfig, EnergyModel),
+    loads: &[(u32, Program, u64)],
+) -> ModuleSim {
+    let mut sim = ModuleSim::new(module, core, energy);
+    for (c, program, offset) in loads {
+        sim.load(*c, program, *offset);
+    }
+    sim
 }
 
 #[cfg(test)]
@@ -739,6 +884,68 @@ mod tests {
             chip.step();
         }
         assert!(matches!(chip.phase, Phase::Replay { .. }));
+    }
+
+    /// Steps a chip on `programs` at `offsets` next to the stepped
+    /// state of one whose programs are renamed per thread, so that no
+    /// two modules share a class and no cycle is replayed; panics at the
+    /// first `ChipCycle` field that differs. Returns whether the first
+    /// chip replayed.
+    fn matches_unshared_stepping(cfg: &ChipConfig, programs: &[Program], offsets: &[u64]) -> bool {
+        let placement = cfg.spread_placement(programs.len() as u32).unwrap();
+        let renamed: Vec<Program> = programs
+            .iter()
+            .enumerate()
+            .map(|(t, p)| Program::new(format!("{}{t}", p.name()), p.body().to_vec()))
+            .collect();
+        let mut chip = ChipSim::with_start_offsets(cfg, &placement, programs, offsets).unwrap();
+        let mut reference = ChipSim::with_start_offsets(cfg, &placement, &renamed, offsets)
+            .unwrap()
+            .live;
+        let bits = |c: ChipCycle| {
+            (
+                c.amps.to_bits(),
+                c.max_path.to_bits(),
+                c.retired,
+                c.fp_issued,
+            )
+        };
+        let mut replayed = false;
+        for cycle in 0..3_000 {
+            let (x, y) = (chip.step(), reference.step());
+            assert_eq!(bits(x), bits(y), "cycle {cycle}: {x:?} vs {y:?} unshared");
+            replayed |= matches!(chip.phase, Phase::Replay { .. });
+        }
+        replayed
+    }
+
+    #[test]
+    fn delayed_members_replay_only_once_their_ring_is_periodic() {
+        // One class, its members 0, 3, 64 and 97 cycles behind the
+        // earliest. The class locks onto its 30-cycle period long before
+        // the member 97 cycles behind has left its start-up transient,
+        // so a key without the ring would replay that transient forever.
+        let cfg = ChipConfig::bulldozer();
+        let offsets = [0, 97, 3, 64];
+        let programs = vec![sm_res(); 4];
+        let placement = cfg.spread_placement(4).unwrap();
+        let chip = ChipSim::with_start_offsets(&cfg, &placement, &programs, &offsets).unwrap();
+        assert_eq!(chip.live.members, [(0, 0), (0, 97), (0, 3), (0, 64)]);
+        assert!(matches_unshared_stepping(&cfg, &programs, &offsets));
+    }
+
+    #[test]
+    fn two_core_modules_share_only_at_even_delays() {
+        // 8T: module m runs threads m and m + 4, started m and m + 3
+        // cycles late. Modules 0 and 2, and 1 and 3, are 2 cycles apart
+        // and share; the odd delays between them must not.
+        let cfg = ChipConfig::bulldozer();
+        let offsets = [0, 1, 2, 3, 3, 4, 5, 6];
+        let programs = vec![sm_res(); 8];
+        let placement = cfg.spread_placement(8).unwrap();
+        let chip = ChipSim::with_start_offsets(&cfg, &placement, &programs, &offsets).unwrap();
+        assert_eq!(chip.live.members, [(0, 0), (1, 0), (0, 2), (1, 2)]);
+        matches_unshared_stepping(&cfg, &programs, &offsets);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property-based tests for the processor model.
 
+use audit_cpu::module_sim::{ModuleCycle, ModuleSim};
 use audit_cpu::{ChipConfig, ChipCycle, ChipSim, DidtLimiter, Inst, MemBehavior, Opcode, Program};
 use audit_stressmark::{manual, workloads};
 use proptest::prelude::*;
@@ -135,65 +136,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Modules given equal loads are simulated once; the chip must be
-    /// bit-identical to one where every thread's program differs (by
-    /// name only), so nothing is shared. Some threads start late, so
-    /// only part of the chip collapses, and a stall injected mid-run
-    /// makes one shared module diverge.
-    #[test]
-    fn collapsed_chip_matches_distinct_loads(
-        program in any_program(),
-        threads in 1u32..=8,
-        knobs in (any::<bool>(), any::<bool>(), any::<bool>()),
-        late in prop::collection::vec(any::<bool>(), 8..9),
-        stall in (0usize..8, 0u64..3_000, 1u64..400),
-    ) {
-        let (phenom, limiter, throttle) = knobs;
-        let (stall_thread, stall_at, stall_cycles) = stall;
-        let mut cfg = if phenom { ChipConfig::phenom() } else { ChipConfig::bulldozer() };
-        if limiter {
-            cfg = cfg.with_didt_limiter(DidtLimiter::default_tuning());
-        }
-        if throttle {
-            cfg = cfg.with_fpu_throttle(1);
-        }
-        let body: Vec<Inst> = program
-            .body()
-            .iter()
-            .copied()
-            .filter(|i| cfg.supports_fma || !i.opcode.props().needs_fma)
-            .collect();
-        prop_assume!(!body.is_empty());
-        let threads = threads.min(cfg.modules * cfg.module.cores);
-        let n = threads as usize;
-        let placement = cfg.spread_placement(threads).unwrap();
-        let offsets: Vec<u64> = late[..n].iter().map(|&l| if l { 37 } else { 0 }).collect();
-        let shared = vec![Program::new("prop", body.clone()); n];
-        let distinct: Vec<Program> =
-            (0..n).map(|i| Program::new(format!("prop{i}"), body.clone())).collect();
-        let mut a = ChipSim::with_start_offsets(&cfg, &placement, &shared, &offsets).unwrap();
-        let mut b = ChipSim::with_start_offsets(&cfg, &placement, &distinct, &offsets).unwrap();
-        for cycle in 0..3_000u64 {
-            if cycle == stall_at {
-                a.inject_stall(stall_thread % n, stall_cycles);
-                b.inject_stall(stall_thread % n, stall_cycles);
-            }
-            let (x, y) = (a.step(), b.step());
-            prop_assert_eq!(x.amps.to_bits(), y.amps.to_bits(), "amps at cycle {}", cycle);
-            prop_assert_eq!(x.max_path.to_bits(), y.max_path.to_bits(), "path at {}", cycle);
-            prop_assert_eq!((x.retired, x.fp_issued), (y.retired, y.fp_issued));
-        }
-        prop_assert_eq!(a.limiter_triggers(), b.limiter_triggers());
-        for t in 0..n {
-            prop_assert_eq!(a.thread_retired(t), b.thread_retired(t));
-            prop_assert_eq!(a.thread_telemetry(t), b.thread_telemetry(t));
-        }
-    }
-}
-
 /// The hand-written stressmarks plus a phased SPEC-like body, or (for
 /// any other `pick`) `random`.
 fn pick_program(pick: usize, random: Program) -> Program {
@@ -270,8 +212,9 @@ fn replay_mismatch(
     (counters(&replay) != counters(&stepped)).then(|| "counters differ at the end".into())
 }
 
-/// Cases of [`replay_matches_stepping`]: `PROPTEST_CASES` when set
-/// (scripts/check.sh runs 1024 in release), else 64.
+/// Cases of [`replay_matches_stepping`] and
+/// [`shifted_modules_match_unshared_stepping`]: `PROPTEST_CASES` when
+/// set (scripts/check.sh runs 1024 in release), else 64.
 fn replay_cases() -> u32 {
     std::env::var("PROPTEST_CASES")
         .ok()
@@ -402,5 +345,190 @@ proptest! {
             let (x, y) = (early.step(), late.step());
             prop_assert!(same_cycle(x, y), "cycle {}: {:?} vs {:?} shifted", cycle, x, y);
         }
+    }
+}
+
+fn same_module_cycle(x: ModuleCycle, y: ModuleCycle) -> bool {
+    x.amps.to_bits() == y.amps.to_bits()
+        && x.max_path.to_bits() == y.max_path.to_bits()
+        && (x.retired, x.fp_issued, x.misses) == (y.retired, y.fp_issued, y.misses)
+}
+
+/// A module of `cfg` with `program` on its first `cores` cores, core `c`
+/// starting at `offsets[c] + delay`.
+fn loaded_module(
+    cfg: &ChipConfig,
+    program: &Program,
+    cores: u32,
+    offsets: &[u64],
+    delay: u64,
+) -> ModuleSim {
+    let mut module = ModuleSim::new(cfg.module, cfg.core, cfg.energy);
+    for c in 0..cores {
+        module.load(c, program, offsets[c as usize] + delay);
+    }
+    module
+}
+
+/// The first cycle at which `late`, loaded `delay` cycles later than
+/// `early`, is not `early` delayed by `delay` (before `delay`: not the
+/// idle module's output), over `delay + cycles` cycles.
+fn first_shift_mismatch(
+    cfg: &ChipConfig,
+    mut early: ModuleSim,
+    mut late: ModuleSim,
+    delay: u64,
+    cycles: u64,
+) -> Option<u64> {
+    let idle = ModuleSim::new(cfg.module, cfg.core, cfg.energy).step(0);
+    if let Some(t) = (0..delay).find(|&t| !same_module_cycle(late.step(t), idle)) {
+        return Some(t);
+    }
+    (0..cycles)
+        .find(|&t| !same_module_cycle(early.step(t), late.step(t + delay)))
+        .map(|t| t + delay)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The premise of `ChipSim`'s shift classes, checked on `ModuleSim`
+    /// alone: a module whose every start offset is `o` cycles later
+    /// outputs the idle module's output for `o` cycles and then the
+    /// earlier module's outputs, bit for bit — at any `o` with one
+    /// active core, and at `o` a multiple of the core count with two
+    /// (sibling cores alternate FPU priority and fetch by cycle parity).
+    #[test]
+    fn module_start_offset_is_a_pure_delay(
+        random in any_program(),
+        pick in 0usize..8,
+        phenom in any::<bool>(),
+        two in any::<bool>(),
+        offsets in prop::collection::vec(0u64..64, 2..3),
+        o in 0u64..=128,
+    ) {
+        let cfg = if phenom { ChipConfig::phenom() } else { ChipConfig::bulldozer() };
+        let program = runnable(&cfg, &pick_program(pick, random));
+        prop_assume!(program.is_some());
+        let program = program.unwrap();
+        let cores = if two { cfg.module.cores } else { 1 };
+        let o = if cores > 1 { o - o % u64::from(cores) } else { o };
+        let early = loaded_module(&cfg, &program, cores, &offsets, 0);
+        let late = loaded_module(&cfg, &program, cores, &offsets, o);
+        let mismatch = first_shift_mismatch(&cfg, early, late, o, 3_000);
+        prop_assert!(mismatch.is_none(), "{} cores, o = {}: cycle {:?}", cores, o, mismatch);
+    }
+}
+
+/// Why two active cores share a class only at even delays: SM-Res on
+/// both cores of a Bulldozer module, the second 3 cycles behind the
+/// first, loaded one cycle later, is not the same module delayed by one
+/// cycle. (With both cores at one offset the siblings are
+/// interchangeable, and swapping their priority changes nothing.)
+#[test]
+fn two_core_module_at_an_odd_delay_is_not_a_pure_delay() {
+    let cfg = ChipConfig::bulldozer();
+    let program = manual::sm_res();
+    let early = loaded_module(&cfg, &program, 2, &[0, 3], 0);
+    let late = loaded_module(&cfg, &program, 2, &[0, 3], 1);
+    assert!(first_shift_mismatch(&cfg, early, late, 1, 1_000).is_some());
+}
+
+/// Steps a chip whose threads share `program` next to one where every
+/// thread's program differs (by name only), so no module shares a class,
+/// and returns the first difference: every `ChipCycle` field by bits,
+/// and each thread's counters and the limiter's triggers at `read` and
+/// at the end. Each `(thread, at, cycles)` in `stalls` stalls a thread.
+fn unshared_mismatch(
+    cfg: &ChipConfig,
+    program: &Program,
+    offsets: &[u64],
+    stalls: &[(usize, u64, u64)],
+    read: u64,
+    cycles: u64,
+) -> Option<String> {
+    let n = offsets.len();
+    let placement = cfg.spread_placement(n as u32).unwrap();
+    let shared = vec![program.clone(); n];
+    let distinct: Vec<Program> = (0..n)
+        .map(|i| Program::new(format!("{}{i}", program.name()), program.body().to_vec()))
+        .collect();
+    let mut a = ChipSim::with_start_offsets(cfg, &placement, &shared, offsets).unwrap();
+    let mut b = ChipSim::with_start_offsets(cfg, &placement, &distinct, offsets).unwrap();
+    let counters = |chip: &ChipSim| {
+        let threads: Vec<_> = (0..n)
+            .map(|t| (chip.thread_retired(t), chip.thread_telemetry(t)))
+            .collect();
+        (chip.limiter_triggers(), threads)
+    };
+    for cycle in 0..cycles {
+        if cycle == read && counters(&a) != counters(&b) {
+            return Some(format!("counters differ at cycle {cycle}"));
+        }
+        for &(thread, at, stall) in stalls {
+            if cycle == at {
+                a.inject_stall(thread % n, stall);
+                b.inject_stall(thread % n, stall);
+            }
+        }
+        let (x, y) = (a.step(), b.step());
+        if !same_cycle(x, y) {
+            return Some(format!("cycle {cycle}: {x:?} shared vs {y:?} unshared"));
+        }
+    }
+    (counters(&a) != counters(&b)).then(|| "counters differ at the end".into())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(replay_cases()))]
+
+    /// Modules equal up to a start-time shift are simulated once; the
+    /// chip must be bit-identical to one that shares nothing (see
+    /// [`unshared_mismatch`]). Offsets are all equal, independent, or a
+    /// per-module delay (odd or even) plus a per-core lane, on 1–8
+    /// threads of either chip, with and without the di/dt limiter and
+    /// the FPU throttle; counters are read mid-run and two stalls hit
+    /// random threads.
+    #[test]
+    fn shifted_modules_match_unshared_stepping(
+        random in any_program(),
+        pick in 0usize..10,
+        threads in 1u32..=8,
+        knobs in (any::<bool>(), any::<bool>(), any::<bool>(), 0usize..4),
+        offsets in prop::collection::vec(0u64..200, 8..9),
+        lanes in prop::collection::vec(0u64..16, 2..3),
+        stalls in prop::collection::vec((0usize..8, 0u64..3_000, 1u64..400), 2..3),
+        read in 0u64..3_000,
+    ) {
+        let (phenom, limiter, throttle, shape) = knobs;
+        let mut cfg = if phenom { ChipConfig::phenom() } else { ChipConfig::bulldozer() };
+        if limiter {
+            cfg = cfg.with_didt_limiter(DidtLimiter::default_tuning());
+        }
+        if throttle {
+            cfg = cfg.with_fpu_throttle(1);
+        }
+        let program = runnable(&cfg, &pick_program(pick, random));
+        prop_assume!(program.is_some());
+        let n = threads.min(cfg.modules * cfg.module.cores) as usize;
+        let placement = cfg.spread_placement(n as u32).unwrap();
+        // Thread `t` runs on core `c` of module `m`.
+        let offset = |t: usize, m: u32, c: u32| {
+            let (delay, lane) = (offsets[m as usize], lanes[c as usize]);
+            match shape {
+                0 => offsets[0],
+                1 => offsets[t],
+                2 => delay + lane,
+                _ => 2 * delay + lane,
+            }
+        };
+        let offsets: Vec<u64> = placement
+            .slots()
+            .iter()
+            .enumerate()
+            .map(|(t, &(m, c))| offset(t, m, c))
+            .collect();
+        let mismatch = unshared_mismatch(&cfg, &program.unwrap(), &offsets, &stalls, read, 3_000);
+        prop_assert!(mismatch.is_none(), "offsets {:?}: {}", offsets, mismatch.unwrap_or_default());
     }
 }

@@ -53,6 +53,15 @@ echo "==> replay contract (1024 generated chips in release)"
 # The filter also runs the pinned mutation witnesses.
 PROPTEST_CASES=1024 cargo test --release -q -p audit-cpu --test properties replay_matches_stepping
 
+echo "==> shift-class contract (1024 generated chips in release)"
+# ChipSim simulates modules whose loads are equal up to a start-time
+# shift once (docs/SIMULATION.md). shifted_modules_match_unshared_stepping
+# compares every cycle and counter, bit for bit, with a chip whose
+# threads' programs are renamed so that nothing is shared; ~10 s at
+# 1024 cases on a 2-vCPU host.
+PROPTEST_CASES=1024 cargo test --release -q -p audit-cpu --test properties \
+    shifted_modules_match_unshared_stepping
+
 echo "==> self-lint (every built-in program must be clean)"
 cargo run --release -q -p audit-cli --bin audit -- lint --all-builtins --deny-warnings
 
