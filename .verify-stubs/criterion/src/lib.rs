@@ -66,7 +66,12 @@ impl BenchmarkGroup<'_> {
         let mut b = Bencher { iters: self.iters };
         let t0 = Instant::now();
         f(&mut b);
-        println!("bench {}/{id}: {:?} ({} iters)", self.name, t0.elapsed(), b.iters);
+        println!(
+            "bench {}/{id}: {:?} ({} iters)",
+            self.name,
+            t0.elapsed(),
+            b.iters
+        );
         self
     }
 

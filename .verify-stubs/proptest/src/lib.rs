@@ -455,9 +455,7 @@ macro_rules! prop_assert_eq {
 macro_rules! prop_assume {
     ($cond:expr) => {
         if !($cond) {
-            return Err($crate::TestCaseError::Reject(
-                stringify!($cond).to_string(),
-            ));
+            return Err($crate::TestCaseError::Reject(stringify!($cond).to_string()));
         }
     };
 }

@@ -93,7 +93,10 @@ mod tests {
         let p = Program::new(
             "t",
             vec![
-                Inst::new(Opcode::IAdd).int_dst(0).int_srcs(12, 12).toggle(1.0),
+                Inst::new(Opcode::IAdd)
+                    .int_dst(0)
+                    .int_srcs(12, 12)
+                    .toggle(1.0),
                 Inst::new(Opcode::ISub).int_dst(1).int_srcs(3, 0),
             ],
         );
@@ -111,7 +114,10 @@ mod tests {
     fn warnings_alone_pass_check() {
         let p = Program::new(
             "t",
-            vec![Inst::new(Opcode::IAdd).int_dst(0).int_srcs(12, 12).toggle(1.0)],
+            vec![Inst::new(Opcode::IAdd)
+                .int_dst(0)
+                .int_srcs(12, 12)
+                .toggle(1.0)],
         );
         assert!(check_passes(
             &p,

@@ -103,7 +103,12 @@ fn lint_unreachable_toggle(body: &[Inst], sev: Severity, out: &mut Vec<Diagnosti
     }
 }
 
-fn lint_serializing_divide(body: &[Inst], live: &Liveness, sev: Severity, out: &mut Vec<Diagnostic>) {
+fn lint_serializing_divide(
+    body: &[Inst],
+    live: &Liveness,
+    sev: Severity,
+    out: &mut Vec<Diagnostic>,
+) {
     for (i, inst) in body.iter().enumerate() {
         if !inst.opcode.props().unpipelined || inst.dst.is_none() {
             continue;
@@ -126,7 +131,10 @@ fn lint_serializing_divide(body: &[Inst], live: &Liveness, sev: Severity, out: &
 }
 
 fn lint_monoculture(body: &[Inst], min_insts: usize, sev: Severity, out: &mut Vec<Diagnostic>) {
-    let mut non_nops = body.iter().enumerate().filter(|(_, i)| i.opcode != Opcode::Nop);
+    let mut non_nops = body
+        .iter()
+        .enumerate()
+        .filter(|(_, i)| i.opcode != Opcode::Nop);
     let Some((first_idx, first)) = non_nops.next() else {
         return; // all-NOP bodies are AUD102's business
     };
@@ -248,7 +256,10 @@ mod tests {
             .int_dst(0)
             .int_srcs(12, 12)
             .toggle(1.0)]);
-        assert_eq!(codes(&hot, &LintConfig::new()), vec![Code::UnreachableToggle]);
+        assert_eq!(
+            codes(&hot, &LintConfig::new()),
+            vec![Code::UnreachableToggle]
+        );
         // Neutral toggle (0.5) or distinct sources are fine.
         let neutral = prog(vec![Inst::new(Opcode::IAdd)
             .int_dst(0)
@@ -282,7 +293,10 @@ mod tests {
         let mono: Vec<Inst> = (0..8)
             .map(|i| Inst::new(Opcode::IMul).int_dst(i % 6).int_srcs(14, 15))
             .collect();
-        assert_eq!(codes(&prog(mono.clone()), &LintConfig::new()), vec![Code::UnitMonoculture]);
+        assert_eq!(
+            codes(&prog(mono.clone()), &LintConfig::new()),
+            vec![Code::UnitMonoculture]
+        );
         // Too small: seven identical ops stay quiet.
         assert!(codes(&prog(mono[..7].to_vec()), &LintConfig::new()).is_empty());
         // Two opcodes on the same unit are not a monoculture.
@@ -298,6 +312,9 @@ mod tests {
             body.push(Inst::new(Opcode::SimdFMul).fp_dst(i % 8).fp_srcs(12, 13));
             body.push(Inst::new(Opcode::Nop));
         }
-        assert_eq!(codes(&prog(body), &LintConfig::new()), vec![Code::UnitMonoculture]);
+        assert_eq!(
+            codes(&prog(body), &LintConfig::new()),
+            vec![Code::UnitMonoculture]
+        );
     }
 }

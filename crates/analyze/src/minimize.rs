@@ -118,10 +118,7 @@ mod tests {
     fn run(len: usize, needed: &[usize]) -> MinimizeOutcome {
         // Oracle: interesting iff the candidate contains every needed
         // index — the textbook monotone case ddmin solves exactly.
-        ddmin::<Infallible>(len, |_, cand| {
-            Ok(needed.iter().all(|n| cand.contains(n)))
-        })
-        .unwrap()
+        ddmin::<Infallible>(len, |_, cand| Ok(needed.iter().all(|n| cand.contains(n)))).unwrap()
     }
 
     #[test]
@@ -190,13 +187,16 @@ mod tests {
 
     #[test]
     fn oracle_errors_propagate() {
-        let err = ddmin::<&'static str>(16, |step, _| {
-            if step == 3 {
-                Err("boom")
-            } else {
-                Ok(false)
-            }
-        });
+        let err = ddmin::<&'static str>(
+            16,
+            |step, _| {
+                if step == 3 {
+                    Err("boom")
+                } else {
+                    Ok(false)
+                }
+            },
+        );
         assert_eq!(err.unwrap_err(), "boom");
     }
 }

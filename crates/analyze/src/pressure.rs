@@ -321,7 +321,10 @@ mod tests {
             .map(|_| Inst::new(Opcode::IAdd).int_dst(0).int_srcs(0, 13))
             .collect();
         let r = pressure(&prog(body), &MachineModel::generic());
-        assert_eq!(r.critical_path_cycles, 4 * u64::from(Opcode::IAdd.props().latency));
+        assert_eq!(
+            r.critical_path_cycles,
+            4 * u64::from(Opcode::IAdd.props().latency)
+        );
     }
 
     #[test]
@@ -376,14 +379,12 @@ mod tests {
     fn swing_score_is_deterministic_and_toggle_sensitive() {
         let mk = |toggle: f64| {
             let mut body = vec![Inst::new(Opcode::Nop); 4];
-            body.extend(
-                (0..4).map(|i| {
-                    Inst::new(Opcode::SimdFma)
-                        .fp_dst(i % 8)
-                        .fp_srcs(12, 13)
-                        .toggle(toggle)
-                }),
-            );
+            body.extend((0..4).map(|i| {
+                Inst::new(Opcode::SimdFma)
+                    .fp_dst(i % 8)
+                    .fp_srcs(12, 13)
+                    .toggle(toggle)
+            }));
             prog(body)
         };
         let model = MachineModel::generic();

@@ -351,7 +351,10 @@ pub fn verify(program: &Program, target: &VerifyTarget) -> Vec<Diagnostic> {
                     Code::FmaUnsupported,
                     Severity::Error,
                     Some(i),
-                    format!("{} requires FMA, which the target lacks", inst.opcode.name()),
+                    format!(
+                        "{} requires FMA, which the target lacks",
+                        inst.opcode.name()
+                    ),
                 )
                 .with_help("restrict the opcode menu to non-FMA ops for this chip"),
             );
@@ -471,7 +474,10 @@ mod tests {
         assert_eq!(codes(&verify(&p, &no_fma)), vec![Code::FmaUnsupported]);
         let phenom = VerifyTarget::for_chip(&ChipConfig::phenom());
         assert_eq!(codes(&verify(&p, &phenom)), vec![Code::FmaUnsupported]);
-        assert!(verify_ok(&p, &VerifyTarget::for_chip(&ChipConfig::bulldozer())));
+        assert!(verify_ok(
+            &p,
+            &VerifyTarget::for_chip(&ChipConfig::bulldozer())
+        ));
     }
 
     #[test]
@@ -521,21 +527,23 @@ mod tests {
             .int_dst(0)
             .int_srcs(12, 13)
             .mem(MemBehavior::MemMissEvery { period: 0 });
-        let zero_stride = Inst::new(Opcode::Load)
-            .int_dst(0)
-            .int_srcs(12, 13)
-            .mem(MemBehavior::Strided {
-                stride_bytes: 0,
-                footprint_bytes: 4096,
-            });
+        let zero_stride =
+            Inst::new(Opcode::Load)
+                .int_dst(0)
+                .int_srcs(12, 13)
+                .mem(MemBehavior::Strided {
+                    stride_bytes: 0,
+                    footprint_bytes: 4096,
+                });
         // A zero footprint is legal (documented as "one stride").
-        let zero_footprint = Inst::new(Opcode::Load)
-            .int_dst(0)
-            .int_srcs(12, 13)
-            .mem(MemBehavior::Strided {
-                stride_bytes: 64,
-                footprint_bytes: 0,
-            });
+        let zero_footprint =
+            Inst::new(Opcode::Load)
+                .int_dst(0)
+                .int_srcs(12, 13)
+                .mem(MemBehavior::Strided {
+                    stride_bytes: 64,
+                    footprint_bytes: 0,
+                });
         assert!(verify_ok(
             &prog(vec![zero_footprint]),
             &VerifyTarget::permissive()

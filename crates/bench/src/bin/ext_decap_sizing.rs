@@ -28,7 +28,12 @@ fn main() {
         let mut rig = base.clone();
         rig.pdn = rig.pdn.clone().with_stage(
             2,
-            PdnStage::new(die.series_l, die.series_r, die.shunt_c * scale, die.shunt_esr),
+            PdnStage::new(
+                die.series_l,
+                die.series_r,
+                die.shunt_c * scale,
+                die.shunt_esr,
+            ),
         );
         let ac = ImpedanceSweep::new(rig.pdn.clone()).first_droop().unwrap();
         // The hand-tuned mark stays fixed (tuned for 1.0×)…
@@ -39,7 +44,11 @@ fn main() {
         let found = resonance::find_resonance(&rig, 4, (8..=96).step_by(2), spec);
         t.row(vec![
             format!("{:.1}×", scale),
-            format!("{:.0} MHz @ {:.2} mΩ", ac.frequency_hz / 1e6, ac.impedance_ohms * 1e3),
+            format!(
+                "{:.0} MHz @ {:.2} mΩ",
+                ac.frequency_hz / 1e6,
+                ac.impedance_ohms * 1e3
+            ),
             mv(fixed),
             mv(found.peak_droop()),
         ]);

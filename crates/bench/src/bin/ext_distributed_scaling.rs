@@ -112,7 +112,9 @@ fn distributed_run(spec: &FitnessSpec, cfg: &GaConfig, workers: usize) -> (GaRun
     .expect("distributed GA run");
     broker.shutdown();
     for h in handles {
-        h.join().expect("worker thread").expect("worker exits cleanly");
+        h.join()
+            .expect("worker thread")
+            .expect("worker exits cleanly");
     }
     (run, mem)
 }

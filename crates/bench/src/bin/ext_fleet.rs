@@ -35,7 +35,10 @@ const CAMPAIGNS: usize = 2;
 const WORKERS: usize = 4;
 
 fn main() {
-    banner("extension", "multi-tenant fleet vs serial campaign makespan");
+    banner(
+        "extension",
+        "multi-tenant fleet vs serial campaign makespan",
+    );
 
     let spec = FitnessSpec {
         threads: 2,
@@ -176,7 +179,9 @@ fn broker_run(spec: &FitnessSpec, cfg: &GaConfig) -> (GaRun, MemJournal) {
     .expect("distributed GA run");
     broker.shutdown();
     for h in handles {
-        h.join().expect("worker thread").expect("worker exits cleanly");
+        h.join()
+            .expect("worker thread")
+            .expect("worker exits cleanly");
     }
     (run, mem)
 }
@@ -235,7 +240,10 @@ fn fleet_run(spec: &FitnessSpec, cfg: &GaConfig) -> (Vec<(GaRun, MemJournal)>, u
         .expect("counter parses");
     manager.shutdown();
     for worker in workers {
-        worker.join().expect("worker thread").expect("worker exits cleanly");
+        worker
+            .join()
+            .expect("worker thread")
+            .expect("worker exits cleanly");
     }
     (runs, cache_hits)
 }

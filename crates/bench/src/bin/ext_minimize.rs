@@ -42,7 +42,10 @@ fn padded_witness() -> Program {
 }
 
 fn main() {
-    banner("extension", "witness minimization: ddmin against the simulator");
+    banner(
+        "extension",
+        "witness minimization: ddmin against the simulator",
+    );
 
     let rig = Rig::bulldozer();
     let spec = if fast_mode() {

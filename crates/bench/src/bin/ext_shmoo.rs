@@ -70,7 +70,10 @@ fn main() {
             JournalRecord::VminStep {
                 outcome: VminOutcome::Passed | VminOutcome::Failed,
                 ..
-            } | JournalRecord::ShmooPoint { result: Some(_), .. }
+            } | JournalRecord::ShmooPoint {
+                result: Some(_),
+                ..
+            }
         )
     };
     let cut = (0..=reference.records.len() / 2)
@@ -103,7 +106,12 @@ fn main() {
 
     // The surface, as a table.
     let mut header = vec!["Vdd \\ clock".to_string()];
-    header.extend(sweep.clocks_hz.iter().map(|hz| format!("{:.0} MHz", hz / 1e6)));
+    header.extend(
+        sweep
+            .clocks_hz
+            .iter()
+            .map(|hz| format!("{:.0} MHz", hz / 1e6)),
+    );
     let mut t = Table::new(header.iter().map(String::as_str).collect());
     let cols = sweep.clocks_hz.len();
     for (r, &volts) in sweep.volts.iter().enumerate() {

@@ -89,8 +89,10 @@ fn main() {
 
     emit(&table);
 
-    let rows: Vec<(&str, Vec<f64>)> =
-        bar_rows.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
+    let rows: Vec<(&str, Vec<f64>)> = bar_rows
+        .iter()
+        .map(|(n, v)| (n.as_str(), v.clone()))
+        .collect();
     if let Ok(path) = plots::write_bars(
         "fig09_droop_survey",
         "Max droop relative to 4T SM1 (Fig. 9)",

@@ -97,8 +97,7 @@ fn main() {
             (*name, pts)
         })
         .collect();
-    let refs: Vec<(&str, &[(f64, f64)])> =
-        series.iter().map(|(n, v)| (*n, v.as_slice())).collect();
+    let refs: Vec<(&str, &[(f64, f64)])> = series.iter().map(|(n, v)| (*n, v.as_slice())).collect();
     if let Ok(path) = audit_bench::plots::write_series(
         "fig10_histograms",
         "Frequency of droop events (Fig. 10, log counts)",

@@ -45,7 +45,9 @@ pub fn write_series(
     if logx {
         gp.push_str("set logscale x\n");
     }
-    gp.push_str(&format!("set terminal pngcairo size 900,560\nset output \"{name}.png\"\n"));
+    gp.push_str(&format!(
+        "set terminal pngcairo size 900,560\nset output \"{name}.png\"\n"
+    ));
     let plots: Vec<String> = series
         .iter()
         .enumerate()

@@ -51,47 +51,72 @@ fn assert_markers(bin: &str, markers: &[&str]) {
 
 #[test]
 fn fig03_smoke() {
-    assert_markers("fig03_resonances", &["first droop", "second droop", "third droop"]);
+    assert_markers(
+        "fig03_resonances",
+        &["first droop", "second droop", "third droop"],
+    );
 }
 
 #[test]
 fn fig04_smoke() {
     assert_markers(
         "fig04_excitation_vs_resonance",
-        &["first droop excitation", "first droop resonance", "ratio here"],
+        &[
+            "first droop excitation",
+            "first droop resonance",
+            "ratio here",
+        ],
     );
 }
 
 #[test]
 fn fig06_smoke() {
-    assert_markers("fig06_natural_dithering", &["tick epoch", "aligned reference droop"]);
+    assert_markers(
+        "fig06_natural_dithering",
+        &["tick epoch", "aligned reference droop"],
+    );
 }
 
 #[test]
 fn fig07_smoke() {
-    assert_markers("fig07_activity_pattern", &["high power", "NASM head", "BITS 64"]);
+    assert_markers(
+        "fig07_activity_pattern",
+        &["high power", "NASM head", "BITS 64"],
+    );
 }
 
 #[test]
 fn text_resonance_sweep_smoke() {
-    assert_markers("text_resonance_sweep", &["sweep says", "AC analysis says", "agreement"]);
+    assert_markers(
+        "text_resonance_sweep",
+        &["sweep says", "AC analysis says", "agreement"],
+    );
 }
 
 #[test]
 fn text_dithering_cost_smoke() {
-    assert_markers("text_dithering_cost", &["exact (δ=0)", "paper check", "dithered sweep"]);
+    assert_markers(
+        "text_dithering_cost",
+        &["exact (δ=0)", "paper check", "dithered sweep"],
+    );
 }
 
 #[test]
 fn text_data_toggle_smoke() {
-    assert_markers("text_data_toggle", &["operand toggle activity", "droop gain"]);
+    assert_markers(
+        "text_data_toggle",
+        &["operand toggle activity", "droop gain"],
+    );
 }
 
 #[test]
 fn text_barrier_smoke() {
     assert_markers(
         "text_barrier_stressmark",
-        &["ideal synchronous release", "memory-hierarchy skewed release"],
+        &[
+            "ideal synchronous release",
+            "memory-hierarchy skewed release",
+        ],
     );
 }
 
@@ -123,12 +148,18 @@ fn ext_second_droop_smoke() {
 
 #[test]
 fn ext_noise_aware_smoke() {
-    assert_markers("ext_noise_aware_scheduling", &["constructive droop", "destructive droop"]);
+    assert_markers(
+        "ext_noise_aware_scheduling",
+        &["constructive droop", "destructive droop"],
+    );
 }
 
 #[test]
 fn ext_mixed_consolidation_smoke() {
-    assert_markers("ext_mixed_consolidation", &["SPECrate", "worst homogeneous"]);
+    assert_markers(
+        "ext_mixed_consolidation",
+        &["SPECrate", "worst homogeneous"],
+    );
 }
 
 #[test]

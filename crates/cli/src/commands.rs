@@ -345,7 +345,10 @@ impl GenerateConfig {
             None => audit.journaled_resonance(threads, sink).map_err(core_err)?,
         };
         let (fspec, name) = if self.excitation {
-            (audit.excitation_fitness_spec(threads), format!("A-Ex-{threads}T"))
+            (
+                audit.excitation_fitness_spec(threads),
+                format!("A-Ex-{threads}T"),
+            )
         } else {
             let fspec = audit.resonant_fitness_spec(threads, resonance.period_cycles);
             (fspec, format!("A-Res-{threads}T"))
@@ -551,7 +554,9 @@ fn run_distributed(
         println!("  join with: audit work --connect {}", broker.addr());
         if dist.min_workers > 0 {
             println!("waiting for {} worker(s)…", dist.min_workers);
-            broker.wait_for_workers(dist.min_workers).map_err(core_err)?;
+            broker
+                .wait_for_workers(dist.min_workers)
+                .map_err(core_err)?;
         }
         Ok(broker)
     })?;
@@ -562,10 +567,7 @@ fn run_distributed(
 }
 
 /// Builds the worker-setup context from the platform flags.
-fn eval_context(
-    plat: &Args,
-    fspec: audit_core::FitnessSpec,
-) -> Result<EvalContext, ArgError> {
+fn eval_context(plat: &Args, fspec: audit_core::FitnessSpec) -> Result<EvalContext, ArgError> {
     let volts = match plat.opt_flag("--volts") {
         Some(v) => Some(
             v.parse::<f64>()
@@ -631,8 +633,12 @@ fn print_run(
     if let Some(front) = &run.ga.pareto_front {
         println!("  pareto front : {} non-dominated genome(s)", front.len());
         for member in front.iter().take(5) {
-            let axes: Vec<String> =
-                member.objectives.0.iter().map(|x| format!("{x:.4}")).collect();
+            let axes: Vec<String> = member
+                .objectives
+                .0
+                .iter()
+                .map(|x| format!("{x:.4}"))
+                .collect();
             println!("                 [{}]", axes.join(", "));
         }
         if front.len() > 5 {
@@ -781,8 +787,7 @@ pub fn minimize(args: &Args) -> Result<(), ArgError> {
 fn minimize_setup(args: &Args, input: &str) -> Result<(Program, MinimizeSearch, Rig), ArgError> {
     let retain = args.num_flag("--retain", 0.9f64)?;
     let spec = platform::spec_from(args)?;
-    let text =
-        fs::read_to_string(input).map_err(|e| ArgError(format!("reading {input}: {e}")))?;
+    let text = fs::read_to_string(input).map_err(|e| ArgError(format!("reading {input}: {e}")))?;
     let (program, threads, rig) = if text.trim_start().starts_with('{') {
         let (journal, saved) = checkpoint::load(input, "generate")?;
         if !journal.is_complete() {
@@ -951,9 +956,7 @@ fn codes_from(list: &str, flag: &str) -> Result<Vec<Code>, ArgError> {
     list.split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .map(|s| {
-            Code::parse(s).ok_or_else(|| ArgError(format!("{flag}: unknown code `{s}`")))
-        })
+        .map(|s| Code::parse(s).ok_or_else(|| ArgError(format!("{flag}: unknown code `{s}`"))))
         .collect()
 }
 

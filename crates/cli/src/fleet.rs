@@ -56,14 +56,19 @@ fn serve(args: &Args) -> Result<(), ArgError> {
     };
     let mut manager = Fleet::bind(&dist.listen, cfg).map_err(core_err)?;
     println!("fleet listening on {}", manager.addr());
-    println!("  workers join with : audit work --connect {}", manager.addr());
+    println!(
+        "  workers join with : audit work --connect {}",
+        manager.addr()
+    );
     println!(
         "  submit with       : audit fleet submit --connect {} --checkpoint run.ndjson [generate flags]",
         manager.addr()
     );
     if dist.min_workers > 0 {
         println!("waiting for {} worker(s)…", dist.min_workers);
-        manager.wait_for_workers(dist.min_workers).map_err(core_err)?;
+        manager
+            .wait_for_workers(dist.min_workers)
+            .map_err(core_err)?;
     }
 
     // Each campaign runs on its own thread (the GA engine blocks per
@@ -127,8 +132,16 @@ fn run_campaign_inner(
     let checkpoint = sub.checkpoint.clone();
     // The argv a solo `generate` would take; a resume's configuration
     // is its journal's alone.
-    let mut argv = if sub.resume { Vec::new() } else { sub.argv.clone() };
-    let flag = if sub.resume { "--resume" } else { "--checkpoint" };
+    let mut argv = if sub.resume {
+        Vec::new()
+    } else {
+        sub.argv.clone()
+    };
+    let flag = if sub.resume {
+        "--resume"
+    } else {
+        "--checkpoint"
+    };
     argv.extend([flag.to_string(), checkpoint.clone()]);
     let live = Args::parse(argv)?;
     let (mut session, cfg) = Checkpoint::new(&live, "generate")?;
@@ -186,8 +199,7 @@ fn submit(args: &Args) -> Result<(), ArgError> {
         }
         (None, None) => {
             return Err(ArgError(
-                "audit fleet submit needs --checkpoint run.ndjson (or --resume run.ndjson)"
-                    .into(),
+                "audit fleet submit needs --checkpoint run.ndjson (or --resume run.ndjson)".into(),
             ))
         }
     };

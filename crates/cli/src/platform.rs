@@ -268,9 +268,7 @@ pub fn options_from(args: &Args) -> Result<AuditOptions, ArgError> {
 ///
 /// Returns [`ArgError`] for an unknown axis, an empty spec, or
 /// conflicting droop variants.
-pub fn parse_objective_spec(
-    spec: &str,
-) -> Result<(ObjectiveSet, Option<CostFunction>), ArgError> {
+pub fn parse_objective_spec(spec: &str) -> Result<(ObjectiveSet, Option<CostFunction>), ArgError> {
     let mut axes = Vec::new();
     let mut variant: Option<CostFunction> = None;
     for token in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -297,8 +295,7 @@ pub fn parse_objective_spec(
         }
         axes.push(axis);
     }
-    let set = ObjectiveSet::from_axes(&axes)
-        .map_err(|e| ArgError(format!("--objective: {e}")))?;
+    let set = ObjectiveSet::from_axes(&axes).map_err(|e| ArgError(format!("--objective: {e}")))?;
     Ok((set, variant))
 }
 
@@ -561,7 +558,10 @@ mod tests {
         // and the journaled value is order-insensitive.
         let a = parse(&["--objective", "margin", "--objective", "droop"]);
         let opts = options_from(&a).unwrap();
-        assert_eq!(opts.objectives, ObjectiveSet::parse("droop,margin").unwrap());
+        assert_eq!(
+            opts.objectives,
+            ObjectiveSet::parse("droop,margin").unwrap()
+        );
         assert!(opts.ga.pareto, "multi-axis sets engage pareto mode");
         let b = parse(&["--objective", "droop", "--objective", "margin"]);
         assert_eq!(
@@ -592,7 +592,10 @@ mod tests {
             grid_axis(&args, "--grid-volts", &[1.0]).unwrap(),
             vec![0.95, 1.0, 1.05]
         );
-        assert_eq!(grid_axis(&args, "--grid-clocks", &[3.2e9]).unwrap(), vec![3.2e9]);
+        assert_eq!(
+            grid_axis(&args, "--grid-clocks", &[3.2e9]).unwrap(),
+            vec![3.2e9]
+        );
         let bad = parse(&["--grid-clocks", "fast"]);
         assert!(grid_axis(&bad, "--grid-clocks", &[]).is_err());
     }
@@ -606,8 +609,17 @@ mod tests {
     #[test]
     fn generate_meta_round_trips_result_flags() {
         let original = parse(&[
-            "--chip", "phenom", "--threads", "2", "--kind", "ex", "--seed", "9", "--fast",
-            "--out", "ignored.asm",
+            "--chip",
+            "phenom",
+            "--threads",
+            "2",
+            "--kind",
+            "ex",
+            "--seed",
+            "9",
+            "--fast",
+            "--out",
+            "ignored.asm",
         ]);
         let restored = args_from_meta(&meta("generate", &original)).unwrap();
         let rig = rig_from(&restored).unwrap();
@@ -639,48 +651,143 @@ mod tests {
             (
                 "generate",
                 &[
-                    "generate", "--fast", "--lint-repair", "--chip", "phenom", "--threads", "2",
-                    "--seed", "9", "--objective", "margin,droop-per-amp", "--faults",
-                    "7:noise=0.002", "--repeat", "2", "--fast-tier-budget", "3", "--workers", "1",
-                    "--kind", "ex", "--throttle", "2", "--retries", "3", "--cycle-budget",
-                    "1000000", "--volts", "1.3", "--checkpoint", "g.ndjson", "--save", "g.prog",
+                    "generate",
+                    "--fast",
+                    "--lint-repair",
+                    "--chip",
+                    "phenom",
+                    "--threads",
+                    "2",
+                    "--seed",
+                    "9",
+                    "--objective",
+                    "margin,droop-per-amp",
+                    "--faults",
+                    "7:noise=0.002",
+                    "--repeat",
+                    "2",
+                    "--fast-tier-budget",
+                    "3",
+                    "--workers",
+                    "1",
+                    "--kind",
+                    "ex",
+                    "--throttle",
+                    "2",
+                    "--retries",
+                    "3",
+                    "--cycle-budget",
+                    "1000000",
+                    "--volts",
+                    "1.3",
+                    "--checkpoint",
+                    "g.ndjson",
+                    "--save",
+                    "g.prog",
                 ],
                 r#"{"argv":["--chip","phenom","--threads","2","--kind","ex","--volts","1.3","--throttle","2","--seed","9","--workers","1","--faults","7:noise=0.002","--repeat","2","--retries","3","--cycle-budget","1000000","--fast-tier-budget","3","--objective","droop-per-amp,margin","--fast","--lint-repair"]}"#,
             ),
             (
                 "failure",
                 &[
-                    "failure", "--stressmark", "sm-res", "--fast", "--threads", "2", "--volts",
-                    "1.2", "--throttle", "2", "--cycles", "3000", "--faults", "5:crash=0.2",
-                    "--repeat", "2", "--retries", "4", "--cycle-budget", "100000", "--chip",
-                    "bulldozer", "--checkpoint", "f.ndjson",
+                    "failure",
+                    "--stressmark",
+                    "sm-res",
+                    "--fast",
+                    "--threads",
+                    "2",
+                    "--volts",
+                    "1.2",
+                    "--throttle",
+                    "2",
+                    "--cycles",
+                    "3000",
+                    "--faults",
+                    "5:crash=0.2",
+                    "--repeat",
+                    "2",
+                    "--retries",
+                    "4",
+                    "--cycle-budget",
+                    "100000",
+                    "--chip",
+                    "bulldozer",
+                    "--checkpoint",
+                    "f.ndjson",
                 ],
                 r#"{"argv":["--chip","bulldozer","--threads","2","--volts","1.2","--throttle","2","--cycles","3000","--stressmark","sm-res","--faults","5:crash=0.2","--repeat","2","--retries","4","--cycle-budget","100000","--fast"]}"#,
             ),
             (
                 "shmoo",
                 &[
-                    "shmoo", "--workload", "zeusmp", "--fast", "--threads", "2", "--chip",
-                    "phenom", "--throttle", "1", "--cycles", "2000", "--faults", "3:noise=0.001",
-                    "--repeat", "3", "--retries", "2", "--cycle-budget", "500000", "--grid-volts",
-                    "1.1,1.2", "--grid-clocks", "2.8e9,3.0e9", "--checkpoint", "s.ndjson",
+                    "shmoo",
+                    "--workload",
+                    "zeusmp",
+                    "--fast",
+                    "--threads",
+                    "2",
+                    "--chip",
+                    "phenom",
+                    "--throttle",
+                    "1",
+                    "--cycles",
+                    "2000",
+                    "--faults",
+                    "3:noise=0.001",
+                    "--repeat",
+                    "3",
+                    "--retries",
+                    "2",
+                    "--cycle-budget",
+                    "500000",
+                    "--grid-volts",
+                    "1.1,1.2",
+                    "--grid-clocks",
+                    "2.8e9,3.0e9",
+                    "--checkpoint",
+                    "s.ndjson",
                 ],
                 r#"{"argv":["--chip","phenom","--threads","2","--throttle","1","--cycles","2000","--workload","zeusmp","--faults","3:noise=0.001","--repeat","3","--retries","2","--cycle-budget","500000","--grid-volts","1.1,1.2","--grid-clocks","2.8e9,3.0e9","--fast"]}"#,
             ),
             (
                 "shmoo",
                 &[
-                    "shmoo", "--stressmark", "sm-res", "--volts", "1.15", "--fast", "--threads",
-                    "2", "--checkpoint", "v.ndjson",
+                    "shmoo",
+                    "--stressmark",
+                    "sm-res",
+                    "--volts",
+                    "1.15",
+                    "--fast",
+                    "--threads",
+                    "2",
+                    "--checkpoint",
+                    "v.ndjson",
                 ],
                 r#"{"argv":["--threads","2","--volts","1.15","--stressmark","sm-res","--fast"]}"#,
             ),
             (
                 "minimize",
                 &[
-                    "minimize", "--input", "w.prog", "--fast", "--threads", "2", "--chip",
-                    "bulldozer", "--volts", "1.2", "--throttle", "3", "--cycles", "2000",
-                    "--retain", "0.8", "--checkpoint", "m.ndjson", "--out", "k.prog",
+                    "minimize",
+                    "--input",
+                    "w.prog",
+                    "--fast",
+                    "--threads",
+                    "2",
+                    "--chip",
+                    "bulldozer",
+                    "--volts",
+                    "1.2",
+                    "--throttle",
+                    "3",
+                    "--cycles",
+                    "2000",
+                    "--retain",
+                    "0.8",
+                    "--checkpoint",
+                    "m.ndjson",
+                    "--out",
+                    "k.prog",
                 ],
                 r#"{"argv":["--chip","bulldozer","--threads","2","--volts","1.2","--throttle","3","--cycles","2000","--retain","0.8","--fast","--input","w.prog"]}"#,
             ),

@@ -229,8 +229,11 @@ fn checkpointed_generate_survives_a_kill() {
 
     // A non-generate journal is refused.
     let bogus = dir.join("bogus.ndjson");
-    std::fs::write(&bogus, "{\"kind\":\"run_start\",\"schema\":1,\"mode\":\"measure\",\"meta\":{}}\n")
-        .unwrap();
+    std::fs::write(
+        &bogus,
+        "{\"kind\":\"run_start\",\"schema\":1,\"mode\":\"measure\",\"meta\":{}}\n",
+    )
+    .unwrap();
     let out = audit(&["generate", "--resume", bogus.to_str().unwrap()]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("not a `generate` checkpoint"));
@@ -284,11 +287,7 @@ fn checkpointed_vmin_search_survives_a_kill() {
         .nth(1)
         .expect("at least two settled probes");
     let half = lines[cut + 1].len() / 2;
-    let torn = format!(
-        "{}\n{}",
-        lines[..=cut].join("\n"),
-        &lines[cut + 1][..half]
-    );
+    let torn = format!("{}\n{}", lines[..=cut].join("\n"), &lines[cut + 1][..half]);
     std::fs::write(&journal, torn).unwrap();
     let out = audit(&["failure", "--resume", journal.to_str().unwrap()]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
@@ -539,8 +538,22 @@ fn unplaceable_thread_counts_are_errors_not_panics() {
         &["generate", "--fast", "--threads", "9"],
         &["generate", "--fast", "--threads", "0"],
         &["resonance", "--threads", "0"],
-        &["measure", "--stressmark", "sm-res", "--fast", "--threads", "9"],
-        &["failure", "--stressmark", "sm-res", "--fast", "--threads", "0"],
+        &[
+            "measure",
+            "--stressmark",
+            "sm-res",
+            "--fast",
+            "--threads",
+            "9",
+        ],
+        &[
+            "failure",
+            "--stressmark",
+            "sm-res",
+            "--fast",
+            "--threads",
+            "0",
+        ],
     ];
     for args in cases {
         let out = audit(args);
@@ -671,11 +684,36 @@ fn argument_errors_leave_no_checkpoint() {
     // before it connects.
     let manager = format!("unix:{}", dir.join("none.sock").display());
     let cases: [(&[&str], &str); 4] = [
-        (&["generate", "--fast", "--kind", "bogus", "--checkpoint", path], "bogus"),
-        (&["generate", "--fast", "--threads", "9", "--checkpoint", path], "--threads"),
-        (&["serve", "--fast", "--kind", "bogus", "--checkpoint", path], "bogus"),
         (
-            &["fleet", "submit", "--connect", &manager, "--kind", "bogus", "--checkpoint", path],
+            &[
+                "generate",
+                "--fast",
+                "--kind",
+                "bogus",
+                "--checkpoint",
+                path,
+            ],
+            "bogus",
+        ),
+        (
+            &["generate", "--fast", "--threads", "9", "--checkpoint", path],
+            "--threads",
+        ),
+        (
+            &["serve", "--fast", "--kind", "bogus", "--checkpoint", path],
+            "bogus",
+        ),
+        (
+            &[
+                "fleet",
+                "submit",
+                "--connect",
+                &manager,
+                "--kind",
+                "bogus",
+                "--checkpoint",
+                path,
+            ],
             "bogus",
         ),
     ];
@@ -809,7 +847,10 @@ fn resume_takes_its_config_from_the_checkpoint_alone() {
         let out = audit(&[other, "--resume", path]);
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(1), "{other}: {err}");
-        assert!(err.contains(&format!("not a `{other}` checkpoint")), "{other}: {err}");
+        assert!(
+            err.contains(&format!("not a `{other}` checkpoint")),
+            "{other}: {err}"
+        );
         assert_eq!(std::fs::read_to_string(&journal).unwrap(), text, "{other}");
     }
 }

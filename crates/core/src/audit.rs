@@ -415,8 +415,15 @@ impl Audit {
         seed_programs: &[Program],
     ) -> StressmarkRun {
         let fresh = Journal::default();
-        self.generate(&fresh, threads, false, seed_programs, "-seeded", &mut NullSink)
-            .unwrap_or_else(|e| panic!("{e}"))
+        self.generate(
+            &fresh,
+            threads,
+            false,
+            seed_programs,
+            "-seeded",
+            &mut NullSink,
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Generates a first-droop *resonant* stressmark (A-Res family) for
@@ -595,7 +602,10 @@ impl Audit {
         let (kind, fspec) = if excitation {
             ("Ex", self.excitation_fitness_spec(threads))
         } else {
-            ("Res", self.resonant_fitness_spec(threads, resonance.period_cycles))
+            (
+                "Res",
+                self.resonant_fitness_spec(threads, resonance.period_cycles),
+            )
         };
         let rig = &self.rig;
         let log = ResilienceLog::default();
@@ -684,7 +694,14 @@ impl Audit {
             .map(|p| ga::genome::from_program(p, genome_len))
             .collect();
         let seeds = self.ga_seeds(genome_len, seed_miss_load, &extra);
-        ga::run(&self.opts.ga, &self.opcode_menu(), genome_len, &seeds, dispatcher, sink)
+        ga::run(
+            &self.opts.ga,
+            &self.opcode_menu(),
+            genome_len,
+            &seeds,
+            dispatcher,
+            sink,
+        )
     }
 
     /// Builds the seed genomes every generation run starts from: the
@@ -885,7 +902,11 @@ impl FitnessSpec {
     /// the call and the fault schedule is content-addressed, so the
     /// same genome scores bit-identically on any thread, process, or
     /// host.
-    pub fn evaluate_objectives(&self, rig: &Rig, genome: &[Gene]) -> (Objectives, ResilienceReport) {
+    pub fn evaluate_objectives(
+        &self,
+        rig: &Rig,
+        genome: &[Gene],
+    ) -> (Objectives, ResilienceReport) {
         let kernel = Kernel::from_sub_blocks(
             "candidate",
             &ga::genome::to_sub_block(genome),
@@ -899,7 +920,9 @@ impl FitnessSpec {
         } else {
             let offsets = vec![0; self.threads];
             let key = resilient::genome_key(genome);
-            let outcome = self.policy.measure(rig, &programs, &offsets, self.spec, key);
+            let outcome = self
+                .policy
+                .measure(rig, &programs, &offsets, self.spec, key);
             let delta = ResilienceReport::from_outcome(&outcome);
             let objs = match &outcome.measurement {
                 Some(m) => self.objectives_of(rig, m),
@@ -1046,7 +1069,10 @@ mod tests {
         assert_eq!(resilient.resilience.quarantined, 0);
         assert!(resilient.resilience.evaluations > 0);
         // The no-op default reports all-zero counters.
-        assert_eq!(plain.resilience, crate::resilient::ResilienceReport::default());
+        assert_eq!(
+            plain.resilience,
+            crate::resilient::ResilienceReport::default()
+        );
     }
 
     #[test]
@@ -1070,10 +1096,9 @@ mod tests {
             ..crate::resilient::MeasurePolicy::disabled()
         };
         let opts = AuditOptions::fast_demo().with_policy(policy);
-        let one = Audit::new(Rig::bulldozer(), opts.clone().with_eval_threads(1))
-            .generate_resonant(2);
-        let three =
-            Audit::new(Rig::bulldozer(), opts.with_eval_threads(3)).generate_resonant(2);
+        let one =
+            Audit::new(Rig::bulldozer(), opts.clone().with_eval_threads(1)).generate_resonant(2);
+        let three = Audit::new(Rig::bulldozer(), opts.with_eval_threads(3)).generate_resonant(2);
         assert_eq!(one.ga, three.ga);
         assert_eq!(one.best_droop.to_bits(), three.best_droop.to_bits());
         assert_eq!(one.resilience, three.resilience);

@@ -770,7 +770,16 @@ fn run_ga(
         objs = evaluate_population(&population, dispatcher, &mut cache, cfg, &mut telemetry)?;
         check_axes(cfg, &objs, &mut axes, fresh)?;
         scores = objs.iter().map(Objectives::primary).collect();
-        append_generation(sink, cfg, 0, &population, &objs, &scores, &telemetry, rerolls)?;
+        append_generation(
+            sink,
+            cfg,
+            0,
+            &population,
+            &objs,
+            &scores,
+            &telemetry,
+            rerolls,
+        )?;
 
         let best_idx = argmax(&scores);
         best = population[best_idx].clone();
@@ -1090,14 +1099,11 @@ fn replay_objectives(
     if !cfg.pareto {
         return Ok(rec.scores.iter().copied().map(Objectives::scalar).collect());
     }
-    let front = fronts
-        .iter()
-        .find(|f| f.index == k)
-        .ok_or_else(|| {
-            AuditError::resume(format!(
-                "pareto run journal is missing the pareto_front record of generation {k}"
-            ))
-        })?;
+    let front = fronts.iter().find(|f| f.index == k).ok_or_else(|| {
+        AuditError::resume(format!(
+            "pareto run journal is missing the pareto_front record of generation {k}"
+        ))
+    })?;
     if front.objectives.len() != rec.scores.len() {
         return Err(AuditError::resume(format!(
             "pareto_front {k} carries {} objective vectors for {} population slots",

@@ -27,13 +27,13 @@ pub mod study;
 
 pub use cost::CostFunction;
 pub use engine::{
-    evolve, resolve_workers, resume, run, stream_seed, EvalCache, EvalDispatcher, GaConfig,
-    GaRun, GaTelemetry, LocalDispatcher,
+    evolve, resolve_workers, resume, run, stream_seed, EvalCache, EvalDispatcher, GaConfig, GaRun,
+    GaTelemetry, LocalDispatcher,
 };
 pub use genome::{from_program, to_sub_block, Gene};
-pub use repair::{offending_slots, repair_genome, repair_lint_config, REPAIR_MAX_ATTEMPTS};
 pub use pareto::{
     crowding_distance, non_dominated_sort, rank_population, FrontMember, Objective, ObjectiveSet,
     Objectives, PopulationRanking,
 };
+pub use repair::{offending_slots, repair_genome, repair_lint_config, REPAIR_MAX_ATTEMPTS};
 pub use study::{resume_study, run_study, StudySummary};

@@ -270,7 +270,11 @@ impl Objectives {
         if other.is_deferred() {
             return true;
         }
-        debug_assert_eq!(self.len(), other.len(), "comparing mismatched objective vectors");
+        debug_assert_eq!(
+            self.len(),
+            other.len(),
+            "comparing mismatched objective vectors"
+        );
         let mut strictly = false;
         for (a, b) in self.0.iter().zip(&other.0) {
             if a < b {
@@ -620,7 +624,12 @@ mod tests {
             }]
         };
         let population = vec![g(0), g(1), g(0), g(2)];
-        let objs = vec![v(&[2.0, 1.0]), v(&[1.0, 2.0]), v(&[2.0, 1.0]), v(&[0.0, 0.0])];
+        let objs = vec![
+            v(&[2.0, 1.0]),
+            v(&[1.0, 2.0]),
+            v(&[2.0, 1.0]),
+            v(&[0.0, 0.0]),
+        ];
         let ranking = rank_population(&objs);
         let front = extract_front(&population, &objs, &ranking);
         assert_eq!(front.len(), 2);

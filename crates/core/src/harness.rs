@@ -10,7 +10,9 @@ use audit_error::AuditError;
 
 use audit_cpu::{ChipConfig, ChipSim, Placement, Program};
 use audit_measure::fault::NoiseStream;
-use audit_measure::{DroopStats, FailureModel, FaultPlan, Histogram, Oscilloscope, VoltageAtFailure};
+use audit_measure::{
+    DroopStats, FailureModel, FaultPlan, Histogram, Oscilloscope, VoltageAtFailure,
+};
 use audit_os::{OsConfig, OsModel};
 use audit_pdn::{PdnModel, Transient};
 use serde::{Deserialize, Serialize};

@@ -455,7 +455,15 @@ mod tests {
         let mut mem = MemJournal::default();
         let fitness = |g: &[Gene]| g.iter().filter(|x| x.opcode == Opcode::SimdFma).count() as f64;
         let mut dispatcher = LocalDispatcher::new(fitness, 1);
-        let run = ga::run(&cfg, &Opcode::stress_menu(), 4, &[], &mut dispatcher, &mut mem).unwrap();
+        let run = ga::run(
+            &cfg,
+            &Opcode::stress_menu(),
+            4,
+            &[],
+            &mut dispatcher,
+            &mut mem,
+        )
+        .unwrap();
         let summary = journal_summary(&mem.as_journal());
         let text = summary.to_string();
         assert!(text.contains("ga_start"), "{text}");

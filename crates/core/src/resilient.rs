@@ -223,9 +223,7 @@ impl MeasurePolicy {
             // Each repeat gets its own sub-schedule so repeated noise
             // draws differ; folding the repeat into the attempt index
             // keeps the decision a pure function of (key, sub-attempt).
-            let sub_attempt = attempt
-                .saturating_mul(self.repeat)
-                .saturating_add(r);
+            let sub_attempt = attempt.saturating_mul(self.repeat).saturating_add(r);
             measurements.push(rig.try_measure_faulted(
                 programs,
                 offsets,
@@ -540,8 +538,16 @@ impl VminSearch {
 
         // Step 0: the floor. A workload that passes even here cannot be
         // bracketed — report "no failure found", like the linear search.
-        let floor_fails =
-            self.settle_step(rig, programs, offsets, spec, self.v_floor, sink, replay, &mut result)?;
+        let floor_fails = self.settle_step(
+            rig,
+            programs,
+            offsets,
+            spec,
+            self.v_floor,
+            sink,
+            replay,
+            &mut result,
+        )?;
         if !floor_fails {
             return Ok(result);
         }
@@ -952,7 +958,14 @@ mod tests {
             };
             let journal = partial.as_journal();
             let resumed = search
-                .resume_from(&journal, &rig, &programs(), &[0; 4], fast_spec(), &mut partial)
+                .resume_from(
+                    &journal,
+                    &rig,
+                    &programs(),
+                    &[0; 4],
+                    fast_spec(),
+                    &mut partial,
+                )
                 .unwrap();
             assert_eq!(resumed.v_fail, complete.v_fail, "cut at {cut}");
             assert_eq!(resumed.steps, complete.steps, "cut at {cut}");

@@ -69,7 +69,12 @@ impl ShmooSweep {
     /// A sweep over the given grid with the paper's per-point search
     /// parameters (12.5 mV resolution, floor at half the point's
     /// voltage).
-    pub fn grid(volts: Vec<f64>, clocks_hz: Vec<f64>, spec: MeasureSpec, policy: MeasurePolicy) -> Self {
+    pub fn grid(
+        volts: Vec<f64>,
+        clocks_hz: Vec<f64>,
+        spec: MeasureSpec,
+        policy: MeasurePolicy,
+    ) -> Self {
         ShmooSweep {
             volts,
             clocks_hz,
@@ -118,7 +123,9 @@ impl ShmooSweep {
         self.volts
             .iter()
             .flat_map(|&volts| {
-                self.clocks_hz.iter().map(move |&clock_hz| VfPoint { volts, clock_hz })
+                self.clocks_hz
+                    .iter()
+                    .map(move |&clock_hz| VfPoint { volts, clock_hz })
             })
             .collect()
     }
@@ -346,9 +353,7 @@ mod tests {
             .records
             .iter()
             .filter_map(|r| match r {
-                JournalRecord::ShmooPoint { index, result, .. } => {
-                    Some((*index, result.is_some()))
-                }
+                JournalRecord::ShmooPoint { index, result, .. } => Some((*index, result.is_some())),
                 _ => None,
             })
             .collect();
@@ -510,7 +515,13 @@ mod tests {
             ..sweep()
         };
         let err = other
-            .resume_from(&journal, &rig, &programs, &[0, 0], &mut MemJournal::default())
+            .resume_from(
+                &journal,
+                &rig,
+                &programs,
+                &[0, 0],
+                &mut MemJournal::default(),
+            )
             .unwrap_err();
         assert!(
             matches!(err, AuditError::Resume { .. }),

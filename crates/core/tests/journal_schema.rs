@@ -104,14 +104,15 @@ fn fixture_records() -> Vec<JournalRecord> {
     // generation's Pareto payload with a budget-deferred `-inf`
     // sentinel slot, and one shmoo point journaled write-ahead — the
     // pending line first, then the settled `done` line.
-    mem.records.push(JournalRecord::ParetoFront(ParetoFrontRecord {
-        index: 0,
-        objectives: vec![
-            Objectives(vec![0.08125, 52.5, -0.02]),
-            Objectives(vec![f64::NEG_INFINITY]),
-        ],
-        ranks: vec![0, 1],
-    }));
+    mem.records
+        .push(JournalRecord::ParetoFront(ParetoFrontRecord {
+            index: 0,
+            objectives: vec![
+                Objectives(vec![0.08125, 52.5, -0.02]),
+                Objectives(vec![f64::NEG_INFINITY]),
+            ],
+            ranks: vec![0, 1],
+        }));
     mem.records.push(JournalRecord::ShmooPoint {
         index: 4,
         volts: 1.0875,
@@ -218,7 +219,9 @@ fn golden_journal_decodes() {
     }
 
     let resonance = ResonanceResult::from_json(
-        journal.phase_payload("resonance").expect("resonance payload"),
+        journal
+            .phase_payload("resonance")
+            .expect("resonance payload"),
     )
     .expect("payload decodes");
     assert_eq!(resonance, fixture_resonance());
@@ -313,7 +316,12 @@ fn schema_field_names_are_pinned() {
         .lines()
         .find(|l| l.contains("\"retry\""))
         .expect("a retry record");
-    for key in ["\"step\"", "\"attempt\"", "\"reason\"", "\"backoff_cycles\""] {
+    for key in [
+        "\"step\"",
+        "\"attempt\"",
+        "\"reason\"",
+        "\"backoff_cycles\"",
+    ] {
         assert!(retry.contains(key), "retry record lost {key}");
     }
     let quarantine = text
@@ -364,8 +372,17 @@ fn schema_field_names_are_pinned() {
         .lines()
         .find(|l| l.contains("\"minimize_step\"") && l.contains("\"droop\""))
         .expect("a terminal minimize_step record");
-    for key in ["\"step\"", "\"kept\"", "\"key\"", "\"outcome\"", "\"droop\""] {
-        assert!(minimize_done.contains(key), "minimize_step record lost {key}");
+    for key in [
+        "\"step\"",
+        "\"kept\"",
+        "\"key\"",
+        "\"outcome\"",
+        "\"droop\"",
+    ] {
+        assert!(
+            minimize_done.contains(key),
+            "minimize_step record lost {key}"
+        );
     }
     let minimize_pending = text
         .lines()
@@ -393,7 +410,8 @@ fn journal_without_resilience_kinds_still_decodes() {
     let old: String = text
         .lines()
         .filter(|l| {
-            !l.contains("\"vmin_step\"") && !l.contains("\"retry\"")
+            !l.contains("\"vmin_step\"")
+                && !l.contains("\"retry\"")
                 && !l.contains("\"quarantine\"")
         })
         .map(|l| format!("{l}\n"))

@@ -47,8 +47,15 @@ fn run_full(path: &PathBuf) -> GaRun {
     let mut writer =
         JournalWriter::create(path, "test", JsonValue::object(vec![])).expect("create journal");
     let mut dispatcher = LocalDispatcher::new(fitness, 2);
-    let run = ga::run(&cfg(), &Opcode::stress_menu(), 6, &[], &mut dispatcher, &mut writer)
-        .expect("full run");
+    let run = ga::run(
+        &cfg(),
+        &Opcode::stress_menu(),
+        6,
+        &[],
+        &mut dispatcher,
+        &mut writer,
+    )
+    .expect("full run");
     writer.finish().expect("finish journal");
     run
 }
@@ -122,8 +129,8 @@ fn resume_is_chainable_across_multiple_kills() {
     for _ in 0..2 {
         let journal = Journal::load(&path).expect("journal loads");
         let mut writer = JournalWriter::resume(&path).expect("writer resumes");
-        let resumed =
-            ga::resume(&journal, &mut LocalDispatcher::new(fitness, 2), &mut writer).expect("run resumes");
+        let resumed = ga::resume(&journal, &mut LocalDispatcher::new(fitness, 2), &mut writer)
+            .expect("run resumes");
         assert_eq!(full, resumed);
         // Second kill: drop the last two records (ga_end and the final
         // generation) so the next iteration resumes mid-GA again.
@@ -147,13 +154,23 @@ fn resume_refuses_a_journal_from_a_different_run() {
     let mut text = std::fs::read_to_string(&path).expect("journal readable");
     text = text.replace("\"seed\":42", "\"seed\":43");
     let tampered = Journal::parse(&text).expect("tampered journal parses");
-    let err = ga::resume(&tampered, &mut LocalDispatcher::new(fitness, 2), &mut NullSink).unwrap_err();
+    let err = ga::resume(
+        &tampered,
+        &mut LocalDispatcher::new(fitness, 2),
+        &mut NullSink,
+    )
+    .unwrap_err();
     assert!(
         err.to_string().contains("different run"),
         "unexpected error: {err}"
     );
     // The untampered journal still resumes.
-    assert!(ga::resume(&journal, &mut LocalDispatcher::new(fitness, 2), &mut NullSink).is_ok());
+    assert!(ga::resume(
+        &journal,
+        &mut LocalDispatcher::new(fitness, 2),
+        &mut NullSink
+    )
+    .is_ok());
 }
 
 #[test]

@@ -457,7 +457,13 @@ fn check_pareto_ranking(vecs: &[Vec<f64>], perm: &[usize]) -> proptest::TestCase
     // a budget-deferred candidate (the 1-axis `-inf` sentinel).
     let objs: Vec<Objectives> = vecs
         .iter()
-        .map(|v| if v[0] < -0.9 { Objectives::deferred() } else { Objectives(v.clone()) })
+        .map(|v| {
+            if v[0] < -0.9 {
+                Objectives::deferred()
+            } else {
+                Objectives(v.clone())
+            }
+        })
         .collect();
     let n = objs.len();
 

@@ -197,7 +197,10 @@ fn tenant_session(
 fn expect_frame(conn: &mut Conn, what: &str) -> Result<JsonValue, AuditError> {
     match read_frame(conn)? {
         FrameOutcome::Frame(v) => Ok(v),
-        _ => Err(AuditError::journal(0, format!("fleet: {what}: stream ended"))),
+        _ => Err(AuditError::journal(
+            0,
+            format!("fleet: {what}: stream ended"),
+        )),
     }
 }
 
@@ -248,7 +251,10 @@ pub fn submit(
         return Err(AuditError::journal(0, "fleet: expected `done`"));
     };
     if done_campaign != campaign {
-        return Err(AuditError::journal(0, "fleet: done for a different campaign"));
+        return Err(AuditError::journal(
+            0,
+            "fleet: done for a different campaign",
+        ));
     }
     Ok((campaign, ok, summary))
 }

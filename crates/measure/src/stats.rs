@@ -273,9 +273,9 @@ mod tests {
         assert_eq!(median_index(&[]), None);
         assert_eq!(median_index(&[5.0]), Some(0));
         assert_eq!(median_index(&[3.0, 1.0, 2.0]), Some(2)); // value 2.0
-        // Even length: lower-central element.
+                                                             // Even length: lower-central element.
         assert_eq!(median_index(&[4.0, 1.0, 3.0, 2.0]), Some(3)); // value 2.0
-        // Ties break to the earliest index.
+                                                                  // Ties break to the earliest index.
         assert_eq!(median_index(&[7.0, 7.0, 7.0]), Some(1));
     }
 

@@ -672,14 +672,20 @@ mod tests {
             "{\"kind\":\"run_start\",\"schema\":1}\n",
             "{\"kind\":\"generation\",\"index\":0}\n",
         );
-        std::fs::write(&path, format!("{good}{{\"kind\":\"broken\n{{\"kind\":\"run_end\"}}\n"))
-            .unwrap();
+        std::fs::write(
+            &path,
+            format!("{good}{{\"kind\":\"broken\n{{\"kind\":\"run_end\"}}\n"),
+        )
+        .unwrap();
 
         let before = fsck(&path).unwrap();
         assert_eq!(before.verdict, FsckVerdict::CorruptInterior { line: 3 });
 
         let repaired = fsck_repair(&path).unwrap();
-        assert_eq!(repaired.verdict, before.verdict, "reports the pre-repair state");
+        assert_eq!(
+            repaired.verdict, before.verdict,
+            "reports the pre-repair state"
+        );
         assert_eq!(std::fs::read_to_string(&path).unwrap(), good);
         assert!(!dir.join("run.fsck.tmp").exists());
 

@@ -147,7 +147,9 @@ impl Broker {
     /// for append, and [`AuditError::Journal`] if a non-final line is
     /// corrupt.
     pub fn attach_wal(&mut self, path: &Path) -> Result<(), AuditError> {
-        self.door.handle().attach_wal(self.campaign, path.to_path_buf())
+        self.door
+            .handle()
+            .attach_wal(self.campaign, path.to_path_buf())
     }
 
     /// Blocks until at least `n` workers have completed the handshake.

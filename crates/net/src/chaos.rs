@@ -111,7 +111,7 @@ impl Direction {
     fn stream(self) -> u64 {
         match self {
             Direction::Outbound => 0x4F55_5442, // "OUTB"
-            Direction::Inbound => 0x494E_424E, // "INBN"
+            Direction::Inbound => 0x494E_424E,  // "INBN"
         }
     }
 }
@@ -449,11 +449,23 @@ mod tests {
             }
         }
         let rate = |c: usize| c as f64 / n as f64;
-        assert!((rate(counts[1]) - 0.1).abs() < 0.02, "drop {}", rate(counts[1]));
+        assert!(
+            (rate(counts[1]) - 0.1).abs() < 0.02,
+            "drop {}",
+            rate(counts[1])
+        );
         // Corrupt and dup draw behind drop's precedence: expected
         // 0.9 * 0.1 and 0.9 * 0.9 * 0.1 respectively.
-        assert!((rate(counts[2]) - 0.09).abs() < 0.02, "corrupt {}", rate(counts[2]));
-        assert!((rate(counts[3]) - 0.081).abs() < 0.02, "dup {}", rate(counts[3]));
+        assert!(
+            (rate(counts[2]) - 0.09).abs() < 0.02,
+            "corrupt {}",
+            rate(counts[2])
+        );
+        assert!(
+            (rate(counts[3]) - 0.081).abs() < 0.02,
+            "dup {}",
+            rate(counts[3])
+        );
         assert!((rate(stalls) - 0.05).abs() < 0.02, "stall {}", rate(stalls));
         assert!((rate(lies) - 0.05).abs() < 0.02, "lie {}", rate(lies));
     }

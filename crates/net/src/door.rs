@@ -71,7 +71,13 @@ impl FrontDoor {
         let addr = listener.local_addr_string();
         let handle = pool.handle();
         let thread = std::thread::spawn(move || {
-            accept_loop(&listener, &handle, tenants.as_ref(), &accept_stop, &accept_conns);
+            accept_loop(
+                &listener,
+                &handle,
+                tenants.as_ref(),
+                &accept_stop,
+                &accept_conns,
+            );
         });
         Ok(FrontDoor {
             addr,

@@ -174,7 +174,11 @@ fn read_exact_or_tail(r: &mut impl Read, buf: &mut [u8]) -> Result<Tail, AuditEr
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) => {
-                return Ok(if filled == 0 { Tail::CleanEof } else { Tail::Torn });
+                return Ok(if filled == 0 {
+                    Tail::CleanEof
+                } else {
+                    Tail::Torn
+                });
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -188,7 +192,11 @@ fn read_exact_or_tail(r: &mut impl Read, buf: &mut [u8]) -> Result<Tail, AuditEr
                         | std::io::ErrorKind::BrokenPipe
                 ) =>
             {
-                return Ok(if filled == 0 { Tail::CleanEof } else { Tail::Torn });
+                return Ok(if filled == 0 {
+                    Tail::CleanEof
+                } else {
+                    Tail::Torn
+                });
             }
             Err(e) => return Err(AuditError::io("socket", &e)),
         }

@@ -747,7 +747,10 @@ impl PoolState {
         };
         if c.round.is_some() {
             reply
-                .send(Err(AuditError::journal(0, "campaign already has a round open")))
+                .send(Err(AuditError::journal(
+                    0,
+                    "campaign already has a round open",
+                )))
                 .ok();
             return;
         }
@@ -861,7 +864,11 @@ impl PoolState {
         (0..ids.len())
             .map(|probe| ids[(start + probe) % ids.len()])
             .find(|id| {
-                let used = self.workers[id].in_flight.get(&campaign).copied().unwrap_or(0);
+                let used = self.workers[id]
+                    .in_flight
+                    .get(&campaign)
+                    .copied()
+                    .unwrap_or(0);
                 used < self.cfg.window.max(1)
             })
     }
@@ -945,8 +952,14 @@ impl PoolState {
         self.next_req += 1;
         ServeMetrics::add(&self.metrics.dispatches, 1);
         let (key, attempt, copy) = (job.key, job.attempt, job.copy);
-        let fate = self.cfg.chaos.frame_fate(Direction::Outbound, key, attempt, copy);
-        let flip = self.cfg.chaos.corrupt_bit(Direction::Outbound, key, attempt, copy);
+        let fate = self
+            .cfg
+            .chaos
+            .frame_fate(Direction::Outbound, key, attempt, copy);
+        let flip = self
+            .cfg
+            .chaos
+            .corrupt_bit(Direction::Outbound, key, attempt, copy);
         let write = if fate == FrameFate::Drop {
             // The network ate the frame. The pool believes it is out,
             // so accounting proceeds; the dispatch lease recovers it.
@@ -1004,9 +1017,10 @@ impl PoolState {
             // never fed back into vote accounting.
             ServeMetrics::add(&self.metrics.cache_hits, 1);
         }
-        let live = self.campaigns.iter().find_map(|(&campaign, c)| {
-            Some((campaign, c.round.as_ref()?.in_flight.get(&id)?.job))
-        });
+        let live = self
+            .campaigns
+            .iter()
+            .find_map(|(&campaign, c)| Some((campaign, c.round.as_ref()?.in_flight.get(&id)?.job)));
         let Some((campaign, job)) = live else {
             // A retired request id: a replay, or the original answer of
             // a dispatch superseded by lease expiry, worker loss, or
@@ -1025,7 +1039,10 @@ impl PoolState {
         // Chaos: the result frame is lost or damaged on the wire (the
         // CRC32 trailer rejects a damaged frame at this boundary); the
         // dispatch lease recovers the job.
-        let fate = self.cfg.chaos.frame_fate(Direction::Inbound, key, attempt, copy);
+        let fate = self
+            .cfg
+            .chaos
+            .frame_fate(Direction::Inbound, key, attempt, copy);
         if matches!(fate, FrameFate::Drop | FrameFate::Corrupt) {
             return;
         }
@@ -1055,9 +1072,7 @@ impl PoolState {
         // by the vote accounting with no double count.
         let arrivals = if fate == FrameFate::Duplicate { 2 } else { 1 };
         for _ in 0..arrivals {
-            if let Err(e) =
-                self.register_vote(campaign, &f, id, objectives.clone(), resilience)
-            {
+            if let Err(e) = self.register_vote(campaign, &f, id, objectives.clone(), resilience) {
                 self.fail_round(campaign, e);
                 return;
             }
@@ -1134,7 +1149,13 @@ impl PoolState {
         // Exactly one resilience delta per job — all agreeing votes
         // carry the identical delta (deterministic evaluation), so the
         // merged report matches the plain in-process run.
-        self.settle(campaign, key, state.slot, win.objectives.clone(), win.resilience)?;
+        self.settle(
+            campaign,
+            key,
+            state.slot,
+            win.objectives.clone(),
+            win.resilience,
+        )?;
         for loser in evicted {
             self.evict_worker(campaign, loser, key)?;
         }
@@ -1153,7 +1174,11 @@ impl PoolState {
             .flat_map(|r| r.in_flight.values())
             .filter(|f| f.worker == worker)
             .count() as u64;
-        if let Some(wal) = self.campaigns.get_mut(&campaign).and_then(|c| c.wal.as_mut()) {
+        if let Some(wal) = self
+            .campaigns
+            .get_mut(&campaign)
+            .and_then(|c| c.wal.as_mut())
+        {
             wal.log_worker_evicted(worker, key, quarantined)?;
         }
         ServeMetrics::add(&self.metrics.evictions, 1);
@@ -1205,7 +1230,10 @@ impl PoolState {
         verdict: Objectives,
         delta: ResilienceReport,
     ) -> Result<(), AuditError> {
-        let c = self.campaigns.get_mut(&campaign).expect("settling a live campaign");
+        let c = self
+            .campaigns
+            .get_mut(&campaign)
+            .expect("settling a live campaign");
         let round = c.round.as_mut().expect("settling an open round");
         round.keys.remove(&key);
         if let Some(wal) = &mut c.wal {
@@ -1287,7 +1315,11 @@ impl PoolState {
             let label = id.to_string();
             let labels = [("worker", label.as_str())];
             s.labelled(&name("worker_results_total"), &labels, w.results);
-            s.labelled(&name("worker_in_flight"), &labels, w.in_flight_total() as u64);
+            s.labelled(
+                &name("worker_in_flight"),
+                &labels,
+                w.in_flight_total() as u64,
+            );
         }
         let mut campaign_ids: Vec<u64> = self.campaigns.keys().copied().collect();
         campaign_ids.sort_unstable();
@@ -1423,9 +1455,19 @@ mod tests {
 
         // Age one copy's lease past `dead_after`; its sibling stays
         // fresh and in flight.
-        let round = pool.campaigns.get_mut(&campaign).unwrap().round.as_mut().unwrap();
+        let round = pool
+            .campaigns
+            .get_mut(&campaign)
+            .unwrap()
+            .round
+            .as_mut()
+            .unwrap();
         assert_eq!(round.in_flight.len(), 2, "both copies dispatched");
-        let (&lapsed, f) = round.in_flight.iter_mut().min_by_key(|(id, _)| **id).unwrap();
+        let (&lapsed, f) = round
+            .in_flight
+            .iter_mut()
+            .min_by_key(|(id, _)| **id)
+            .unwrap();
         f.sent_at = Instant::now().checked_sub(Duration::from_secs(60)).unwrap();
         let sibling = *round.in_flight.keys().find(|&&id| id != lapsed).unwrap();
         let sibling_worker = round.in_flight[&sibling].worker;
@@ -1437,7 +1479,11 @@ mod tests {
         assert_eq!(scores, vec![(0, Objectives(vec![0.0]))]);
 
         for (id, w) in &pool.workers {
-            assert_eq!(w.in_flight_total(), 0, "worker {id} still holds a window slot");
+            assert_eq!(
+                w.in_flight_total(),
+                0,
+                "worker {id} still holds a window slot"
+            );
         }
         // The moot copy's late answer is a retired id: ignored.
         pool.admit_result(

@@ -188,7 +188,10 @@ mod tests {
             write_frame(&mut conn, &sent).unwrap();
         });
         let mut server = listener.accept().unwrap();
-        assert_eq!(read_frame(&mut server).unwrap(), FrameOutcome::Frame(payload));
+        assert_eq!(
+            read_frame(&mut server).unwrap(),
+            FrameOutcome::Frame(payload)
+        );
         assert_eq!(read_frame(&mut server).unwrap(), FrameOutcome::Eof);
         join.join().unwrap();
     }
@@ -211,7 +214,10 @@ mod tests {
             write_frame(&mut conn, &sent).unwrap();
         });
         let mut server = listener.accept().unwrap();
-        assert_eq!(read_frame(&mut server).unwrap(), FrameOutcome::Frame(payload));
+        assert_eq!(
+            read_frame(&mut server).unwrap(),
+            FrameOutcome::Frame(payload)
+        );
         join.join().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -221,7 +221,11 @@ fn serve_session(
     if let Err(e) = write_frame(&mut conn, &hello) {
         // The broker died between accept and handshake; with rejoin on,
         // probe it again instead of failing the worker.
-        return if opts.rejoin { Ok(SessionEnd::Severed) } else { Err(e) };
+        return if opts.rejoin {
+            Ok(SessionEnd::Severed)
+        } else {
+            Err(e)
+        };
     }
     // With rejoin on, any connection-level failure — EOF, torn frame,
     // reset (the signature of eviction or a broker restart) — severs
@@ -303,12 +307,10 @@ fn serve_session(
                     // Historical semantics: a clean EOF releases the
                     // worker like a Shutdown.
                     SessionEnd::Released
-                })
+                });
             }
             Read::Torn if opts.rejoin => return Ok(SessionEnd::Severed),
-            Read::Torn => {
-                return Err(AuditError::journal(0, "broker connection died mid-frame"))
-            }
+            Read::Torn => return Err(AuditError::journal(0, "broker connection died mid-frame")),
             Read::Frame(other) => {
                 return Err(AuditError::journal(
                     0,
@@ -370,7 +372,9 @@ fn connect_with_backoff(
 /// a fleet with distinct salts decorrelates.
 fn backoff_delay(opts: &WorkerOptions, session: u64, attempt: u32) -> Duration {
     let base = opts.connect_retry.max(Duration::from_millis(1));
-    let exp = base.saturating_mul(1u32 << attempt.min(20)).min(BACKOFF_CAP);
+    let exp = base
+        .saturating_mul(1u32 << attempt.min(20))
+        .min(BACKOFF_CAP);
     let factor = 0.5 + 0.5 * uniform(mix(mix(opts.jitter_salt, session), u64::from(attempt)));
     exp.mul_f64(factor)
 }

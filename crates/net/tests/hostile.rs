@@ -125,11 +125,40 @@ fn bad_setup_and_eval_frames_are_worker_errors_not_panics() {
         ..good.clone()
     };
     let cases = [
-        ("zero volts", EvalContext { volts: Some(0.0), ..good.clone() }, genome.clone()),
-        ("negative volts", EvalContext { volts: Some(-1.0), ..good.clone() }, genome.clone()),
-        ("zero threads", with_spec(FitnessSpec { threads: 0, ..spec }), genome.clone()),
-        ("too many threads", with_spec(FitnessSpec { threads: 9, ..spec }), genome.clone()),
-        ("zero sub-blocks", with_spec(FitnessSpec { sub_blocks: 0, ..spec }), genome.clone()),
+        (
+            "zero volts",
+            EvalContext {
+                volts: Some(0.0),
+                ..good.clone()
+            },
+            genome.clone(),
+        ),
+        (
+            "negative volts",
+            EvalContext {
+                volts: Some(-1.0),
+                ..good.clone()
+            },
+            genome.clone(),
+        ),
+        (
+            "zero threads",
+            with_spec(FitnessSpec { threads: 0, ..spec }),
+            genome.clone(),
+        ),
+        (
+            "too many threads",
+            with_spec(FitnessSpec { threads: 9, ..spec }),
+            genome.clone(),
+        ),
+        (
+            "zero sub-blocks",
+            with_spec(FitnessSpec {
+                sub_blocks: 0,
+                ..spec
+            }),
+            genome.clone(),
+        ),
         (
             "empty record window",
             with_spec(FitnessSpec {
@@ -169,6 +198,9 @@ fn bad_setup_and_eval_frames_are_worker_errors_not_panics() {
     for (what, ctx, genome) in cases {
         let addr = serve_one_session(ctx, genome);
         let result = run_worker(&addr, &WorkerOptions::default());
-        assert!(result.is_err(), "{what}: worker accepted the frame: {result:?}");
+        assert!(
+            result.is_err(),
+            "{what}: worker accepted the frame: {result:?}"
+        );
     }
 }

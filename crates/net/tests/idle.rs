@@ -97,7 +97,11 @@ fn round_with_no_workers_parks_until_one_joins() {
         (broker, scores)
     });
     // The round is open once its job shows up in the queue gauge.
-    while metrics.queue_depth.load(std::sync::atomic::Ordering::Relaxed) == 0 {
+    while metrics
+        .queue_depth
+        .load(std::sync::atomic::Ordering::Relaxed)
+        == 0
+    {
         std::thread::sleep(Duration::from_millis(5));
     }
     std::thread::sleep(Duration::from_millis(50));
@@ -119,7 +123,9 @@ fn round_with_no_workers_parks_until_one_joins() {
         );
     }
     assert_eq!(
-        metrics.dispatches.load(std::sync::atomic::Ordering::Relaxed),
+        metrics
+            .dispatches
+            .load(std::sync::atomic::Ordering::Relaxed),
         0,
         "nothing can be dispatched with no worker connected"
     );

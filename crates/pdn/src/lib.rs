@@ -47,9 +47,9 @@ pub mod spice;
 pub mod transient;
 pub mod trapezoidal;
 
+pub use audit_error::AuditError;
 pub use complex::Complex;
 pub use impedance::{ImpedanceSweep, Resonance};
 pub use loadline::LoadLine;
-pub use audit_error::AuditError;
 pub use model::{PdnModel, PdnStage};
 pub use transient::Transient;

@@ -306,7 +306,11 @@ mod tests {
         let bad = PdnModel::bulldozer_board().with_stage(1, PdnStage::new(0.0, 1e-3, 1e-6, 1e-3));
         let err = bad.validate().unwrap_err();
         match &err {
-            AuditError::InvalidConfig { context, field, message } => {
+            AuditError::InvalidConfig {
+                context,
+                field,
+                message,
+            } => {
                 assert_eq!(*context, "PdnModel");
                 assert_eq!(*field, "stages[1]");
                 assert!(message.contains("series_l"), "message = {message}");
@@ -345,8 +349,7 @@ mod tests {
 
     #[test]
     fn error_display_is_lowercase_and_concise() {
-        let bad =
-            PdnModel::bulldozer_board().with_stage(2, PdnStage::new(1e-12, 1e-3, 0.0, 1e-3));
+        let bad = PdnModel::bulldozer_board().with_stage(2, PdnStage::new(1e-12, 1e-3, 0.0, 1e-3));
         let msg = bad.validate().unwrap_err().to_string();
         assert!(msg.contains("stages[2]"), "msg = {msg}");
         assert!(!msg.ends_with('.'));

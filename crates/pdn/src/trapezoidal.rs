@@ -273,7 +273,10 @@ mod tests {
             (min_a - min_b).abs() < 3e-3,
             "droop disagreement: rk4 {min_a} vs trap {min_b}"
         );
-        assert!((sum_a - sum_b).abs() / (n as f64) < 1e-3, "mean disagreement");
+        assert!(
+            (sum_a - sum_b).abs() / (n as f64) < 1e-3,
+            "mean disagreement"
+        );
     }
 
     #[test]
@@ -350,7 +353,11 @@ mod tests {
             for j in 0..N {
                 acc += m[i][j] * x[j];
             }
-            assert!((acc - b[i]).abs() < 1e-10, "row {i} residual {}", acc - b[i]);
+            assert!(
+                (acc - b[i]).abs() < 1e-10,
+                "row {i} residual {}",
+                acc - b[i]
+            );
         }
     }
 }

@@ -350,7 +350,8 @@ mod tests {
 
     #[test]
     fn spans_map_instructions_to_source_lines() {
-        let text = "# name: spans\n\nnop\n# comment\niadd r0 r8 r9 t=1.00\n\nstore - r0 r9 t=1.00\n";
+        let text =
+            "# name: spans\n\nnop\n# comment\niadd r0 r8 r9 t=1.00\n\nstore - r0 r9 t=1.00\n";
         let (program, spans) = parse_spanned(text).unwrap();
         assert_eq!(program.len(), 3);
         assert_eq!(spans.iter().map(|s| s.line).collect::<Vec<_>>(), [3, 5, 7]);

@@ -44,10 +44,12 @@ fn corpus() -> Vec<(&'static str, &'static str, &'static str)> {
 fn corpus_parses_and_lints_clean() {
     for (stem, witness, kernel) in corpus() {
         for (role, text) in [("witness", witness), ("kernel", kernel)] {
-            let program =
-                progfile::parse(text).unwrap_or_else(|e| panic!("{stem} {role}: {e:?}"));
+            let program = progfile::parse(text).unwrap_or_else(|e| panic!("{stem} {role}: {e:?}"));
             let diags = check(&program, &VerifyTarget::permissive(), &LintConfig::new());
-            assert!(diags.is_empty(), "{stem} {role} is not lint-clean: {diags:?}");
+            assert!(
+                diags.is_empty(),
+                "{stem} {role} is not lint-clean: {diags:?}"
+            );
         }
     }
 }

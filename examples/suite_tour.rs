@@ -36,7 +36,11 @@ fn main() {
     for (i, member) in suite.members.iter().enumerate() {
         print!("{:>14}", member.scenario.name);
         for j in 0..suite.scenarios.len() {
-            let marker = if suite.best_for_scenario(j) == i { "◀" } else { " " };
+            let marker = if suite.best_for_scenario(j) == i {
+                "◀"
+            } else {
+                " "
+            };
             print!("{:>12.1}mV{marker}", suite.matrix[i][j] * 1e3);
         }
         println!();

@@ -75,7 +75,11 @@ fn fpu_throttling_suppresses_resonant_stressmark() {
 #[test]
 fn sm1_rejected_on_phenom_and_accepted_on_bulldozer() {
     let phenom = ChipConfig::phenom();
-    let err = ChipSim::new(&phenom, &phenom.spread_placement(1).unwrap(), &[manual::sm1()]);
+    let err = ChipSim::new(
+        &phenom,
+        &phenom.spread_placement(1).unwrap(),
+        &[manual::sm1()],
+    );
     assert!(err.is_err(), "SM1 must not run on the Phenom-class part");
 
     let bd = ChipConfig::bulldozer();
