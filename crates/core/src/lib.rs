@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+mod codec;
 pub mod dither;
 pub mod ga;
 pub mod harness;

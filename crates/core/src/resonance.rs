@@ -8,9 +8,11 @@
 //! period used for all subsequent resonant-stressmark generation.
 
 use audit_error::AuditError;
-use audit_measure::json::JsonValue;
+use audit_measure::codec;
+use audit_measure::json::{Codec, JsonValue};
 use serde::{Deserialize, Serialize};
 
+use crate::codec::resume_error;
 use crate::harness::{MeasureSpec, Rig};
 use crate::patterns::ActivityPattern;
 
@@ -38,27 +40,7 @@ impl ResonanceResult {
     /// Encodes the sweep for a run-journal phase payload (samples as
     /// `[period, droop]` pairs, droops in shortest-round-trip form).
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::object(vec![
-            (
-                "period_cycles",
-                JsonValue::from_u64(u64::from(self.period_cycles)),
-            ),
-            ("frequency_hz", JsonValue::from_f64(self.frequency_hz)),
-            (
-                "samples",
-                JsonValue::Array(
-                    self.samples
-                        .iter()
-                        .map(|&(p, d)| {
-                            JsonValue::Array(vec![
-                                JsonValue::from_u64(u64::from(p)),
-                                JsonValue::from_f64(d),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        self.encode()
     }
 
     /// Decodes a sweep from a run-journal phase payload.
@@ -68,41 +50,12 @@ impl ResonanceResult {
     /// Returns [`AuditError::Resume`] if the payload is missing fields
     /// or malformed.
     pub fn from_json(v: &JsonValue) -> Result<Self, AuditError> {
-        let missing = |what: &str| AuditError::resume(format!("resonance payload: {what}"));
-        let period_cycles = v
-            .get("period_cycles")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| missing("no `period_cycles`"))? as u32;
-        let frequency_hz = v
-            .get("frequency_hz")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| missing("no `frequency_hz`"))?;
-        let samples = v
-            .get("samples")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| missing("no `samples` array"))?
-            .iter()
-            .map(|pair| {
-                let pair = pair
-                    .as_array()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| missing("sample is not a [period, droop] pair"))?;
-                let p = pair[0]
-                    .as_u64()
-                    .ok_or_else(|| missing("sample period is not an integer"))?
-                    as u32;
-                let d = pair[1]
-                    .as_f64()
-                    .ok_or_else(|| missing("sample droop is not a number"))?;
-                Ok((p, d))
-            })
-            .collect::<Result<Vec<_>, AuditError>>()?;
-        Ok(ResonanceResult {
-            period_cycles,
-            frequency_hz,
-            samples,
-        })
+        Self::decode(v).map_err(resume_error)
     }
+}
+
+codec! {
+    record ResonanceResult "resonance payload" { period_cycles, frequency_hz, samples, }
 }
 
 /// Sweeps trivial high/NOP loops of varying period and returns the

@@ -111,7 +111,7 @@ impl FaultRates {
 /// The plan itself holds no mutable state. Call [`FaultPlan::injector`]
 /// with an evaluation key and attempt index to get the concrete fault
 /// decisions for one harness run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultPlan {
     seed: u64,
     rates: FaultRates,
