@@ -2,6 +2,7 @@
 # Documentation and lint gate, run locally and in CI (.github/workflows/ci.yml).
 #
 # Fails on:
+#   - any rustfmt drift (`cargo fmt --all` fixes it),
 #   - any rustdoc warning (missing docs are warnings in every crate, so
 #     RUSTDOCFLAGS turns them fatal),
 #   - any clippy lint across all targets,
@@ -34,6 +35,9 @@ if ! diff -u api-surface.txt <(api_surface); then
     echo "if the change is intentional." >&2
     exit 1
 fi
+
+echo "==> rustfmt (the tree is formatted)"
+cargo fmt --all -- --check
 
 echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items
