@@ -15,7 +15,6 @@
 use audit_cpu::{Opcode, Program};
 use audit_error::AuditError;
 use audit_stressmark::Kernel;
-use serde::{Deserialize, Serialize};
 
 use crate::ga::{self, CostFunction, GaConfig, GaRun, Gene, Objective, ObjectiveSet, Objectives};
 use crate::harness::{MeasureSpec, Measurement, Rig};
@@ -31,7 +30,7 @@ use crate::resonance::{self, ResonanceResult};
 /// (an empty resonance sweep, a zero-length sub-block, a degenerate GA
 /// configuration), while a hand-rolled literal skips validation
 /// entirely.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditOptions {
     /// GA hyper-parameters.
     pub ga: GaConfig,
@@ -55,7 +54,6 @@ pub struct AuditOptions {
     /// axis is only meaningful together with [`GaConfig::pareto`] —
     /// use [`AuditOptions::with_objectives`], which keeps the two in
     /// sync.
-    #[serde(default)]
     pub objectives: ObjectiveSet,
 }
 

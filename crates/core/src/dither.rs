@@ -16,8 +16,6 @@
 //! [`DitherPlan`] reproduces that cost arithmetic exactly, and
 //! [`dithered_droop`] executes the literal padding schedule on the rig.
 
-use serde::{Deserialize, Serialize};
-
 use audit_cpu::Program;
 
 use crate::harness::{MeasureSpec, Measurement, Rig};
@@ -33,7 +31,7 @@ use crate::harness::{MeasureSpec, Measurement, Rig};
 /// let plan = DitherPlan::exact(4, 24, 960);
 /// assert!((plan.sweep_seconds(4.0e9) - 3.3e-3).abs() < 2e-4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DitherPlan {
     cores: u32,
     period: u32,

@@ -6,12 +6,10 @@
 //! sensitive paths in the microarchitecture are also feasible and easy
 //! to implement". All three are provided.
 
-use serde::{Deserialize, Serialize};
-
 use crate::harness::Measurement;
 
 /// Objective the genetic search maximizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CostFunction {
     /// The paper's default: maximum voltage droop.
     #[default]

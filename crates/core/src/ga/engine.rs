@@ -37,7 +37,6 @@ use audit_cpu::Opcode;
 use audit_error::AuditError;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use audit_analyze::{swing_score, MachineModel};
 
@@ -55,7 +54,7 @@ use crate::resilient::ResilienceReport;
 /// `seed`) the result is identical regardless of `threads` and
 /// `cache_capacity`, provided the fitness function is deterministic per
 /// genome. See the [module docs](self) for the full contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaConfig {
     /// Population size.
     pub population: usize,
@@ -79,12 +78,10 @@ pub struct GaConfig {
     /// available cores". The value never changes results, only wall
     /// time: scores land in their population slot by index, and the RNG
     /// stays on the calling thread.
-    #[serde(default = "default_threads")]
     pub threads: usize,
     /// Capacity bound of the fitness memoization cache, in genomes
     /// (`0` disables caching entirely). When full, the cache is flushed
     /// wholesale — a deterministic policy that keeps lookups transparent.
-    #[serde(default = "default_cache_capacity")]
     pub cache_capacity: usize,
     /// Tier-1 pruning budget of the evaluation cascade: when non-zero,
     /// each generation's cache misses are ranked by the fast in-order
@@ -98,7 +95,6 @@ pub struct GaConfig {
     /// excluded from the bit-identity invariants; journals record the
     /// budget in a `cascade` marker. See docs/SIMULATION.md for the full
     /// cascade contract.
-    #[serde(default)]
     pub fast_tier_budget: usize,
     /// Multi-objective (Pareto) selection. Off by default: the scalar
     /// search compares raw primary fitness and `GaRun` + journal bytes
@@ -110,7 +106,6 @@ pub struct GaConfig {
     /// calling thread from slot-ordered objective vectors, so Pareto
     /// runs keep the full bit-identity contract: identical across
     /// thread counts, dispatchers, and kill/resume.
-    #[serde(default)]
     pub pareto: bool,
     /// Lint-driven mutation repair. Off by default: breeding is
     /// untouched and journal bytes match a config that predates the
@@ -124,16 +119,7 @@ pub struct GaConfig {
     /// preserving bit-identity across thread counts, dispatchers, and
     /// kill/resume. Each generation journals a `repair` record counting
     /// its re-rolls.
-    #[serde(default)]
     pub lint_repair: bool,
-}
-
-fn default_threads() -> usize {
-    0
-}
-
-fn default_cache_capacity() -> usize {
-    1 << 16
 }
 
 impl Default for GaConfig {
@@ -147,8 +133,8 @@ impl Default for GaConfig {
             elitism: 2,
             stall_generations: 8,
             seed: 0xA0D17,
-            threads: default_threads(),
-            cache_capacity: default_cache_capacity(),
+            threads: 0,
+            cache_capacity: 1 << 16,
             fast_tier_budget: 0,
             pareto: false,
             lint_repair: false,
@@ -207,18 +193,15 @@ impl GaConfig {
 }
 
 /// Derives the RNG seed of one generation's breeding stream from the run
-/// seed — a SplitMix64 step keyed by the generation index.
+/// seed — a SplitMix64 step keyed by the generation index
+/// ([`audit_measure::fault::mix`]).
 ///
 /// Stream 0 initializes the population; stream `g` breeds generation
 /// `g`. Because every generation starts its own stream, resuming from a
 /// journal needs no serialized RNG state: the next generation's stream
 /// is a function of (`seed`, `g`) alone.
 pub fn stream_seed(seed: u64, generation: u64) -> u64 {
-    let mut z = seed ^ generation.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    audit_measure::fault::mix(seed, generation)
 }
 
 /// Genome-keyed fitness memoization.
@@ -314,7 +297,7 @@ impl EvalCache {
 /// [`GaRun`]'s `PartialEq` — equality of runs means equality of results.
 /// On a resumed run, entries for replayed generations carry the wall
 /// times recorded by the original run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GaTelemetry {
     /// Resolved evaluation worker count (after `threads: 0` auto-detect).
     pub threads: usize,
@@ -372,7 +355,7 @@ impl GaTelemetry {
 /// Equality compares **results only** (`best`, `best_fitness`,
 /// `history`, counts) and ignores [`GaRun::telemetry`], whose wall
 /// times legitimately differ between otherwise identical runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GaRun {
     /// Fittest genome found.
     pub best: Vec<Gene>,
@@ -391,9 +374,7 @@ pub struct GaRun {
     /// Fitness evaluations served by memoization instead of simulation.
     pub cache_hits: u64,
     /// The deduplicated non-dominated front of the final generation when
-    /// [`GaConfig::pareto`] is on; `None` for scalar runs, which keeps
-    /// their serialized form byte-identical to pre-Pareto builds.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// [`GaConfig::pareto`] is on; `None` for scalar runs.
     pub pareto_front: Option<Vec<FrontMember>>,
     /// Wall-time and throughput telemetry (ignored by `PartialEq`).
     pub telemetry: GaTelemetry,

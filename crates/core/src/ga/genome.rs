@@ -3,7 +3,6 @@
 use audit_cpu::{Inst, MemBehavior, Opcode};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One instruction slot of a sub-block.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// register file when lowering to an [`Inst`]; destinations are folded
 /// into 8 registers and sources span all 16, so the search can discover
 /// both independent streams and dependence chains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Gene {
     /// The operation in this slot.
     pub opcode: Opcode,

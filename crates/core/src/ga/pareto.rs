@@ -28,7 +28,6 @@
 //! (see the engine [module docs](super::engine)).
 
 use audit_error::AuditError;
-use serde::{Deserialize, Serialize};
 
 use super::genome::Gene;
 
@@ -46,8 +45,7 @@ use super::genome::Gene;
 /// The canonical axis order is `droop`, `power`, `margin` — selections
 /// are always normalized to it, so CLI flag order and journal replay
 /// cannot disagree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Objective {
     /// Supply-noise amplitude under the configured cost function.
     Droop,
@@ -102,7 +100,7 @@ impl std::fmt::Display for Objective {
 /// wire to `audit-net` workers and must stay a plain value type. The
 /// default is droop-only — the exact scalar search every pre-Pareto
 /// caller ran, which is what keeps legacy journals byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ObjectiveSet {
     /// Optimize the droop axis.
     pub droop: bool,
@@ -204,7 +202,7 @@ impl ObjectiveSet {
     }
 
     /// True when no axis is selected (an invalid set — constructors
-    /// refuse to build one, but `Deserialize` cannot).
+    /// refuse to build one, but a struct literal can).
     pub fn is_empty(self) -> bool {
         self.len() == 0
     }
@@ -223,7 +221,7 @@ impl ObjectiveSet {
 /// [`Objectives::primary`] recovers the legacy scalar fitness (the first
 /// axis), which is what `GaRun::best_fitness`, journaled generation
 /// scores, and the wire protocol's `fitness` field carry in every mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Objectives(pub Vec<f64>);
 
 impl Objectives {
@@ -295,7 +293,7 @@ impl From<f64> for Objectives {
 }
 
 /// One member of the final non-dominated front a Pareto run reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrontMember {
     /// The genome.
     pub genome: Vec<Gene>,

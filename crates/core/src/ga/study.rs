@@ -9,7 +9,6 @@ use audit_cpu::Opcode;
 use audit_error::AuditError;
 use audit_measure::codec;
 use audit_measure::json::Codec;
-use serde::{Deserialize, Serialize};
 
 use super::engine::{resolve_workers, resume, run, GaConfig, LocalDispatcher};
 use super::genome::Gene;
@@ -17,7 +16,7 @@ use crate::codec::resume_error;
 use crate::journal::{Journal, JournalRecord, JournalSink};
 
 /// Summary statistics of a multi-seed study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudySummary {
     /// Seeds used, in run order.
     pub seeds: Vec<u64>,
@@ -28,7 +27,6 @@ pub struct StudySummary {
     /// Simulations actually executed per seed (memo hits excluded).
     pub evaluations: Vec<u64>,
     /// Fitness lookups served by the evaluation cache per seed.
-    #[serde(default)]
     pub cache_hits: Vec<u64>,
 }
 

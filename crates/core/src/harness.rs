@@ -15,7 +15,6 @@ use audit_measure::{
 };
 use audit_os::{OsConfig, OsModel};
 use audit_pdn::{PdnModel, Transient};
-use serde::{Deserialize, Serialize};
 
 /// Cycles of the chip-only dry run whose mean current sets the PDN
 /// pre-settle level of every measurement.
@@ -28,7 +27,7 @@ const PROBE_CYCLES: u64 = 2_000;
 /// the builder rejects specs the harness cannot execute (a zero-cycle
 /// recording window, a zero decimation, a non-positive trigger level),
 /// while a hand-rolled literal skips validation entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasureSpec {
     /// Cycles co-simulated before recording starts (lets the loop reach
     /// steady state after the PDN pre-settle).

@@ -8,10 +8,9 @@
 
 use audit_cpu::{ChipConfig, Inst, Opcode};
 use audit_stressmark::Kernel;
-use serde::{Deserialize, Serialize};
 
 /// The Fig. 7 waveform parameters, in cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ActivityPattern {
     /// High-power duration per period.
     pub h: u32,

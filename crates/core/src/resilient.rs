@@ -47,7 +47,6 @@ use audit_error::{AuditError, AuditResult};
 use audit_measure::fault::KeyHasher;
 use audit_measure::stats::{mad_filter, median_index};
 use audit_measure::FaultPlan;
-use serde::{Deserialize, Serialize};
 
 use crate::ga::{CostFunction, Gene};
 use crate::harness::{MeasureSpec, Measurement, Rig};
@@ -62,7 +61,7 @@ const DEFAULT_BACKOFF_QUANTUM: u64 = 1 << 20;
 /// The default policy is a guaranteed no-op: faults disabled, one
 /// repeat, no watchdog — the harness fast path is taken and results are
 /// bit-identical to a build without this layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasurePolicy {
     /// The seeded fault schedule (disabled by default).
     pub faults: FaultPlan,
@@ -274,7 +273,7 @@ pub struct ResilientOutcome {
 /// Aggregate resilience counters for a batch of evaluations (one GA
 /// run, one study seed). All fields are order-insensitive sums, so the
 /// report is identical for any worker count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceReport {
     /// Evaluations routed through the resilient path.
     pub evaluations: u64,

@@ -10,14 +10,13 @@
 use audit_error::AuditError;
 use audit_measure::codec;
 use audit_measure::json::{Codec, JsonValue};
-use serde::{Deserialize, Serialize};
 
 use crate::codec::resume_error;
 use crate::harness::{MeasureSpec, Rig};
 use crate::patterns::ActivityPattern;
 
 /// Result of a resonance sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResonanceResult {
     /// Loop period (cycles) that produced the worst droop.
     pub period_cycles: u32,

@@ -11,7 +11,6 @@
 //! assumed.
 
 use audit_cpu::Program;
-use serde::{Deserialize, Serialize};
 
 use crate::audit::{Audit, AuditOptions, StressmarkRun};
 use crate::harness::{MeasureSpec, Rig};
@@ -26,7 +25,7 @@ use crate::harness::{MeasureSpec, Rig};
 /// let set = Scenario::paper_set();
 /// assert!(set.iter().any(|s| s.threads == 8));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scenario {
     /// Scenario name for reports ("4T", "8T", "4T+throttle", …).
     pub name: String,

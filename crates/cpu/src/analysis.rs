@@ -10,8 +10,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::energy::EnergyModel;
 use crate::inst::{Inst, Program, Reg};
 use crate::isa::ExecUnit;
@@ -58,7 +56,7 @@ impl fmt::Display for Program {
 /// assert_eq!(profile.nop_fraction, 0.5);
 /// assert_eq!(profile.fp_fraction, 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProgramProfile {
     /// Instruction count per execution-unit class.
     pub unit_counts: HashMap<String, usize>,

@@ -13,10 +13,8 @@
 //! goes to memory. The shared L3 is folded into the memory latency, a
 //! simplification documented in DESIGN.md.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of sets (power of two).
     pub sets: u32,

@@ -9,7 +9,6 @@
 //!   pipeline, no FMA, weaker clock gating.
 
 use audit_error::AuditError;
-use serde::{Deserialize, Serialize};
 
 use crate::cache::CacheConfig;
 use crate::energy::EnergyModel;
@@ -21,7 +20,7 @@ use crate::placement::Placement;
 /// surveys (limiting the rate of change of activity), as opposed to the
 /// static FPU throttle of §5.B. An AUDIT extension experiment
 /// regenerates stressmarks against it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DidtLimiter {
     /// Trigger threshold: current rise per cycle, in amps.
     pub slew_amps_per_cycle: f64,
@@ -45,7 +44,7 @@ impl DidtLimiter {
 }
 
 /// Per-core pipeline resources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Max instructions fetched + decoded per cycle (when this core owns
     /// the front end that cycle).
@@ -86,7 +85,7 @@ pub struct CoreConfig {
 }
 
 /// Per-module resources (a module is one or two cores plus shared logic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModuleConfig {
     /// Hardware threads (cores) per module: 2 for Bulldozer, 1 for
     /// Phenom.
@@ -114,7 +113,7 @@ pub struct ModuleConfig {
 /// assert_eq!(chip.total_threads(), 8);
 /// assert_eq!(chip.module.fp_throttle, Some(1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipConfig {
     /// Human-readable chip name for reports.
     pub name: String,

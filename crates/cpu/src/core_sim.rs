@@ -550,12 +550,6 @@ impl CoreSim {
         &self.caches
     }
 
-    /// The body index of the oldest in-flight instruction, if any — a
-    /// loop-phase probe used in alignment tests.
-    pub fn head_body_index(&self) -> Option<u32> {
-        self.rob.front().map(|e| e.body_idx)
-    }
-
     /// A cheap necessary condition for [`CoreSim::encode_state`]
     /// equality at cycle `now`: the fetch position and ROB occupancy,
     /// the front-end stall, and the oldest entry's completion time

@@ -13,12 +13,10 @@
 //! * constant uncore (L3 + northbridge) current plus a bump per off-core
 //!   cache miss.
 
-use serde::{Deserialize, Serialize};
-
 use crate::isa::Opcode;
 
 /// Current-model parameters for one chip generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Core current when clock-gated idle (amps).
     pub core_idle_amps: f64,

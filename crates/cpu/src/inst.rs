@@ -7,13 +7,11 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::isa::Opcode;
 
 /// An architectural register: 16 general-purpose + 16 media registers,
 /// matching the paper's use of 64-bit GPRs and 128-bit media registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Reg {
     /// General-purpose (integer) register `r0..r15`.
     Int(u8),
@@ -57,7 +55,7 @@ impl Reg {
 }
 
 /// Memory behaviour of a load or store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MemBehavior {
     /// Always hits the L1 data cache.
     #[default]
@@ -88,7 +86,7 @@ pub enum MemBehavior {
 }
 
 /// Branch behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BranchBehavior {
     /// Always predicted correctly (e.g. a hot loop back-edge).
     #[default]
@@ -111,7 +109,7 @@ pub enum BranchBehavior {
 /// let fma = Inst::new(Opcode::SimdFma).fp_dst(0).fp_srcs(1, 2).toggle(1.0);
 /// assert!(fma.opcode.is_fp());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Inst {
     /// Operation.
     pub opcode: Opcode,
@@ -218,36 +216,10 @@ impl Inst {
 ///
 /// The body is immutable and reference-counted, so cloning a program
 /// (one copy per thread, one per core load) does not copy it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(from = "ProgramRepr", into = "ProgramRepr")]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     name: String,
     body: Arc<Vec<Inst>>,
-}
-
-/// The serialized shape of a [`Program`]: the same fields, body inline.
-#[derive(Serialize, Deserialize)]
-struct ProgramRepr {
-    name: String,
-    body: Vec<Inst>,
-}
-
-impl From<ProgramRepr> for Program {
-    fn from(repr: ProgramRepr) -> Self {
-        Program {
-            name: repr.name,
-            body: Arc::new(repr.body),
-        }
-    }
-}
-
-impl From<Program> for ProgramRepr {
-    fn from(program: Program) -> Self {
-        ProgramRepr {
-            name: program.name,
-            body: Arc::unwrap_or_clone(program.body),
-        }
-    }
 }
 
 impl Program {

@@ -8,14 +8,12 @@
 //! failure model (paper §5.A.4: stressmarks like SM2 fail at high voltage
 //! because they exercise sensitive paths, not because they droop most).
 
-use serde::{Deserialize, Serialize};
-
 /// Execution resource classes inside a core/module.
 ///
 /// Integer ALUs, AGUs, and the integer multiply/divide unit are private
 /// per core. The FP/SIMD pipes (`FpPipe`) belong to the *module* and are
 /// shared between its cores on Bulldozer-class parts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecUnit {
     /// Integer ALU (add/sub/logic/branch resolution).
     IntAlu,
@@ -46,7 +44,7 @@ pub enum ExecUnit {
 /// assert!(fma.props().issue_amps > Opcode::IAdd.props().issue_amps);
 /// assert_eq!(fma.mnemonic(), "vfmaddpd");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Opcode {
     /// No-operation. Consumes fetch/decode slots and a ROB entry but no
     /// scheduler entry, physical register, or result bus — the property
@@ -93,7 +91,7 @@ pub enum Opcode {
 }
 
 /// Static properties of an [`Opcode`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpProps {
     /// Execution unit class the op issues to.
     pub unit: ExecUnit,

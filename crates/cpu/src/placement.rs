@@ -6,7 +6,6 @@
 //! fills both cores of every module.
 
 use audit_error::AuditError;
-use serde::{Deserialize, Serialize};
 
 use crate::config::ChipConfig;
 
@@ -17,7 +16,7 @@ pub type Slot = (u32, u32);
 ///
 /// The `i`-th entry names the slot that runs the `i`-th program handed to
 /// [`crate::ChipSim::new`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     slots: Vec<Slot>,
 }

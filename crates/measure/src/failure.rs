@@ -12,10 +12,8 @@
 //! voltage. High-sensitivity paths (multiplier carry chains, L1 access)
 //! fail first as Vdd is lowered.
 
-use serde::{Deserialize, Serialize};
-
 /// Voltage thresholds for timing failure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailureModel {
     /// Voltage below which the *most* sensitive path (sensitivity 1.0)
     /// fails.
@@ -82,7 +80,7 @@ impl Default for FailureModel {
 /// let vf = search.run(|v| v < 1.0).expect("must fail eventually");
 /// assert!(vf < 1.0 && vf > 0.98);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VoltageAtFailure {
     v_start: f64,
     step: f64,

@@ -1,7 +1,5 @@
 //! Fixed-range histograms of voltage samples (paper Fig. 10).
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-range, fixed-bin histogram of `f64` samples.
 ///
 /// Finite samples outside the range are clamped into the edge bins, so
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.total(), 4);
 /// assert!(h.quantile(0.0) <= 1.06);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

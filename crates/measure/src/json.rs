@@ -2,12 +2,10 @@
 //! round-trip, and the declarative codec every journal record, WAL line
 //! and wire frame is written through.
 //!
-//! The offline build pins `serde` to a no-op stub (see
-//! `.verify-stubs/README.md`), so records cannot rely on derive macros.
-//! Instead each record or message is one [`codec!`](crate::codec!)
-//! table: its kind tag and fields, each named once. The table generates
-//! both directions through the [`Codec`] trait, and one error form for
-//! every field.
+//! The workspace carries no serialization framework. Each record or
+//! message is one [`codec!`](crate::codec!) table instead: its kind tag
+//! and fields, each named once. The table generates both directions
+//! through the [`Codec`] trait, and one error form for every field.
 //! Three properties matter for the journal's bit-identical-resume
 //! guarantee:
 //!

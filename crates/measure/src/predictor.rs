@@ -15,10 +15,8 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Predictor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictorConfig {
     /// Cycles of slew history per signature.
     pub history: usize,
@@ -45,7 +43,7 @@ impl PredictorConfig {
 }
 
 /// Outcome counts of an evaluation run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredictionStats {
     /// Emergencies that had a prediction within the lead window.
     pub covered: u64,

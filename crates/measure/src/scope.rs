@@ -6,8 +6,6 @@
 //! statistics and a histogram, while a decimated min-envelope trace is
 //! kept for waveform output, and droop-trigger crossings are counted.
 
-use serde::{Deserialize, Serialize};
-
 use crate::histogram::Histogram;
 use crate::stats::DroopStats;
 
@@ -27,7 +25,7 @@ use crate::stats::DroopStats;
 /// assert_eq!(scope.trigger_events(), 1);
 /// assert_eq!(scope.envelope().len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Oscilloscope {
     stats: DroopStats,
     histogram: Histogram,

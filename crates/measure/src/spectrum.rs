@@ -7,10 +7,8 @@
 //! first droop; a benchmark shows broadband noise. This module provides a
 //! dependency-free radix-2 FFT and a small power-spectrum wrapper.
 
-use serde::{Deserialize, Serialize};
-
 /// One spectral line of a power spectrum.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpectralLine {
     /// Frequency in Hz.
     pub frequency_hz: f64,

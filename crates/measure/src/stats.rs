@@ -1,7 +1,5 @@
 //! Capture summary statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming summary of a voltage capture.
 ///
 /// Matches what the paper reports per run: the maximum droop (relative
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((s.max_droop() - 0.05).abs() < 1e-12);
 /// assert!((s.overshoot() - 0.01).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DroopStats {
     nominal: f64,
     v_min: f64,

@@ -36,10 +36,9 @@
 use audit_cpu::ChipSim;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Timer-tick and interrupt-service parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OsConfig {
     /// Cycles between timer ticks on each core.
     pub tick_period_cycles: u64,

@@ -7,11 +7,9 @@
 //! rather than against itself: natural frequency, damping, overshoot,
 //! and the time-domain waveform all come from the formulas below.
 
-use serde::{Deserialize, Serialize};
-
 /// A single series-RLC stage: `V ── R ── L ──●── load`, with `C` from
 /// the node to ground.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesRlc {
     /// Series resistance, ohms.
     pub r: f64,

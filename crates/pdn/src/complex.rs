@@ -65,11 +65,6 @@ impl Complex {
         self.im.atan2(self.re)
     }
 
-    /// Complex conjugate `re - j·im`.
-    pub fn conj(self) -> Self {
-        Complex::new(self.re, -self.im)
-    }
-
     /// Multiplicative inverse `1/z`.
     ///
     /// Returns infinities when `z` is zero, mirroring `f64` division.

@@ -5,13 +5,11 @@
 //! first, second, and third droop resonances — caused by each stage's
 //! series inductance resonating with the decap downstream of it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::complex::{parallel, Complex};
 use crate::model::PdnModel;
 
 /// One detected impedance peak.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Resonance {
     /// Peak frequency in Hz.
     pub frequency_hz: f64,

@@ -6,8 +6,6 @@
 //! di/dt droop rather than DC IR sag (§5.A); this module exists so that
 //! both configurations can be reproduced and compared.
 
-use serde::{Deserialize, Serialize};
-
 /// VRM load-line configuration.
 ///
 /// # Example
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ll.regulation_offset(50.0), -0.05); // 50 A → −50 mV
 /// assert_eq!(LoadLine::disabled().regulation_offset(50.0), 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadLine {
     slope_ohms: f64,
     enabled: bool,

@@ -10,14 +10,13 @@
 //! first/second/third droop resonances described in §2 of the paper.
 
 use audit_error::AuditError;
-use serde::{Deserialize, Serialize};
 
 use crate::loadline::LoadLine;
 
 /// One ladder stage: series `L`/`R` followed by a shunt decap `C` with ESR.
 ///
 /// All values are SI units (henry, ohm, farad).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PdnStage {
     /// Series parasitic inductance of this stage (H).
     pub series_l: f64,
@@ -77,7 +76,7 @@ impl PdnStage {
 /// // First droop resonance is in the 50–200 MHz band (paper §2).
 /// assert!((50e6..200e6).contains(&f1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PdnModel {
     nominal_voltage: f64,
     load_line: LoadLine,

@@ -8,7 +8,6 @@
 
 use audit_cpu::{Inst, Opcode, Program};
 use audit_error::AuditError;
-use serde::{Deserialize, Serialize};
 
 /// A high/low stressmark loop.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// let program = kernel.to_program();
 /// assert_eq!(program.len(), 4 * 2 + 60);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     name: String,
     hp: Vec<Inst>,

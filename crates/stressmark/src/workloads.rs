@@ -18,10 +18,9 @@
 use audit_cpu::{BranchBehavior, Inst, MemBehavior, Opcode, Program};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Benchmark suite tags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// SPEC CPU2006 (run replicated per core, SPECrate-style).
     Spec2006,
@@ -41,7 +40,7 @@ pub enum Suite {
 /// assert!(program.fp_density() > 0.3);
 /// assert!(program.avoids_fma());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadProfile {
     /// Benchmark name (matches the paper's figures).
     pub name: &'static str,

@@ -2,6 +2,8 @@
 # Documentation and lint gate, run locally and in CI (.github/workflows/ci.yml).
 #
 # Fails on:
+#   - any package in the dependency graph other than the workspace
+#     crates and the in-tree rand and proptest stubs,
 #   - any rustfmt drift (`cargo fmt --all` fixes it),
 #   - any rustdoc warning (missing docs are warnings in every crate, so
 #     RUSTDOCFLAGS turns them fatal),
@@ -12,13 +14,37 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# One line per `pub` item across the workspace's library sources,
-# normalized (signatures truncated at the line break — this is a drift
-# detector, not a parser) and sorted deterministically.
+# One line per `pub` item across the workspace's library sources, and
+# one per `record`/`enum` table of a top-level `codec!` block (the
+# tables generate public trait impls and `kind()`), normalized and
+# sorted deterministically. A signature rustfmt wraps over several
+# lines is joined until it closes (`{`, `;` or `where`; a `const`,
+# `static` or `type` at its `=`) and loses the wrap's trailing comma,
+# so re-wrapping is not drift. Signatures are cut at `{`, `;`, `->`
+# and `where`: this is a drift detector, not a parser.
 api_surface() {
-    grep -rE '^[[:space:]]*pub (fn|struct|enum|trait|mod|const|type|use|static)' \
-        crates/*/src --include='*.rs' \
-        | sed -E 's/:[[:space:]]+/: /; s/[[:space:]]+/ /g; s/ \{.*$//; s/;.*$//; s/ ->.*$//; s/[[:space:]]+$//' \
+    find crates/*/src -name '*.rs' | LC_ALL=C sort | xargs awk '
+        function closes(s) { return s ~ /[{;]/ || s ~ /(^|[[:space:]])where([[:space:]]|$)/ }
+        FNR == 1 { sig = ""; in_codec = 0 }
+        sig != "" {
+            line = $0
+            sub(/^[[:space:]]+/, "", line)
+            if (line ~ /^[])>]/) sub(/,$/, "", sig)
+            else if (sig !~ /[(<[]$/) sig = sig " "
+            sig = sig line
+            if (closes(line)) { print FILENAME ":" sig; sig = "" }
+            next
+        }
+        /^[[:space:]]*pub (fn|struct|enum|trait|mod|const|type|use|static) / {
+            if (closes($0) || /=/) print FILENAME ":" $0
+            else sig = $0
+            next
+        }
+        /^(crate::)?codec! [{]$/ { in_codec = 1; next }
+        in_codec && /^[}]/ { in_codec = 0; next }
+        in_codec && /^[[:space:]]+(record|enum) / { sub(/^[[:space:]]+/, ""); print FILENAME ": codec! " $0 }
+    ' \
+        | sed -E 's/:[[:space:]]+/: /; s/[[:space:]]+/ /g; s/ \{.*$//; s/;.*$//; s/ ->.*$//; s/ where( .*)?$//; s/[[:space:]]+$//' \
         | LC_ALL=C sort
 }
 
@@ -35,6 +61,17 @@ if ! diff -u api-surface.txt <(api_surface); then
     echo "if the change is intentional." >&2
     exit 1
 fi
+
+echo "==> dependency discipline (workspace crates, rand and proptest only)"
+# The in-tree rand and proptest stubs (.verify-stubs/) are the only
+# third-party packages; anything else in the resolved graph, normal,
+# build or dev, is a new dependency and fails here.
+allowed=$(grep -m1 -h '^name = ' crates/*/Cargo.toml | sed -E 's/^name = "(.*)"$/\1/'
+    printf '%s\n' rand proptest)
+extra=$(cargo tree --workspace --offline --prefix none -e normal,build,dev \
+    | sed -E 's/ .*//; /^$/d' | LC_ALL=C sort -u | grep -vxF "$allowed" || true)
+[[ -z "$extra" ]] \
+    || { echo "packages outside the dependency discipline:" >&2; echo "$extra" >&2; exit 1; }
 
 echo "==> rustfmt (the tree is formatted)"
 cargo fmt --all -- --check
