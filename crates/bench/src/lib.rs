@@ -13,7 +13,7 @@ use audit_core::audit::AuditOptions;
 use audit_core::harness::{MeasureSpec, Rig};
 use audit_core::report::Table;
 use audit_cpu::Program;
-use audit_stressmark::{manual, workloads};
+use audit_stressmark::workloads;
 
 /// True when `AUDIT_FAST=1` (smoke-test mode).
 pub fn fast_mode() -> bool {
@@ -73,11 +73,6 @@ pub fn benchmark(name: &str) -> Program {
         .synthesize(workload_len(), 1)
 }
 
-/// The manual stressmark set, in the paper's order.
-pub fn manual_stressmarks() -> Vec<Program> {
-    vec![manual::sm1(), manual::sm2(), manual::sm_res()]
-}
-
 /// Prints an experiment banner.
 pub fn banner(id: &str, caption: &str) {
     println!("=== {id} — {caption} ===");
@@ -112,7 +107,6 @@ mod tests {
     #[test]
     fn benchmark_set_is_complete() {
         assert_eq!(benchmark_programs().len(), 34);
-        assert_eq!(manual_stressmarks().len(), 3);
     }
 
     #[test]

@@ -24,12 +24,32 @@ use crate::resonance::{self, ResonanceResult};
 
 /// Options for a generation run.
 ///
-/// Prefer [`AuditOptions::builder`] (or the [`AuditOptions::paper`] /
-/// [`AuditOptions::fast_demo`] presets) over struct-literal
-/// construction: the builder rejects option sets the driver cannot run
-/// (an empty resonance sweep, a zero-length sub-block, a degenerate GA
-/// configuration), while a hand-rolled literal skips validation
-/// entirely.
+/// Start from a preset ([`AuditOptions::paper`] or
+/// [`AuditOptions::fast_demo`]), change it with a struct update or the
+/// `with_*` setters, then call [`AuditOptions::validate`]: it rejects
+/// option sets the driver cannot run (an empty resonance sweep, a
+/// zero-length sub-block, a degenerate GA configuration), which a
+/// hand-rolled value never checks by itself.
+///
+/// # Example
+///
+/// ```
+/// use audit_core::audit::AuditOptions;
+/// use audit_core::ga::CostFunction;
+///
+/// let opts = AuditOptions {
+///     sub_block_cycles: 8,
+///     resonance_periods: (16..=48).step_by(8).collect(),
+///     ..AuditOptions::fast_demo().with_cost(CostFunction::MaxDroop)
+/// };
+/// opts.validate().unwrap();
+/// assert_eq!(opts.sub_block_cycles, 8);
+/// let empty = AuditOptions {
+///     resonance_periods: vec![],
+///     ..AuditOptions::fast_demo()
+/// };
+/// assert!(empty.validate().is_err());
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuditOptions {
     /// GA hyper-parameters.
@@ -58,14 +78,6 @@ pub struct AuditOptions {
 }
 
 impl AuditOptions {
-    /// Starts a validated builder seeded from
-    /// [`AuditOptions::fast_demo`]. See [`AuditOptionsBuilder`].
-    pub fn builder() -> AuditOptionsBuilder {
-        AuditOptionsBuilder {
-            opts: AuditOptions::fast_demo(),
-        }
-    }
-
     /// Checks the invariants the driver relies on.
     ///
     /// # Errors
@@ -210,115 +222,6 @@ impl AuditOptions {
     }
 }
 
-/// Validated builder for [`AuditOptions`].
-///
-/// Starts from the [`AuditOptions::fast_demo`] preset and rejects
-/// unrunnable option sets at [`build`](AuditOptionsBuilder::build)
-/// time, so an empty resonance sweep or a zero-length sub-block never
-/// reaches the driver.
-///
-/// # Example
-///
-/// ```
-/// use audit_core::audit::AuditOptions;
-/// use audit_core::ga::CostFunction;
-///
-/// let opts = AuditOptions::builder()
-///     .cost(CostFunction::MaxDroop)
-///     .sub_block_cycles(8)
-///     .resonance_periods((16..=48).step_by(8))
-///     .build()
-///     .unwrap();
-/// assert_eq!(opts.sub_block_cycles, 8);
-/// assert!(AuditOptions::builder().resonance_periods([]).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct AuditOptionsBuilder {
-    opts: AuditOptions,
-}
-
-impl AuditOptionsBuilder {
-    /// Sets the GA hyper-parameters. Checked by
-    /// [`GaConfig::validate`] at build.
-    pub fn ga(mut self, ga: GaConfig) -> Self {
-        self.opts.ga = ga;
-        self
-    }
-
-    /// Sets the cost function to maximize.
-    pub fn cost(mut self, cost: CostFunction) -> Self {
-        self.opts.cost = cost;
-        self
-    }
-
-    /// Sets the sub-block length `K` in cycles. Must be non-zero at
-    /// build.
-    pub fn sub_block_cycles(mut self, cycles: u32) -> Self {
-        self.opts.sub_block_cycles = cycles;
-        self
-    }
-
-    /// Sets the resonance sweep grid. Must be non-empty with every
-    /// period at least 2 cycles at build.
-    pub fn resonance_periods(mut self, periods: impl IntoIterator<Item = u32>) -> Self {
-        self.opts.resonance_periods = periods.into_iter().collect();
-        self
-    }
-
-    /// Sets the measurement spec for fitness evaluations. Checked by
-    /// [`MeasureSpec::validate`] at build.
-    pub fn eval_spec(mut self, spec: MeasureSpec) -> Self {
-        self.opts.eval_spec = spec;
-        self
-    }
-
-    /// Sets the quiet region of excitation stressmarks, in cycles. Must
-    /// be non-zero at build.
-    pub fn excitation_quiet_cycles(mut self, cycles: u32) -> Self {
-        self.opts.excitation_quiet_cycles = cycles;
-        self
-    }
-
-    /// Sets the GA seed (convenience mirror of
-    /// [`AuditOptions::with_seed`]).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.opts.ga.seed = seed;
-        self
-    }
-
-    /// Sets the resilience policy. Checked by
-    /// [`MeasurePolicy::validate`] at build.
-    pub fn policy(mut self, policy: MeasurePolicy) -> Self {
-        self.opts.policy = policy;
-        self
-    }
-
-    /// Sets the cascade's fast-tier budget (convenience mirror of
-    /// [`AuditOptions::with_fast_tier_budget`]).
-    pub fn fast_tier_budget(mut self, budget: usize) -> Self {
-        self.opts.ga.fast_tier_budget = budget;
-        self
-    }
-
-    /// Sets the objective axes, keeping [`GaConfig::pareto`] in sync
-    /// (convenience mirror of [`AuditOptions::with_objectives`]).
-    pub fn objectives(mut self, objectives: ObjectiveSet) -> Self {
-        self.opts = self.opts.with_objectives(objectives);
-        self
-    }
-
-    /// Validates and returns the options.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AuditError::InvalidConfig`] under the conditions listed
-    /// on [`AuditOptions::validate`].
-    pub fn build(self) -> Result<AuditOptions, AuditError> {
-        self.opts.validate()?;
-        Ok(self.opts)
-    }
-}
-
 /// A generated stressmark plus the evidence trail that produced it.
 #[derive(Debug, Clone)]
 pub struct StressmarkRun {
@@ -398,32 +301,6 @@ impl Audit {
         )
     }
 
-    /// Like [`Audit::generate_resonant`], with the initial population
-    /// additionally seeded from existing programs (paper §3: seeding
-    /// "with existing benchmarks or stressmarks to improve the
-    /// convergence rate"). Each program's leading instructions become
-    /// one sub-block genome.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or exceeds the rig's chip.
-    pub fn generate_resonant_seeded(
-        &self,
-        threads: usize,
-        seed_programs: &[Program],
-    ) -> StressmarkRun {
-        let fresh = Journal::default();
-        self.generate(
-            &fresh,
-            threads,
-            false,
-            seed_programs,
-            "-seeded",
-            &mut NullSink,
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Generates a first-droop *resonant* stressmark (A-Res family) for
     /// `threads` homogeneous threads.
     ///
@@ -481,7 +358,7 @@ impl Audit {
         threads: usize,
         sink: &mut dyn JournalSink,
     ) -> Result<StressmarkRun, AuditError> {
-        self.generate(journal, threads, false, &[], "", sink)
+        self.generate(journal, threads, false, sink)
     }
 
     /// The journaled resonance phase: `phase_start`, the sweep,
@@ -568,7 +445,7 @@ impl Audit {
         threads: usize,
         sink: &mut dyn JournalSink,
     ) -> Result<StressmarkRun, AuditError> {
-        self.generate(journal, threads, true, &[], "", sink)
+        self.generate(journal, threads, true, sink)
     }
 
     /// Excitation loop shape: a burst of 4 sub-blocks (≈ 24 cycles at
@@ -582,15 +459,12 @@ impl Audit {
 
     /// Every in-process generation path: resumes `journal` (a fresh run
     /// resumes an empty one), reusing its resonance phase if complete,
-    /// then runs the GA phase on a local dispatcher. `tag` suffixes the
-    /// stressmark name.
+    /// then runs the GA phase on a local dispatcher.
     fn generate(
         &self,
         journal: &Journal,
         threads: usize,
         excitation: bool,
-        seed_programs: &[Program],
-        tag: &str,
         sink: &mut dyn JournalSink,
     ) -> Result<StressmarkRun, AuditError> {
         let resonance = match journal.phase_payload("resonance") {
@@ -619,15 +493,8 @@ impl Audit {
             objs
         };
         let mut dispatcher = ga::LocalDispatcher::new(fitness, workers);
-        let ga_run = self.ga_phase(
-            &fspec,
-            excitation,
-            seed_programs,
-            &mut dispatcher,
-            sink,
-            Some(journal),
-        )?;
-        let name = format!("A-{kind}-{threads}T{tag}");
+        let ga_run = self.ga_phase(&fspec, excitation, &mut dispatcher, sink, Some(journal))?;
+        let name = format!("A-{kind}-{threads}T");
         self.finish_run(&name, &fspec, resonance, ga_run, log.snapshot())
     }
 
@@ -661,7 +528,7 @@ impl Audit {
         sink: &mut dyn JournalSink,
         resume: Option<&Journal>,
     ) -> Result<StressmarkRun, AuditError> {
-        let ga_run = self.ga_phase(fspec, seed_miss_load, &[], dispatcher, sink, resume)?;
+        let ga_run = self.ga_phase(fspec, seed_miss_load, dispatcher, sink, resume)?;
         let resilience = dispatcher.resilience();
         self.finish_run(name, fspec, resonance, ga_run, resilience)
     }
@@ -676,7 +543,6 @@ impl Audit {
         &self,
         fspec: &FitnessSpec,
         seed_miss_load: bool,
-        seed_programs: &[Program],
         dispatcher: &mut dyn ga::EvalDispatcher,
         sink: &mut dyn JournalSink,
         resume: Option<&Journal>,
@@ -687,11 +553,7 @@ impl Audit {
         }
         let genome_len =
             self.opts.sub_block_cycles as usize * self.rig.chip.core.fetch_width as usize;
-        let extra: Vec<Vec<Gene>> = seed_programs
-            .iter()
-            .map(|p| ga::genome::from_program(p, genome_len))
-            .collect();
-        let seeds = self.ga_seeds(genome_len, seed_miss_load, &extra);
+        let seeds = self.ga_seeds(genome_len, seed_miss_load);
         ga::run(
             &self.opts.ga,
             &self.opcode_menu(),
@@ -705,16 +567,11 @@ impl Audit {
     /// Builds the seed genomes every generation run starts from: the
     /// naive high-power pattern (the paper's "initial population …
     /// seeded with existing benchmarks or stressmarks to improve the
-    /// convergence rate", §3), any caller-provided extras, and — for
-    /// excitation runs — the missing-load variant. Broker and
+    /// convergence rate", §3) and, for excitation runs, the
+    /// missing-load variant. Broker and
     /// in-process paths share this so their `ga_start` records are
     /// byte-identical.
-    fn ga_seeds(
-        &self,
-        genome_len: usize,
-        seed_miss_load: bool,
-        extra_seeds: &[Vec<Gene>],
-    ) -> Vec<Vec<Gene>> {
+    fn ga_seeds(&self, genome_len: usize, seed_miss_load: bool) -> Vec<Vec<Gene>> {
         let seed: Vec<Gene> = (0..genome_len)
             .map(|i| {
                 let opcode = match i % 4 {
@@ -738,7 +595,6 @@ impl Audit {
             })
             .collect();
         let mut seeds = vec![seed];
-        seeds.extend(extra_seeds.iter().cloned());
         if seed_miss_load {
             // Excitation hint: a memory-missing load drains the core
             // before the burst — a deeper quiet level than NOPs alone.
@@ -975,23 +831,6 @@ mod tests {
     }
 
     #[test]
-    fn seeding_from_a_stressmark_never_hurts() {
-        // Paper §3: seeding improves convergence. With the SM-Res HP
-        // block injected, the best fitness must be at least as good as
-        // the unseeded demo run (elitism preserves the seed if it wins).
-        let audit = Audit::new(Rig::bulldozer(), AuditOptions::fast_demo());
-        let unseeded = audit.generate_resonant(2);
-        let seeded = audit.generate_resonant_seeded(2, &[audit_stressmark::manual::sm_res()]);
-        assert!(
-            seeded.best_fitness >= 0.95 * unseeded.best_fitness,
-            "seeded {} vs unseeded {}",
-            seeded.best_fitness,
-            unseeded.best_fitness
-        );
-        assert!(seeded.name.contains("seeded"));
-    }
-
-    #[test]
     fn generation_is_deterministic() {
         let audit = Audit::new(Rig::bulldozer(), AuditOptions::fast_demo());
         let a = audit.generate_resonant(2);
@@ -1113,14 +952,15 @@ mod tests {
 
     #[test]
     fn options_builder_accepts_valid_combinations() {
-        let opts = AuditOptions::builder()
-            .cost(CostFunction::DroopPerAmp)
-            .sub_block_cycles(8)
-            .resonance_periods((16..=48).step_by(8))
-            .excitation_quiet_cycles(120)
-            .seed(7)
-            .build()
-            .unwrap();
+        let opts = AuditOptions {
+            sub_block_cycles: 8,
+            resonance_periods: (16..=48).step_by(8).collect(),
+            excitation_quiet_cycles: 120,
+            ..AuditOptions::fast_demo()
+                .with_cost(CostFunction::DroopPerAmp)
+                .with_seed(7)
+        };
+        opts.validate().unwrap();
         assert_eq!(opts.cost, CostFunction::DroopPerAmp);
         assert_eq!(opts.sub_block_cycles, 8);
         assert_eq!(opts.ga.seed, 7);
@@ -1131,42 +971,44 @@ mod tests {
 
     #[test]
     fn options_builder_rejects_unrunnable_combinations() {
-        let err = AuditOptions::builder()
-            .resonance_periods([])
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("resonance_periods"), "{err}");
-        let err = AuditOptions::builder()
-            .resonance_periods([16, 1])
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("at least 2 cycles"), "{err}");
-        let err = AuditOptions::builder()
-            .sub_block_cycles(0)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("sub_block_cycles"), "{err}");
-        let err = AuditOptions::builder()
-            .excitation_quiet_cycles(0)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("excitation_quiet_cycles"), "{err}");
+        let reject = |opts: AuditOptions| opts.validate().unwrap_err().to_string();
+        let demo = AuditOptions::fast_demo;
+        let err = reject(AuditOptions {
+            resonance_periods: vec![],
+            ..demo()
+        });
+        assert!(err.contains("resonance_periods"), "{err}");
+        let err = reject(AuditOptions {
+            resonance_periods: vec![16, 1],
+            ..demo()
+        });
+        assert!(err.contains("at least 2 cycles"), "{err}");
+        let err = reject(AuditOptions {
+            sub_block_cycles: 0,
+            ..demo()
+        });
+        assert!(err.contains("sub_block_cycles"), "{err}");
+        let err = reject(AuditOptions {
+            excitation_quiet_cycles: 0,
+            ..demo()
+        });
+        assert!(err.contains("excitation_quiet_cycles"), "{err}");
         // Nested configs are checked too.
-        let err = AuditOptions::builder()
-            .ga(GaConfig {
+        let err = reject(AuditOptions {
+            ga: GaConfig {
                 population: 1,
                 ..GaConfig::default()
-            })
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("population"), "{err}");
-        let err = AuditOptions::builder()
-            .eval_spec(MeasureSpec {
+            },
+            ..demo()
+        });
+        assert!(err.contains("population"), "{err}");
+        let err = reject(AuditOptions {
+            eval_spec: MeasureSpec {
                 record_cycles: 0,
                 ..MeasureSpec::ga_eval()
-            })
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("record_cycles"), "{err}");
+            },
+            ..demo()
+        });
+        assert!(err.contains("record_cycles"), "{err}");
     }
 }

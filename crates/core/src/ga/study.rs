@@ -53,11 +53,6 @@ impl StudySummary {
         self.best.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
-    /// Best seed's best fitness.
-    pub fn max_best(&self) -> f64 {
-        self.best.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// Coefficient of variation (σ/μ) — low means the search is robust
     /// to its random seed.
     pub fn cv(&self) -> f64 {
@@ -261,7 +256,7 @@ mod tests {
         assert_eq!(s.generations.len(), 3);
         assert_eq!(s.evaluations.len(), 3);
         assert_eq!(s.cache_hits.len(), 3);
-        assert!(s.min_best() <= s.max_best());
+        assert!(s.best.iter().all(|&b| s.min_best() <= b));
     }
 
     #[test]
@@ -301,7 +296,7 @@ mod tests {
         .unwrap();
         assert_eq!(s.std_best(), 0.0);
         assert_eq!(s.mean_best(), s.best[0]);
-        assert_eq!(s.min_best(), s.max_best());
+        assert_eq!(s.min_best(), s.best[0]);
     }
 
     #[test]

@@ -22,11 +22,31 @@ const PROBE_CYCLES: u64 = 2_000;
 
 /// How a measurement run is captured.
 ///
-/// Prefer [`MeasureSpec::builder`] (or the [`MeasureSpec::ga_eval`] /
-/// [`MeasureSpec::reporting`] presets) over struct-literal construction:
-/// the builder rejects specs the harness cannot execute (a zero-cycle
-/// recording window, a zero decimation, a non-positive trigger level),
-/// while a hand-rolled literal skips validation entirely.
+/// Start from a preset ([`MeasureSpec::ga_eval`] or
+/// [`MeasureSpec::reporting`]), change it with a struct update, then
+/// call [`MeasureSpec::validate`]: it rejects specs the harness cannot
+/// execute (a zero-cycle recording window, a zero decimation, a
+/// non-positive trigger level), which a hand-rolled value never checks
+/// by itself.
+///
+/// # Example
+///
+/// ```
+/// use audit_core::harness::MeasureSpec;
+///
+/// let spec = MeasureSpec {
+///     record_cycles: 10_000,
+///     trigger_below_nominal: Some(0.08),
+///     ..MeasureSpec::reporting()
+/// };
+/// spec.validate().unwrap();
+/// assert_eq!(spec.record_cycles, 10_000);
+/// let empty = MeasureSpec {
+///     record_cycles: 0,
+///     ..MeasureSpec::reporting()
+/// };
+/// assert!(empty.validate().is_err());
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasureSpec {
     /// Cycles co-simulated before recording starts (lets the loop reach
@@ -54,14 +74,6 @@ pub struct MeasureSpec {
 }
 
 impl MeasureSpec {
-    /// Starts a validated builder seeded from [`MeasureSpec::reporting`]
-    /// (the `Default` spec). See [`MeasureSpecBuilder`].
-    pub fn builder() -> MeasureSpecBuilder {
-        MeasureSpecBuilder {
-            spec: MeasureSpec::reporting(),
-        }
-    }
-
     /// Checks the invariants the harness relies on.
     ///
     /// # Errors
@@ -156,94 +168,6 @@ impl MeasureSpec {
 impl Default for MeasureSpec {
     fn default() -> Self {
         Self::reporting()
-    }
-}
-
-/// Validated builder for [`MeasureSpec`].
-///
-/// Starts from the [`MeasureSpec::reporting`] preset and rejects
-/// unexecutable specs at [`build`](MeasureSpecBuilder::build) time, so
-/// a zero-cycle recording window or a zero decimation never reaches
-/// the harness.
-///
-/// # Example
-///
-/// ```
-/// use audit_core::harness::MeasureSpec;
-///
-/// let spec = MeasureSpec::builder()
-///     .record_cycles(10_000)
-///     .trigger_below_nominal(0.08)
-///     .build()
-///     .unwrap();
-/// assert_eq!(spec.record_cycles, 10_000);
-/// assert!(MeasureSpec::builder().record_cycles(0).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct MeasureSpecBuilder {
-    spec: MeasureSpec,
-}
-
-impl MeasureSpecBuilder {
-    /// Sets the warmup window (cycles co-simulated before recording).
-    pub fn warmup_cycles(mut self, cycles: u64) -> Self {
-        self.spec.warmup_cycles = cycles;
-        self
-    }
-
-    /// Sets the recorded window in cycles. Must be non-zero at build.
-    pub fn record_cycles(mut self, cycles: u64) -> Self {
-        self.spec.record_cycles = cycles;
-        self
-    }
-
-    /// Sets the pure-PDN pre-settle length in cycles.
-    pub fn settle_cycles(mut self, cycles: u64) -> Self {
-        self.spec.settle_cycles = cycles;
-        self
-    }
-
-    /// Enables or disables failure-model checking while recording.
-    pub fn check_failure(mut self, check: bool) -> Self {
-        self.spec.check_failure = check;
-        self
-    }
-
-    /// Arms the droop trigger at `volts` below nominal. Must be a
-    /// positive finite voltage at build.
-    pub fn trigger_below_nominal(mut self, volts: f64) -> Self {
-        self.spec.trigger_below_nominal = Some(volts);
-        self
-    }
-
-    /// Disarms the droop trigger.
-    pub fn no_trigger(mut self) -> Self {
-        self.spec.trigger_below_nominal = None;
-        self
-    }
-
-    /// Sets the envelope decimation (1 = every cycle). Must be non-zero
-    /// at build.
-    pub fn envelope_decimation(mut self, decimation: u64) -> Self {
-        self.spec.envelope_decimation = decimation;
-        self
-    }
-
-    /// Keeps (or drops) the raw per-cycle traces in the [`Measurement`].
-    pub fn keep_traces(mut self, keep: bool) -> Self {
-        self.spec.keep_traces = keep;
-        self
-    }
-
-    /// Validates and returns the spec.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AuditError::InvalidConfig`] under the conditions listed
-    /// on [`MeasureSpec::validate`].
-    pub fn build(self) -> Result<MeasureSpec, AuditError> {
-        self.spec.validate()?;
-        Ok(self.spec)
     }
 }
 
@@ -727,16 +651,16 @@ mod tests {
 
     #[test]
     fn builder_accepts_valid_specs() {
-        let spec = MeasureSpec::builder()
-            .warmup_cycles(1_000)
-            .record_cycles(4_000)
-            .settle_cycles(50_000)
-            .check_failure(false)
-            .no_trigger()
-            .envelope_decimation(16)
-            .keep_traces(true)
-            .build()
-            .unwrap();
+        let spec = MeasureSpec {
+            warmup_cycles: 1_000,
+            record_cycles: 4_000,
+            settle_cycles: 50_000,
+            check_failure: false,
+            trigger_below_nominal: None,
+            envelope_decimation: 16,
+            keep_traces: true,
+        };
+        spec.validate().unwrap();
         assert_eq!(spec.record_cycles, 4_000);
         assert_eq!(spec.trigger_below_nominal, None);
         assert!(spec.keep_traces);
@@ -747,31 +671,43 @@ mod tests {
 
     #[test]
     fn builder_rejects_unexecutable_specs() {
-        let err = MeasureSpec::builder().record_cycles(0).build().unwrap_err();
-        assert!(err.to_string().contains("record_cycles"), "{err}");
-        let err = MeasureSpec::builder()
-            .envelope_decimation(0)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("envelope_decimation"), "{err}");
+        let reject = |spec: MeasureSpec| spec.validate().unwrap_err().to_string();
+        let base = MeasureSpec::reporting();
+        let err = reject(MeasureSpec {
+            record_cycles: 0,
+            ..base
+        });
+        assert!(err.contains("record_cycles"), "{err}");
+        let err = reject(MeasureSpec {
+            envelope_decimation: 0,
+            ..base
+        });
+        assert!(err.contains("envelope_decimation"), "{err}");
         for bad in [0.0, -0.05, f64::NAN, f64::INFINITY] {
-            let err = MeasureSpec::builder()
-                .trigger_below_nominal(bad)
-                .build()
-                .unwrap_err();
-            assert!(err.to_string().contains("trigger"), "{err}");
+            let err = reject(MeasureSpec {
+                trigger_below_nominal: Some(bad),
+                ..base
+            });
+            assert!(err.contains("trigger"), "{err}");
         }
-        let err = MeasureSpec::builder()
-            .warmup_cycles(u64::MAX)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("overflows"), "{err}");
-        let untraceable = MeasureSpec::builder()
-            .warmup_cycles(0)
-            .record_cycles(u64::MAX)
-            .keep_traces(true);
-        assert!(untraceable.clone().keep_traces(false).build().is_ok());
-        let err = untraceable.build().unwrap_err();
-        assert!(err.to_string().contains("kept trace"), "{err}");
+        let err = reject(MeasureSpec {
+            warmup_cycles: u64::MAX,
+            ..base
+        });
+        assert!(err.contains("overflows"), "{err}");
+        let untraceable = MeasureSpec {
+            warmup_cycles: 0,
+            record_cycles: u64::MAX,
+            keep_traces: true,
+            ..base
+        };
+        assert!(MeasureSpec {
+            keep_traces: false,
+            ..untraceable
+        }
+        .validate()
+        .is_ok());
+        let err = reject(untraceable);
+        assert!(err.contains("kept trace"), "{err}");
     }
 }

@@ -60,10 +60,10 @@ pub mod resonance;
 pub mod shmoo;
 pub mod suite;
 
-pub use audit::{Audit, AuditOptions, AuditOptionsBuilder, FitnessSpec};
+pub use audit::{Audit, AuditOptions, FitnessSpec};
 pub use audit_analyze as analyze;
 pub use audit_error::{AuditError, AuditResult};
-pub use harness::{MeasureSpec, MeasureSpecBuilder, Measurement, Rig};
+pub use harness::{MeasureSpec, Measurement, Rig};
 pub use journal::{Journal, JournalRecord, JournalSink, JournalWriter, MemJournal, NullSink};
 pub use minimize::{MinimizeResult, MinimizeSearch};
 pub use resilient::{

@@ -116,16 +116,6 @@ impl ProgramProfile {
             max_path_sensitivity: max_path,
         }
     }
-
-    /// Mean switching current per instruction, amps.
-    pub fn mean_issue_amps(&self) -> f64 {
-        let n: usize = self.unit_counts.values().sum();
-        if n == 0 {
-            0.0
-        } else {
-            self.total_issue_amps / n as f64
-        }
-    }
 }
 
 fn unit_name(unit: ExecUnit) -> &'static str {
@@ -198,7 +188,6 @@ mod tests {
         let hot_p = ProgramProfile::of(&hot, &energy);
         let cold_p = ProgramProfile::of(&cold, &energy);
         assert!(hot_p.total_issue_amps > 20.0 * cold_p.total_issue_amps);
-        assert!(hot_p.mean_issue_amps() > cold_p.mean_issue_amps());
     }
 
     #[test]

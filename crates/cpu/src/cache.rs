@@ -45,11 +45,6 @@ impl CacheConfig {
         }
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.sets as u64 * self.ways as u64 * self.line_bytes as u64
-    }
-
     /// Bulldozer-class L1-D: 16 KB, 4-way, 64 B lines.
     pub const fn l1d_bulldozer() -> Self {
         CacheConfig {
@@ -237,11 +232,9 @@ mod tests {
 
     #[test]
     fn capacity_arithmetic() {
-        assert_eq!(CacheConfig::l1d_bulldozer().capacity_bytes(), 16 * 1024);
-        assert_eq!(
-            CacheConfig::l2_bulldozer().capacity_bytes(),
-            2 * 1024 * 1024
-        );
+        let bytes = |c: CacheConfig| c.sets * c.ways * c.line_bytes;
+        assert_eq!(bytes(CacheConfig::l1d_bulldozer()), 16 * 1024);
+        assert_eq!(bytes(CacheConfig::l2_bulldozer()), 2 * 1024 * 1024);
     }
 
     #[test]
@@ -270,7 +263,7 @@ mod tests {
     fn working_set_within_capacity_has_no_steady_state_misses() {
         let cfg = CacheConfig::new(64, 4, 64); // 16 KB
         let mut c = Cache::new(cfg);
-        let lines = (cfg.capacity_bytes() / 64) / 2; // half capacity
+        let lines = (cfg.sets * cfg.ways) as u64 / 2; // half capacity
         for pass in 0..4 {
             for i in 0..lines {
                 let hit = c.access(i * 64);
@@ -285,7 +278,7 @@ mod tests {
     fn working_set_beyond_capacity_thrashes() {
         let cfg = CacheConfig::new(64, 4, 64); // 16 KB
         let mut c = Cache::new(cfg);
-        let lines = (cfg.capacity_bytes() / 64) * 2; // 2× capacity
+        let lines = (cfg.sets * cfg.ways) as u64 * 2; // 2× capacity
         for _ in 0..4 {
             for i in 0..lines {
                 c.access(i * 64);

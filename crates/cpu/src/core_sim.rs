@@ -100,23 +100,6 @@ pub struct CoreTelemetry {
     pub frontend_stall_cycles: u64,
 }
 
-impl CoreTelemetry {
-    /// Total ops issued to execution units.
-    pub fn total_issued(&self) -> u64 {
-        self.issued_by_unit.iter().sum()
-    }
-
-    /// Fraction of issued ops that went to the FP pipes.
-    pub fn fp_issue_fraction(&self) -> f64 {
-        let total = self.total_issued();
-        if total == 0 {
-            0.0
-        } else {
-            self.issued_by_unit[3] as f64 / total as f64
-        }
-    }
-}
-
 /// Per-cycle output of a core.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CoreCycle {
@@ -956,7 +939,6 @@ mod telemetry_tests {
         let a = t.issued_by_unit[0] as f64;
         let f = t.issued_by_unit[3] as f64;
         assert!((a / f - 1.0).abs() < 0.1, "alu {a} vs fp {f}");
-        assert!((t.fp_issue_fraction() - 1.0 / 3.0).abs() < 0.05);
     }
 
     #[test]

@@ -90,13 +90,6 @@ impl Placement {
     pub fn thread_count(&self) -> usize {
         self.slots.len()
     }
-
-    /// True if any module hosts more than one of these threads (the
-    /// configuration where shared-FPU interference appears, §5.A.2).
-    pub fn shares_modules(&self) -> bool {
-        let mut seen = std::collections::HashSet::new();
-        self.slots.iter().any(|(m, _)| !seen.insert(*m))
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +102,6 @@ mod tests {
         let c = ChipConfig::bulldozer();
         let p = Placement::spread(&c, 4).unwrap();
         assert_eq!(p.slots(), &[(0, 0), (1, 0), (2, 0), (3, 0)]);
-        assert!(!p.shares_modules());
     }
 
     #[test]
@@ -117,7 +109,6 @@ mod tests {
         let c = ChipConfig::bulldozer();
         let p = Placement::spread(&c, 8).unwrap();
         assert_eq!(p.thread_count(), 8);
-        assert!(p.shares_modules());
         assert_eq!(p.slots()[4], (0, 1));
     }
 

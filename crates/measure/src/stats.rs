@@ -111,20 +111,6 @@ impl DroopStats {
     pub fn overshoot(&self) -> f64 {
         (self.v_max - self.nominal).max(0.0)
     }
-
-    /// Maximum droop below the capture mean — the AC-only component.
-    pub fn max_droop_below_mean(&self) -> f64 {
-        (self.mean() - self.v_min).max(0.0)
-    }
-
-    /// Peak-to-peak swing of the capture.
-    pub fn peak_to_peak(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.v_max - self.v_min
-        }
-    }
 }
 
 /// The scale factor relating the median absolute deviation of a normal
@@ -206,7 +192,6 @@ mod tests {
         assert_eq!(s.v_max(), 1.3);
         assert!((s.mean() - 1.2).abs() < 1e-12);
         assert_eq!(s.count(), 3);
-        assert!((s.peak_to_peak() - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -222,18 +207,6 @@ mod tests {
         let s = DroopStats::new(1.2);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.count(), 0);
-        assert_eq!(s.peak_to_peak(), 0.0);
-    }
-
-    #[test]
-    fn droop_below_mean_removes_dc() {
-        // A capture with a DC offset: min 1.0, mean 1.1, nominal 1.3.
-        let mut s = DroopStats::new(1.3);
-        for v in [1.0, 1.1, 1.2] {
-            s.record(v);
-        }
-        assert!((s.max_droop() - 0.3).abs() < 1e-12);
-        assert!((s.max_droop_below_mean() - 0.1).abs() < 1e-12);
     }
 
     #[test]

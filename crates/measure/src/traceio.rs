@@ -197,26 +197,12 @@ impl JournalReader {
         self.tail
     }
 
-    /// True if the final line was torn (partial write before a crash).
-    /// Shorthand for `tail() == TailOutcome::TruncatedTail`.
-    pub fn torn_tail(&self) -> bool {
-        self.tail == TailOutcome::TruncatedTail
-    }
-
     /// The `"kind"` of every record, in order — the quickest way to see
     /// a run's shape (`run_start`, phases, generations, `run_end`).
     pub fn kinds(&self) -> Vec<&str> {
         self.records
             .iter()
             .filter_map(|r| r.get("kind").and_then(JsonValue::as_str))
-            .collect()
-    }
-
-    /// Records of one kind, in order (e.g. `"generation"`).
-    pub fn of_kind(&self, kind: &str) -> Vec<&JsonValue> {
-        self.records
-            .iter()
-            .filter(|r| r.get("kind").and_then(JsonValue::as_str) == Some(kind))
             .collect()
     }
 }
@@ -516,12 +502,12 @@ mod tests {
             "{\"kind\":\"run_end\"}\n",
         );
         let r = JournalReader::parse(text).unwrap();
-        assert!(!r.torn_tail());
+        assert_eq!(r.tail(), TailOutcome::Clean);
         assert_eq!(
             r.kinds(),
             vec!["run_start", "generation", "generation", "run_end"]
         );
-        let gens = r.of_kind("generation");
+        let gens = &r.records()[1..3];
         assert_eq!(gens.len(), 2);
         assert_eq!(gens[1].get("index").unwrap().as_u64(), Some(1));
     }
@@ -530,7 +516,7 @@ mod tests {
     fn journal_reader_tolerates_torn_tail_only() {
         let torn = "{\"kind\":\"run_start\",\"schema\":1}\n{\"kind\":\"gen";
         let r = JournalReader::parse(torn).unwrap();
-        assert!(r.torn_tail());
+        assert_eq!(r.tail(), TailOutcome::TruncatedTail);
         assert_eq!(r.records().len(), 1);
 
         // A malformed line in the *middle* is a real error.
@@ -556,7 +542,7 @@ mod tests {
             let r = JournalReader::parse(&text)
                 .unwrap_or_else(|e| panic!("tail `{tail}` errored: {e}"));
             assert_eq!(r.tail(), TailOutcome::TruncatedTail, "tail `{tail}`");
-            assert!(r.torn_tail());
+            assert_eq!(r.tail(), TailOutcome::TruncatedTail);
             assert_eq!(r.records().len(), 1);
         }
     }
@@ -565,7 +551,7 @@ mod tests {
     fn clean_journal_reports_clean_tail() {
         let r = JournalReader::parse("{\"kind\":\"run_start\",\"schema\":1}\n").unwrap();
         assert_eq!(r.tail(), TailOutcome::Clean);
-        assert!(!r.torn_tail());
+        assert_eq!(r.tail(), TailOutcome::Clean);
     }
 
     #[test]
@@ -578,7 +564,7 @@ mod tests {
     fn empty_journal_is_empty_not_an_error() {
         let r = JournalReader::parse("").unwrap();
         assert!(r.records().is_empty());
-        assert!(!r.torn_tail());
+        assert_eq!(r.tail(), TailOutcome::Clean);
     }
 
     #[test]
@@ -634,7 +620,7 @@ mod tests {
         assert_eq!(r.valid_bytes as usize, text.find('\n').unwrap() + 1);
         let reader = JournalReader::parse(text).unwrap();
         assert_eq!(reader.kinds(), vec!["run_start"]);
-        assert!(reader.torn_tail());
+        assert_eq!(reader.tail(), TailOutcome::TruncatedTail);
     }
 
     #[test]

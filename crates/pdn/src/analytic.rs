@@ -86,22 +86,6 @@ impl SeriesRlc {
         let b = (-delta_i / self.c + a * z * w0) / wd;
         decay * (a * (wd * t).cos() + b * (wd * t).sin())
     }
-
-    /// The worst (most negative) deviation of the step response and the
-    /// time at which it occurs, found by sampling `n` points over the
-    /// first `periods` damped periods.
-    pub fn worst_undershoot(&self, delta_i: f64, periods: f64, n: usize) -> (f64, f64) {
-        let t_end = periods * 2.0 * std::f64::consts::PI / self.omega_d();
-        let mut worst = (0.0, 0.0);
-        for k in 0..n {
-            let t = t_end * k as f64 / n as f64;
-            let v = self.step_response_deviation(delta_i, t);
-            if v < worst.1 {
-                worst = (t, v);
-            }
-        }
-        (worst.0, worst.1)
-    }
 }
 
 #[cfg(test)]
@@ -137,15 +121,6 @@ mod tests {
         // Decays to zero.
         let t_late = 50.0 * 2.0 * std::f64::consts::PI / rlc.omega_d();
         assert!(rlc.step_response_deviation(di, t_late).abs() < 1e-6);
-    }
-
-    #[test]
-    fn undershoot_scales_linearly_with_step() {
-        let rlc = die_stage_rlc();
-        let (_, u1) = rlc.worst_undershoot(10.0, 3.0, 4_000);
-        let (_, u2) = rlc.worst_undershoot(20.0, 3.0, 4_000);
-        assert!((u2 / u1 - 2.0).abs() < 1e-6, "{u1} vs {u2}");
-        assert!(u1 < 0.0);
     }
 
     /// The RK4 solver against the closed form: a single-stage network

@@ -24,9 +24,7 @@ pub struct Resonance {
 /// ```
 /// use audit_pdn::{ImpedanceSweep, PdnModel};
 ///
-/// let sweep = ImpedanceSweep::new(PdnModel::bulldozer_board())
-///     .with_range(1e4, 1e9)
-///     .with_points(2000);
+/// let sweep = ImpedanceSweep::new(PdnModel::bulldozer_board()).with_points(2000);
 /// let peaks = sweep.resonances();
 /// assert_eq!(peaks.len(), 3); // third, second, first droop
 /// ```
@@ -47,21 +45,6 @@ impl ImpedanceSweep {
             f_hi: 1e9,
             points: 4096,
         }
-    }
-
-    /// Sets the frequency range (Hz).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds are not positive, finite, and ordered.
-    pub fn with_range(mut self, f_lo: f64, f_hi: f64) -> Self {
-        assert!(
-            f_lo.is_finite() && f_hi.is_finite() && 0.0 < f_lo && f_lo < f_hi,
-            "sweep range must be positive, finite, and ordered"
-        );
-        self.f_lo = f_lo;
-        self.f_hi = f_hi;
-        self
     }
 
     /// Sets the number of logarithmically spaced sweep points.
@@ -227,12 +210,6 @@ mod tests {
         let pts = sweep().with_points(256).run();
         assert!(pts.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(pts.len(), 256);
-    }
-
-    #[test]
-    #[should_panic(expected = "sweep range")]
-    fn rejects_inverted_range() {
-        let _ = sweep().with_range(1e9, 1e6);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 /// use audit_pdn::LoadLine;
 ///
 /// let ll = LoadLine::with_slope(1.0e-3); // 1 mΩ load line
-/// assert_eq!(ll.regulation_offset(50.0), -0.05); // 50 A → −50 mV
-/// assert_eq!(LoadLine::disabled().regulation_offset(50.0), 0.0);
+/// assert_eq!(ll.slope_ohms(), 1.0e-3);
+/// assert_eq!(LoadLine::disabled().slope_ohms(), 0.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadLine {
@@ -55,11 +55,6 @@ impl LoadLine {
             0.0
         }
     }
-
-    /// Regulation-target offset (volts, ≤ 0) at the given load current.
-    pub fn regulation_offset(&self, amps: f64) -> f64 {
-        -self.slope_ohms() * amps
-    }
 }
 
 impl Default for LoadLine {
@@ -76,7 +71,6 @@ mod tests {
     #[test]
     fn disabled_has_no_offset() {
         let ll = LoadLine::disabled();
-        assert_eq!(ll.regulation_offset(100.0), 0.0);
         assert!(!ll.is_enabled());
         assert_eq!(ll.slope_ohms(), 0.0);
     }
@@ -84,15 +78,7 @@ mod tests {
     #[test]
     fn enabled_offset_scales_with_current() {
         let ll = LoadLine::with_slope(0.5e-3);
-        assert!((ll.regulation_offset(40.0) + 0.02).abs() < 1e-12);
+        assert_eq!(ll.slope_ohms(), 0.5e-3);
         assert!(ll.is_enabled());
-    }
-
-    #[test]
-    fn offset_is_never_positive_for_positive_current() {
-        let ll = LoadLine::with_slope(2e-3);
-        for amps in [0.0, 1.0, 10.0, 200.0] {
-            assert!(ll.regulation_offset(amps) <= 0.0);
-        }
     }
 }

@@ -136,13 +136,6 @@ impl Kernel {
         self.lp_nops
     }
 
-    /// Replaces the LP region length (the knob the resonance sweep and
-    /// dither padding turn).
-    pub fn with_lp_nops(mut self, lp_nops: usize) -> Self {
-        self.lp_nops = lp_nops;
-        self
-    }
-
     /// Replaces the name.
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
@@ -251,7 +244,7 @@ mod tests {
 
     #[test]
     fn lp_length_is_adjustable() {
-        let k = Kernel::from_sub_blocks("k", &block(), 1, 4).with_lp_nops(32);
+        let k = Kernel::from_sub_blocks("k", &block(), 1, 32);
         assert_eq!(k.lp_nops(), 32);
         assert_eq!(k.to_program().len(), 35);
     }

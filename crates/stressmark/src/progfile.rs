@@ -157,15 +157,6 @@ pub fn parse(text: &str) -> Result<Program, ParseError> {
     parse_spanned(text).map(|(program, _)| program)
 }
 
-/// [`parse`] under the workspace-wide error type.
-///
-/// # Errors
-///
-/// Returns [`AuditError::Parse`] locating the first malformed line.
-pub fn try_parse(text: &str) -> Result<Program, AuditError> {
-    parse(text).map_err(AuditError::from)
-}
-
 /// Parses a program and returns, for each instruction of the body, the
 /// [`Span`] of the source it came from.
 ///
@@ -373,12 +364,11 @@ mod tests {
 
     #[test]
     fn try_parse_converts_to_audit_error() {
-        let err = try_parse("warp r0 r1 r2\n").unwrap_err();
+        let err = AuditError::from(parse("warp r0 r1 r2\n").unwrap_err());
         assert_eq!(
             err,
             AuditError::parse(1, "unknown opcode `warp`".to_string())
         );
-        assert!(try_parse(&emit(&manual::sm2())).is_ok());
     }
 
     #[test]

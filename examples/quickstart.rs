@@ -25,14 +25,19 @@ fn main() -> Result<(), AuditError> {
         baseline.max_droop() * 1e3
     );
 
-    // 3. Configure AUDIT through the validated builder: invalid combos
-    //    (empty sweep, zero-cycle eval window, …) are unrepresentable.
-    //    The builder starts from `fast_demo` to keep this example quick;
-    //    `AuditOptions::paper()` is the full-scale configuration.
-    let opts = AuditOptions::builder()
-        .seed(0xA0D17)
-        .eval_spec(MeasureSpec::builder().record_cycles(3_000).build()?)
-        .build()?;
+    // 3. Configure AUDIT: start from a preset, change what differs, and
+    //    validate, which rejects combinations the driver cannot run
+    //    (empty sweep, zero-cycle eval window, …). `fast_demo` keeps this
+    //    example quick; `AuditOptions::paper()` is the full-scale
+    //    configuration.
+    let opts = AuditOptions {
+        eval_spec: MeasureSpec {
+            record_cycles: 3_000,
+            ..MeasureSpec::reporting()
+        },
+        ..AuditOptions::fast_demo().with_seed(0xA0D17)
+    };
+    opts.validate()?;
 
     // 4. Automatic generation with zero microarchitectural knowledge,
     //    checkpointed: every generation lands in the run journal
