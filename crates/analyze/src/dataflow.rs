@@ -12,10 +12,10 @@
 //! * [`Liveness`] — backward may-analysis over the *circular* control
 //!   flow of a loop body (each instruction's unique successor is the
 //!   next one, wrapping at the loop edge, because the body runs for
-//!   millions of iterations). `live_out(i)` answers "is the value
+//!   millions of iterations). Liveness out of `i` answers "is the value
 //!   instruction `i` writes ever read before being clobbered?" — the
 //!   question AUD101 (dead value) and AUD104 (serializing divide) ask.
-//! * [`reaching_defs`] / [`undefined_uses`] — forward analysis over
+//! * `undefined_uses` — forward analysis over
 //!   one *straight-line* pass of the body seeded from the emission
 //!   preamble's def set: first-iteration semantics, the question
 //!   AUD001 (use before def) asks.
@@ -120,19 +120,18 @@ impl RegSet {
 /// whole body instead of one scan per instruction.
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    live_in: Vec<RegSet>,
     live_out: Vec<RegSet>,
 }
 
 impl Liveness {
     /// Computes liveness for `body` analyzed as a loop (the successor
     /// of the last instruction is the first).
-    pub fn of_loop(body: &[Inst]) -> Self {
+    pub(crate) fn of_loop(body: &[Inst]) -> Self {
         let n = body.len();
         let mut live_in = vec![RegSet::empty(); n];
         let mut live_out = vec![RegSet::empty(); n];
         if n == 0 {
-            return Liveness { live_in, live_out };
+            return Liveness { live_out };
         }
         loop {
             let mut changed = false;
@@ -155,45 +154,17 @@ impl Liveness {
                 }
             }
             if !changed {
-                return Liveness { live_in, live_out };
+                return Liveness { live_out };
             }
         }
-    }
-
-    /// Registers live on entry to instruction `i` (read by `i` or a
-    /// successor before redefinition).
-    pub fn live_in(&self, i: usize) -> &RegSet {
-        &self.live_in[i]
-    }
-
-    /// Registers live on exit from instruction `i`.
-    pub fn live_out(&self, i: usize) -> &RegSet {
-        &self.live_out[i]
     }
 
     /// Whether the value instruction `i` of `body` writes is consumed:
     /// its destination is live out of `i`. Instructions without a
     /// destination write no value and answer `false`.
-    pub fn dst_is_live(&self, body: &[Inst], i: usize) -> bool {
+    pub(crate) fn dst_is_live(&self, body: &[Inst], i: usize) -> bool {
         def(&body[i]).is_some_and(|d| self.live_out[i].contains(d))
     }
-}
-
-/// Forward reaching definitions over one straight-line pass of the
-/// body: element `i` is the set of registers defined when instruction
-/// `i` first executes — the preamble's `init` set plus every
-/// destination written by instructions `0..i`.
-pub fn reaching_defs(body: &[Inst], init: DefSet) -> Vec<DefSet> {
-    let mut defined = init;
-    body.iter()
-        .map(|inst| {
-            let before = defined;
-            if let Some(d) = def(inst) {
-                defined.define(d);
-            }
-            before
-        })
-        .collect()
 }
 
 /// First-iteration use-before-def sites, in scan order: for each
@@ -202,7 +173,7 @@ pub fn reaching_defs(body: &[Inst], init: DefSet) -> Vec<DefSet> {
 /// is treated as defined from then on, so one missing initialization
 /// is reported once, not at every consumer — the verifier's historical
 /// AUD001 cascade suppression, generalized.
-pub fn undefined_uses(body: &[Inst], init: DefSet) -> Vec<(usize, Reg)> {
+pub(crate) fn undefined_uses(body: &[Inst], init: DefSet) -> Vec<(usize, Reg)> {
     let mut defined = init;
     let mut out = Vec::new();
     for (i, inst) in body.iter().enumerate() {
@@ -233,7 +204,7 @@ mod tests {
         ];
         let live = Liveness::of_loop(&body);
         assert!(live.dst_is_live(&body, 1));
-        assert!(live.live_out(1).contains(Reg::Int(0)));
+        assert!(live.live_out[1].contains(Reg::Int(0)));
     }
 
     #[test]
@@ -285,18 +256,6 @@ mod tests {
         assert!(!s.contains(Reg::Int(201)));
         s.remove(Reg::Int(200));
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn reaching_defs_accumulate_in_program_order() {
-        let body = vec![
-            Inst::new(Opcode::MovImm).int_dst(0),
-            Inst::new(Opcode::IAdd).int_dst(1).int_srcs(0, 0),
-        ];
-        let before = reaching_defs(&body, DefSet::empty());
-        assert!(!before[0].contains(Reg::Int(0)));
-        assert!(before[1].contains(Reg::Int(0)));
-        assert!(!before[1].contains(Reg::Int(1)));
     }
 
     #[test]

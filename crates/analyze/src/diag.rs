@@ -123,7 +123,7 @@ impl Code {
     /// Default reporting level. Verifier codes are always `Deny`;
     /// dead-value defaults to `Allow` because the engineered
     /// stressmarks intentionally compute values nothing consumes.
-    pub fn default_level(self) -> LintLevel {
+    pub(crate) fn default_level(self) -> LintLevel {
         match self {
             Code::DeadValue => LintLevel::Allow,
             c if c.is_lint() => LintLevel::Warn,
@@ -184,7 +184,7 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// Shorthand constructor; `help` can be attached with [`Self::with_help`].
+    /// Shorthand constructor, with no `help`.
     pub fn new(
         code: Code,
         severity: Severity,
@@ -201,7 +201,7 @@ impl Diagnostic {
     }
 
     /// Attach a fix suggestion.
-    pub fn with_help(mut self, help: impl Into<String>) -> Self {
+    pub(crate) fn with_help(mut self, help: impl Into<String>) -> Self {
         self.help = Some(help.into());
         self
     }
@@ -256,22 +256,22 @@ impl LintConfig {
     }
 
     /// Override a single code's level (last write wins).
-    pub fn set_level(mut self, code: Code, level: LintLevel) -> Self {
+    pub(crate) fn set_level(mut self, code: Code, level: LintLevel) -> Self {
         self.overrides.push((code, level));
         self
     }
 
-    /// Shorthand for [`Self::set_level`] with [`LintLevel::Allow`].
+    /// Shorthand for `Self::set_level` with [`LintLevel::Allow`].
     pub fn allow(self, code: Code) -> Self {
         self.set_level(code, LintLevel::Allow)
     }
 
-    /// Shorthand for [`Self::set_level`] with [`LintLevel::Warn`].
+    /// Shorthand for `Self::set_level` with [`LintLevel::Warn`].
     pub fn warn(self, code: Code) -> Self {
         self.set_level(code, LintLevel::Warn)
     }
 
-    /// Shorthand for [`Self::set_level`] with [`LintLevel::Deny`].
+    /// Shorthand for `Self::set_level` with [`LintLevel::Deny`].
     pub fn deny(self, code: Code) -> Self {
         self.set_level(code, LintLevel::Deny)
     }

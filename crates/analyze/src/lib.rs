@@ -59,7 +59,7 @@ mod verify;
 pub use diag::{Code, Diagnostic, LintConfig, LintLevel, Severity, ALL_CODES};
 pub use lints::lint;
 pub use pressure::{pressure, swing_score, MachineModel, Occupancy, PressureReport};
-pub use verify::{verify, verify_ok, DefSet, VerifyTarget};
+pub use verify::{verify, DefSet, VerifyTarget};
 
 use audit_cpu::Program;
 

@@ -55,13 +55,13 @@ impl DefSet {
     }
 
     /// Add one integer register.
-    pub fn with_int(mut self, idx: u8) -> Self {
+    pub(crate) fn with_int(mut self, idx: u8) -> Self {
         self.int |= 1 << (idx as u16 % 16);
         self
     }
 
     /// Add one media register.
-    pub fn with_fp(mut self, idx: u8) -> Self {
+    pub(crate) fn with_fp(mut self, idx: u8) -> Self {
         self.fp |= 1 << (idx as u16 % 16);
         self
     }
@@ -379,11 +379,6 @@ pub fn verify(program: &Program, target: &VerifyTarget) -> Vec<Diagnostic> {
     out
 }
 
-/// Convenience: true when [`verify()`] finds nothing.
-pub fn verify_ok(program: &Program, target: &VerifyTarget) -> bool {
-    verify(program, target).is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,7 +404,7 @@ mod tests {
             init: DefSet::empty(),
             supports_fma: true,
         };
-        assert!(verify_ok(&p, &target));
+        assert!(verify(&p, &target).is_empty());
     }
 
     #[test]
@@ -440,7 +435,7 @@ mod tests {
         assert_eq!(codes(&diags), vec![Code::UseBeforeDef]);
         assert!(diags[0].message.contains("rbx"), "{}", diags[0].message);
         // The fixed preamble initializes everything.
-        assert!(verify_ok(&p, &VerifyTarget::permissive()));
+        assert!(verify(&p, &VerifyTarget::permissive()).is_empty());
     }
 
     #[test]
@@ -474,10 +469,7 @@ mod tests {
         assert_eq!(codes(&verify(&p, &no_fma)), vec![Code::FmaUnsupported]);
         let phenom = VerifyTarget::for_chip(&ChipConfig::phenom());
         assert_eq!(codes(&verify(&p, &phenom)), vec![Code::FmaUnsupported]);
-        assert!(verify_ok(
-            &p,
-            &VerifyTarget::for_chip(&ChipConfig::bulldozer())
-        ));
+        assert!(verify(&p, &VerifyTarget::for_chip(&ChipConfig::bulldozer())).is_empty());
     }
 
     #[test]
@@ -544,10 +536,7 @@ mod tests {
                     stride_bytes: 64,
                     footprint_bytes: 0,
                 });
-        assert!(verify_ok(
-            &prog(vec![zero_footprint]),
-            &VerifyTarget::permissive()
-        ));
+        assert!(verify(&prog(vec![zero_footprint]), &VerifyTarget::permissive()).is_empty());
         let zero_mispredict =
             Inst::new(Opcode::Branch).branch(BranchBehavior::MispredictEvery { period: 0 });
         for inst in [bad_toggle, zero_period, zero_stride, zero_mispredict] {

@@ -44,7 +44,7 @@ pub fn reporting_spec() -> MeasureSpec {
 }
 
 /// Instructions synthesized per workload body.
-pub fn workload_len() -> usize {
+pub(crate) fn workload_len() -> usize {
     if fast_mode() {
         1_500
     } else {

@@ -8,7 +8,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Where plot artifacts go.
-pub fn plot_dir() -> PathBuf {
+pub(crate) fn plot_dir() -> PathBuf {
     Path::new("target").join("plots")
 }
 

@@ -9,7 +9,7 @@ use std::fmt;
 
 /// Parsed command line: positionals plus flag map.
 #[derive(Debug, Clone, Default)]
-pub struct Args {
+pub(crate) struct Args {
     positionals: Vec<String>,
     flags: HashMap<String, String>,
     consumed: std::cell::RefCell<Vec<String>>,
@@ -17,7 +17,7 @@ pub struct Args {
 
 /// Argument error with a user-facing message.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArgError(pub String);
+pub(crate) struct ArgError(pub String);
 
 impl fmt::Display for ArgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -84,7 +84,7 @@ impl Args {
     /// # Errors
     ///
     /// Returns [`ArgError`] for a value flag with no value.
-    pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, ArgError> {
+    pub(crate) fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, ArgError> {
         let mut args = Args::default();
         let mut it = raw.into_iter().peekable();
         while let Some(a) = it.next() {
@@ -114,12 +114,12 @@ impl Args {
     }
 
     /// Positional arguments.
-    pub fn positionals(&self) -> &[String] {
+    pub(crate) fn positionals(&self) -> &[String] {
         &self.positionals
     }
 
     /// String flag with default.
-    pub fn str_flag(&self, name: &str, default: &str) -> String {
+    pub(crate) fn str_flag(&self, name: &str, default: &str) -> String {
         self.consumed.borrow_mut().push(name.to_string());
         self.flags
             .get(name)
@@ -128,13 +128,13 @@ impl Args {
     }
 
     /// Optional string flag.
-    pub fn opt_flag(&self, name: &str) -> Option<String> {
+    pub(crate) fn opt_flag(&self, name: &str) -> Option<String> {
         self.consumed.borrow_mut().push(name.to_string());
         self.flags.get(name).cloned()
     }
 
     /// Boolean flag.
-    pub fn bool_flag(&self, name: &str) -> bool {
+    pub(crate) fn bool_flag(&self, name: &str) -> bool {
         self.consumed.borrow_mut().push(name.to_string());
         self.flags.contains_key(name)
     }
@@ -144,7 +144,11 @@ impl Args {
     /// # Errors
     ///
     /// Returns [`ArgError`] when the value does not parse.
-    pub fn num_flag<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
+    pub(crate) fn num_flag<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, ArgError> {
         self.consumed.borrow_mut().push(name.to_string());
         match self.flags.get(name) {
             None => Ok(default),
@@ -160,7 +164,7 @@ impl Args {
     /// # Errors
     ///
     /// Returns [`ArgError`] naming the first unknown flag.
-    pub fn reject_unknown(&self) -> Result<(), ArgError> {
+    pub(crate) fn reject_unknown(&self) -> Result<(), ArgError> {
         let seen = self.consumed.borrow();
         for key in self.flags.keys() {
             if !seen.contains(key) {

@@ -30,7 +30,7 @@ pub(crate) fn core_err(e: AuditError) -> ArgError {
 }
 
 /// Help text.
-pub const USAGE: &str = "\
+pub(crate) const USAGE: &str = "\
 audit — automated di/dt stressmark generation (AUDIT, MICRO 2012)
 
 USAGE:
@@ -232,7 +232,7 @@ USAGE:
 ";
 
 /// `audit resonance`.
-pub fn resonance(args: &Args) -> Result<(), ArgError> {
+pub(crate) fn resonance(args: &Args) -> Result<(), ArgError> {
     let rig = platform::rig_from(args)?;
     let threads = platform::threads_from(args, &rig)?;
     let spec = platform::spec_from(args)?;
@@ -258,13 +258,13 @@ pub fn resonance(args: &Args) -> Result<(), ArgError> {
 }
 
 /// `audit generate`.
-pub fn generate(args: &Args) -> Result<(), ArgError> {
+pub(crate) fn generate(args: &Args) -> Result<(), ArgError> {
     let distributed = args.bool_flag("--distributed");
     generate_inner(args, distributed)
 }
 
 /// `audit serve`: `generate` with the distributed broker always on.
-pub fn serve(args: &Args) -> Result<(), ArgError> {
+pub(crate) fn serve(args: &Args) -> Result<(), ArgError> {
     generate_inner(args, true)
 }
 
@@ -374,7 +374,7 @@ impl GenerateConfig {
 }
 
 /// `audit work`: serve evaluations to a broker until released.
-pub fn work(args: &Args) -> Result<(), ArgError> {
+pub(crate) fn work(args: &Args) -> Result<(), ArgError> {
     let connect = args
         .opt_flag("--connect")
         .ok_or_else(|| ArgError("audit work needs --connect HOST:PORT or unix:/path".into()))?;
@@ -412,7 +412,7 @@ pub fn work(args: &Args) -> Result<(), ArgError> {
 
 /// `audit journal`: offline journal maintenance. Currently one
 /// subcommand, `fsck`.
-pub fn journal(args: &Args) -> Result<(), ArgError> {
+pub(crate) fn journal(args: &Args) -> Result<(), ArgError> {
     match (
         args.positionals().get(1).map(String::as_str),
         args.positionals().get(2),
@@ -669,7 +669,7 @@ fn print_run(
 }
 
 /// `audit measure`.
-pub fn measure(args: &Args) -> Result<(), ArgError> {
+pub(crate) fn measure(args: &Args) -> Result<(), ArgError> {
     let rig = platform::rig_from(args)?;
     let threads = platform::threads_from(args, &rig)?;
     let spec = platform::spec_from(args)?;
@@ -710,7 +710,7 @@ pub fn measure(args: &Args) -> Result<(), ArgError> {
 }
 
 /// `audit failure`: the crash-tolerant Vmin bisection.
-pub fn failure(args: &Args) -> Result<(), ArgError> {
+pub(crate) fn failure(args: &Args) -> Result<(), ArgError> {
     let (mut checkpoint, cfg) = Checkpoint::new(args, "failure")?;
     let rig = platform::rig_from(&cfg)?;
     let threads = platform::threads_from(&cfg, &rig)?;
@@ -756,7 +756,7 @@ fn print_vmin(name: &str, threads: usize, result: &VminResult) {
 }
 
 /// `audit minimize`: the delta-debugged witness minimizer.
-pub fn minimize(args: &Args) -> Result<(), ArgError> {
+pub(crate) fn minimize(args: &Args) -> Result<(), ArgError> {
     let (mut checkpoint, cfg) = Checkpoint::new(args, "minimize")?;
     let input = platform::minimize_input(&cfg).ok_or_else(|| {
         ArgError("audit minimize needs an input: a .prog file or a generate checkpoint".into())
@@ -846,7 +846,7 @@ fn print_minimize(
 
 /// `audit shmoo`: sweep the V/F plane, running a Vmin search at every
 /// operating point, and report the safe-margin surface.
-pub fn shmoo(args: &Args) -> Result<(), ArgError> {
+pub(crate) fn shmoo(args: &Args) -> Result<(), ArgError> {
     let (mut checkpoint, cfg) = Checkpoint::new(args, "shmoo")?;
     let rig = platform::rig_from(&cfg)?;
     let threads = platform::threads_from(&cfg, &rig)?;
@@ -1050,7 +1050,7 @@ fn print_report(report: &LintReport, json: bool) {
 }
 
 /// `audit lint`.
-pub fn lint(args: &Args) -> Result<(), ArgError> {
+pub(crate) fn lint(args: &Args) -> Result<(), ArgError> {
     let builtin = args.opt_flag("--builtin");
     let all = args.bool_flag("--all-builtins");
     let chip = args.opt_flag("--chip");
@@ -1148,7 +1148,7 @@ pub fn lint(args: &Args) -> Result<(), ArgError> {
 }
 
 /// `audit list`.
-pub fn list(args: &Args) -> Result<(), ArgError> {
+pub(crate) fn list(args: &Args) -> Result<(), ArgError> {
     args.reject_unknown()?;
     println!("workloads (synthetic SPEC CPU2006):");
     for p in workloads::spec2006() {
@@ -1166,7 +1166,7 @@ pub fn list(args: &Args) -> Result<(), ArgError> {
 }
 
 /// `audit spice`.
-pub fn spice(args: &Args) -> Result<(), ArgError> {
+pub(crate) fn spice(args: &Args) -> Result<(), ArgError> {
     use audit_core::harness::MeasureSpec;
     let rig = platform::rig_from(args)?;
     let out = args.str_flag("--out", "pdn_tran.sp");

@@ -25,7 +25,7 @@ use crate::commands::{core_err, dist_flags, GenerateConfig};
 use crate::platform;
 
 /// `audit fleet <serve|submit|status|metrics>`.
-pub fn fleet(args: &Args) -> Result<(), ArgError> {
+pub(crate) fn fleet(args: &Args) -> Result<(), ArgError> {
     match args.positionals().get(1).map(String::as_str) {
         Some("serve") => serve(args),
         Some("submit") => submit(args),

@@ -17,7 +17,7 @@ use crate::args::{ArgError, Args};
 /// reconstruct the exact configuration without re-passing them.
 /// `minimize` also records its input path, spelled `--input` so the
 /// replayed argv parses.
-pub fn meta(mode: &str, args: &Args) -> JsonValue {
+pub(crate) fn meta(mode: &str, args: &Args) -> JsonValue {
     let flags: &[&str] = match mode {
         "generate" => &[
             "--chip",
@@ -113,7 +113,7 @@ pub fn meta(mode: &str, args: &Args) -> JsonValue {
 
 /// The `minimize` input: its positional argument, or `--input` (the
 /// spelling its journal records).
-pub fn minimize_input(args: &Args) -> Option<String> {
+pub(crate) fn minimize_input(args: &Args) -> Option<String> {
     args.positionals()
         .get(1)
         .cloned()
@@ -132,7 +132,7 @@ const RETIRED_FLAGS: &[&str] = &["--eval-batch", "--cost"];
 /// Returns [`ArgError`] when the metadata is missing or malformed, or
 /// records a flag this build retired (docs/RUN_JOURNAL.md, "Retired
 /// knobs").
-pub fn args_from_meta(meta: &JsonValue) -> Result<Args, ArgError> {
+pub(crate) fn args_from_meta(meta: &JsonValue) -> Result<Args, ArgError> {
     let argv = meta
         .get("argv")
         .and_then(JsonValue::as_array)
@@ -162,7 +162,7 @@ pub fn args_from_meta(meta: &JsonValue) -> Result<Args, ArgError> {
 ///
 /// Returns [`ArgError`] for an unknown chip, malformed numbers, or a
 /// `--volts` that is not a positive finite supply.
-pub fn rig_from(args: &Args) -> Result<Rig, ArgError> {
+pub(crate) fn rig_from(args: &Args) -> Result<Rig, ArgError> {
     let chip = args.str_flag("--chip", "bulldozer");
     let mut rig = match chip.as_str() {
         "bulldozer" => Rig::bulldozer(),
@@ -199,7 +199,7 @@ pub fn rig_from(args: &Args) -> Result<Rig, ArgError> {
 ///
 /// Returns [`ArgError`] for a malformed count, zero threads, or more
 /// threads than the chip has.
-pub fn threads_from(args: &Args, rig: &Rig) -> Result<usize, ArgError> {
+pub(crate) fn threads_from(args: &Args, rig: &Rig) -> Result<usize, ArgError> {
     let threads = args.num_flag("--threads", 4usize)?;
     rig.placement(threads)
         .map_err(|e| ArgError(format!("--threads: {e}")))?;
@@ -220,7 +220,7 @@ pub fn threads_from(args: &Args, rig: &Rig) -> Result<usize, ArgError> {
 /// # Errors
 ///
 /// Returns [`ArgError`] for an unknown objective or a malformed count.
-pub fn options_from(args: &Args) -> Result<AuditOptions, ArgError> {
+pub(crate) fn options_from(args: &Args) -> Result<AuditOptions, ArgError> {
     let mut opts = if args.bool_flag("--fast") {
         AuditOptions::fast_demo()
     } else {
@@ -268,7 +268,9 @@ pub fn options_from(args: &Args) -> Result<AuditOptions, ArgError> {
 ///
 /// Returns [`ArgError`] for an unknown axis, an empty spec, or
 /// conflicting droop variants.
-pub fn parse_objective_spec(spec: &str) -> Result<(ObjectiveSet, Option<CostFunction>), ArgError> {
+pub(crate) fn parse_objective_spec(
+    spec: &str,
+) -> Result<(ObjectiveSet, Option<CostFunction>), ArgError> {
     let mut axes = Vec::new();
     let mut variant: Option<CostFunction> = None;
     for token in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -322,7 +324,7 @@ fn objective_spec_string(set: ObjectiveSet, variant: Option<CostFunction>) -> St
 /// # Errors
 ///
 /// Returns [`ArgError`] for a value that does not parse as a number.
-pub fn grid_axis(args: &Args, flag: &str, default: &[f64]) -> Result<Vec<f64>, ArgError> {
+pub(crate) fn grid_axis(args: &Args, flag: &str, default: &[f64]) -> Result<Vec<f64>, ArgError> {
     match args.opt_flag(flag) {
         None => Ok(default.to_vec()),
         Some(list) => list
@@ -345,7 +347,7 @@ pub fn grid_axis(args: &Args, flag: &str, default: &[f64]) -> Result<Vec<f64>, A
 /// # Errors
 ///
 /// Returns [`ArgError`] for a malformed fault spec or count.
-pub fn policy_from(args: &Args) -> Result<MeasurePolicy, ArgError> {
+pub(crate) fn policy_from(args: &Args) -> Result<MeasurePolicy, ArgError> {
     let mut policy = MeasurePolicy::disabled();
     if let Some(spec) = args.opt_flag("--faults") {
         policy.faults = FaultPlan::parse(&spec).map_err(|e| ArgError(format!("--faults: {e}")))?;
@@ -376,7 +378,7 @@ pub fn policy_from(args: &Args) -> Result<MeasurePolicy, ArgError> {
 ///
 /// Returns [`ArgError`] for a malformed cycle count or a spec that
 /// fails [`MeasureSpec::validate`] (e.g. `--cycles 0`).
-pub fn spec_from(args: &Args) -> Result<MeasureSpec, ArgError> {
+pub(crate) fn spec_from(args: &Args) -> Result<MeasureSpec, ArgError> {
     let mut spec = if args.bool_flag("--fast") {
         MeasureSpec::ga_eval()
     } else {
@@ -399,7 +401,7 @@ pub fn spec_from(args: &Args) -> Result<MeasureSpec, ArgError> {
 ///
 /// Returns [`ArgError`] when no selector is given, the name is unknown,
 /// or the file fails to read/parse.
-pub fn program_from(args: &Args) -> Result<Program, ArgError> {
+pub(crate) fn program_from(args: &Args) -> Result<Program, ArgError> {
     if let Some(path) = args.opt_flag("--file") {
         let text =
             std::fs::read_to_string(&path).map_err(|e| ArgError(format!("reading {path}: {e}")))?;
@@ -420,7 +422,7 @@ pub fn program_from(args: &Args) -> Result<Program, ArgError> {
 }
 
 /// Named manual stressmarks.
-pub fn stressmark_by_name(name: &str) -> Option<Program> {
+pub(crate) fn stressmark_by_name(name: &str) -> Option<Program> {
     match name.to_ascii_lowercase().as_str() {
         "sm1" => Some(manual::sm1()),
         "sm2" => Some(manual::sm2()),

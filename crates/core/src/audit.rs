@@ -422,7 +422,7 @@ impl Audit {
     /// # Errors
     ///
     /// Same as [`Audit::generate_resonant_journaled`].
-    pub fn generate_excitation_journaled(
+    pub(crate) fn generate_excitation_journaled(
         &self,
         threads: usize,
         sink: &mut dyn JournalSink,
@@ -431,7 +431,7 @@ impl Audit {
     }
 
     /// Resumes a run journaled by
-    /// [`Audit::generate_excitation_journaled`]. Same semantics as
+    /// `Audit::generate_excitation_journaled`. Same semantics as
     /// [`Audit::resume_resonant`]: completed phases are reused, a
     /// mid-GA kill resumes generation-exact, and the result is
     /// bit-identical to the uninterrupted run's.

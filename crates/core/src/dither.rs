@@ -93,7 +93,7 @@ impl DitherPlan {
     }
 
     /// Padding quantum in cycles: `δ + 1`.
-    pub fn pad_cycles(&self) -> u64 {
+    pub(crate) fn pad_cycles(&self) -> u64 {
         (self.delta + 1) as u64
     }
 

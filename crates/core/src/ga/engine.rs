@@ -110,7 +110,7 @@ pub struct GaConfig {
     /// Lint-driven mutation repair. Off by default: breeding is
     /// untouched and journal bytes match a config that predates the
     /// flag. On, every as-bred genome (initial population included) is
-    /// linted under [`super::repair::repair_lint_config`] and offending
+    /// linted under `super::repair::repair_lint_config` and offending
     /// slots are re-rolled deterministically (bounded attempts, NOP
     /// fallback; see [`super::repair`]), so populations reach the
     /// simulator free of deny-level AUD1xx dead work. Repair draws from

@@ -57,7 +57,7 @@ impl Gene {
     /// benchmarks or stressmarks"). Memory behaviour other than an
     /// always-missing load does not survive the round trip — genes can
     /// only express what the GA can mutate.
-    pub fn from_inst(inst: &audit_cpu::Inst) -> Self {
+    pub(crate) fn from_inst(inst: &audit_cpu::Inst) -> Self {
         Gene {
             opcode: inst.opcode,
             dst: inst.dst.map(|r| r.index() % 8).unwrap_or(0),

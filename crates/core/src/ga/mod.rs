@@ -32,8 +32,8 @@ pub use engine::{
 };
 pub use genome::{from_program, to_sub_block, Gene};
 pub use pareto::{
-    crowding_distance, non_dominated_sort, rank_population, FrontMember, Objective, ObjectiveSet,
-    Objectives, PopulationRanking,
+    non_dominated_sort, rank_population, FrontMember, Objective, ObjectiveSet, Objectives,
+    PopulationRanking,
 };
-pub use repair::{offending_slots, repair_genome, repair_lint_config, REPAIR_MAX_ATTEMPTS};
-pub use study::{resume_study, run_study, StudySummary};
+pub use repair::{offending_slots, REPAIR_MAX_ATTEMPTS};
+pub use study::{run_study, StudySummary};

@@ -15,7 +15,7 @@
 //!
 //! - [`non_dominated_sort`] assigns front ranks by dominance only;
 //!   within a front, slot order is preserved.
-//! - [`crowding_distance`] breaks objective-value ties by slot index
+//! - `crowding_distance` breaks objective-value ties by slot index
 //!   when sorting along each axis, so equal vectors always produce the
 //!   same distances.
 //! - [`rank_population`] combines both into one comparison key per
@@ -173,7 +173,7 @@ impl ObjectiveSet {
 
     /// The canonical comma-separated spec (inverse of
     /// [`ObjectiveSet::parse`]), always in canonical axis order.
-    pub fn to_spec(self) -> String {
+    pub(crate) fn to_spec(self) -> String {
         self.iter()
             .map(Objective::as_str)
             .collect::<Vec<_>>()
@@ -209,7 +209,7 @@ impl ObjectiveSet {
 
     /// True for the single-axis sets, whose searches degenerate to the
     /// scalar GA path.
-    pub fn is_scalar(self) -> bool {
+    pub(crate) fn is_scalar(self) -> bool {
         self.len() == 1
     }
 }
@@ -231,7 +231,7 @@ impl Objectives {
     }
 
     /// The sentinel for budget-deferred slots: loses every comparison,
-    /// is never cached, and is recognized by [`Objectives::is_deferred`]
+    /// is never cached, and is recognized by `Objectives::is_deferred`
     /// regardless of the run's axis count.
     pub fn deferred() -> Self {
         Objectives(vec![f64::NEG_INFINITY])
@@ -254,7 +254,7 @@ impl Objectives {
 
     /// True for the budget-deferred sentinel (see the engine's
     /// `fast_tier_budget` docs).
-    pub fn is_deferred(&self) -> bool {
+    pub(crate) fn is_deferred(&self) -> bool {
         self.primary() == f64::NEG_INFINITY
     }
 
@@ -354,7 +354,7 @@ pub fn non_dominated_sort(objs: &[Objectives]) -> Vec<usize> {
 /// Sorting along an axis breaks value ties by slot index, which makes
 /// the distances a pure function of (vectors, slots) — no unstable-sort
 /// luck.
-pub fn crowding_distance(objs: &[Objectives], rank: &[usize]) -> Vec<f64> {
+pub(crate) fn crowding_distance(objs: &[Objectives], rank: &[usize]) -> Vec<f64> {
     let n = objs.len();
     let mut crowding = vec![0.0f64; n];
     if n == 0 {
@@ -438,7 +438,7 @@ impl PopulationRanking {
 }
 
 /// Ranks a whole population: [`non_dominated_sort`] +
-/// [`crowding_distance`] in one call.
+/// `crowding_distance` in one call.
 pub fn rank_population(objs: &[Objectives]) -> PopulationRanking {
     let rank = non_dominated_sort(objs);
     let crowding = crowding_distance(objs, &rank);
@@ -447,7 +447,7 @@ pub fn rank_population(objs: &[Objectives]) -> PopulationRanking {
 
 /// Extracts the deduplicated rank-0 front of a population in slot
 /// order — the [`FrontMember`] list a Pareto [`super::GaRun`] reports.
-pub fn extract_front(
+pub(crate) fn extract_front(
     population: &[Vec<Gene>],
     objs: &[Objectives],
     ranking: &PopulationRanking,

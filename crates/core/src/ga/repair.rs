@@ -5,7 +5,7 @@
 //! (dead value) and AUD104 (serializing divide) — which the GA then
 //! pays a full cycle-level simulation to discover is worthless. Repair
 //! closes that loop: after breeding, each child is linted under
-//! [`repair_lint_config`] and every offending slot is re-rolled from
+//! `repair_lint_config` and every offending slot is re-rolled from
 //! its *own* RNG stream, bounded attempts, with a NOP fallback that
 //! provably converges. Populations stay dense in useful instructions
 //! (the FIRESTARTER 2 lesson) without a single extra simulation.
@@ -38,7 +38,7 @@ pub const REPAIR_MAX_ATTEMPTS: u32 = 2;
 /// The lint configuration repair enforces: the two codes that mark
 /// statically-dead work. Everything else keeps its default level —
 /// repair is a density filter, not a style gate.
-pub fn repair_lint_config() -> LintConfig {
+pub(crate) fn repair_lint_config() -> LintConfig {
     LintConfig::new()
         .deny(Code::DeadValue)
         .deny(Code::SerializingDivide)
@@ -54,7 +54,7 @@ fn reroll_seed(seed: u64, child_key: u64, slot: usize, attempt: u32) -> u64 {
 }
 
 /// Slots of `genome` carrying a deny-level diagnostic under
-/// [`repair_lint_config`], ascending and deduplicated.
+/// `repair_lint_config`, ascending and deduplicated.
 pub fn offending_slots(genome: &[Gene]) -> Vec<usize> {
     let program = Program::new("repair", to_sub_block(genome));
     let mut slots: Vec<usize> = lint(&program, &repair_lint_config())
@@ -77,7 +77,7 @@ pub fn offending_slots(genome: &[Gene]) -> Vec<usize> {
 /// within one pass per remaining slot: NOPs write no destination, so
 /// they can never carry AUD101/AUD104, and no repair step un-NOPs a
 /// slot.
-pub fn repair_genome(genome: &mut [Gene], menu: &[Opcode], seed: u64) -> u64 {
+pub(crate) fn repair_genome(genome: &mut [Gene], menu: &[Opcode], seed: u64) -> u64 {
     let child_key = genome_key(genome);
     let mut rerolls = 0u64;
     for attempt in 0..REPAIR_MAX_ATTEMPTS {

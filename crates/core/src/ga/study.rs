@@ -87,7 +87,7 @@ fn mean(xs: &[f64]) -> f64 {
 /// `phase_start`, the seed's full GA section (`ga_start`, one record per
 /// generation, `ga_end`), and a `phase_end` whose payload carries the
 /// seed's summary row. A study killed anywhere — between seeds or
-/// mid-generation — resumes via [`resume_study`] with a bit-identical
+/// mid-generation — resumes via `resume_study` with a bit-identical
 /// [`StudySummary`].
 ///
 /// # Errors
@@ -133,7 +133,7 @@ pub fn run_study(
 /// [`AuditError::Journal`] for a journal inconsistent with the
 /// arguments.
 #[allow(clippy::too_many_arguments)]
-pub fn resume_study(
+pub(crate) fn resume_study(
     journal: &Journal,
     cfg: &GaConfig,
     menu: &[Opcode],

@@ -261,7 +261,7 @@ impl Rig {
 
     /// Returns a copy with the core clock replaced (the DVFS shmoo
     /// sweep turns this knob alongside [`Rig::at_voltage`]).
-    pub fn at_clock(&self, clock_hz: f64) -> Rig {
+    pub(crate) fn at_clock(&self, clock_hz: f64) -> Rig {
         let mut rig = self.clone();
         rig.chip.clock_hz = clock_hz;
         rig
@@ -322,7 +322,7 @@ impl Rig {
     /// # Panics
     ///
     /// Panics under the same conditions as [`Rig::measure_with_offsets`].
-    pub fn measure_with_hook(
+    pub(crate) fn measure_with_hook(
         &self,
         programs: &[Program],
         offsets: &[u64],
@@ -371,7 +371,7 @@ impl Rig {
     /// Panics under the same conditions as [`Rig::measure_with_offsets`]
     /// (placement or program incompatibility — caller bugs, not faults).
     #[allow(clippy::too_many_arguments)]
-    pub fn try_measure_faulted(
+    pub(crate) fn try_measure_faulted(
         &self,
         programs: &[Program],
         offsets: &[u64],

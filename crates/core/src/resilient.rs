@@ -300,7 +300,7 @@ impl ResilienceReport {
     /// The per-evaluation delta a single [`ResilientOutcome`] adds —
     /// what [`ResilienceLog::record`] folds in locally and what a
     /// remote worker ships back alongside its fitness result.
-    pub fn from_outcome(outcome: &ResilientOutcome) -> ResilienceReport {
+    pub(crate) fn from_outcome(outcome: &ResilientOutcome) -> ResilienceReport {
         ResilienceReport {
             evaluations: 1,
             retries: u64::from(outcome.retries),

@@ -8,7 +8,7 @@
 //! clock. This module automates the whole plane: [`ShmooSweep`] walks a
 //! V/F grid in a fixed row-major order, re-running the journaled
 //! [`VminSearch`] at every [`VfPoint`] on a rig re-tuned via
-//! [`Rig::at_voltage`] + [`Rig::at_clock`], and records the resulting
+//! [`Rig::at_voltage`] + `Rig::at_clock`, and records the resulting
 //! safe-margin surface.
 //!
 //! # Crash tolerance

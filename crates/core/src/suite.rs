@@ -59,7 +59,7 @@ impl Scenario {
     }
 
     /// The rig configured for this scenario.
-    pub fn rig_for(&self, base: &Rig) -> Rig {
+    pub(crate) fn rig_for(&self, base: &Rig) -> Rig {
         match self.fpu_throttle {
             Some(cap) => base.clone().with_fpu_throttle(cap),
             None => base.clone(),

@@ -157,7 +157,8 @@ impl Cache {
     }
 
     /// Miss ratio (0 when never accessed).
-    pub fn miss_ratio(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn miss_ratio(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0

@@ -194,12 +194,12 @@ impl CoreSim {
     }
 
     /// True if a program is loaded.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         !self.body.is_empty()
     }
 
     /// Total instructions retired since load.
-    pub fn retired_total(&self) -> u64 {
+    pub(crate) fn retired_total(&self) -> u64 {
         self.retired_total
     }
 

@@ -80,13 +80,13 @@ impl EnergyModel {
 
     /// Per-busy-cycle current of an unpipelined op, in amps.
     #[inline]
-    pub fn busy_amps(&self, op: Opcode) -> f64 {
+    pub(crate) fn busy_amps(&self, op: Opcode) -> f64 {
         op.props().busy_amps * self.op_scale
     }
 
     /// Data-toggle modulation gain: `1 ± toggle_span/2`.
     #[inline]
-    pub fn toggle_gain(&self, toggle: f64) -> f64 {
+    pub(crate) fn toggle_gain(&self, toggle: f64) -> f64 {
         1.0 - self.toggle_span / 2.0 + self.toggle_span * toggle.clamp(0.0, 1.0)
     }
 }

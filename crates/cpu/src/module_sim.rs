@@ -63,7 +63,7 @@ impl ModuleSim {
     }
 
     /// Access to a core (for stall injection and probes).
-    pub fn core_mut(&mut self, core_idx: u32) -> &mut CoreSim {
+    pub(crate) fn core_mut(&mut self, core_idx: u32) -> &mut CoreSim {
         &mut self.cores[core_idx as usize]
     }
 
@@ -73,7 +73,7 @@ impl ModuleSim {
     }
 
     /// Number of cores with a loaded program.
-    pub fn active_cores(&self) -> u32 {
+    pub(crate) fn active_cores(&self) -> u32 {
         self.cores.iter().filter(|c| c.is_active()).count() as u32
     }
 
@@ -86,7 +86,7 @@ impl ModuleSim {
     /// instructions per core — the actuator used by the chip-level di/dt
     /// limiter (fetch/decode throttling, cf. Grochowski et al. \[5\] and
     /// Pant et al. \[18\] in the paper's §2).
-    pub fn step_with_fetch_cap(&mut self, now: u64, fetch_cap: u32) -> ModuleCycle {
+    pub(crate) fn step_with_fetch_cap(&mut self, now: u64, fetch_cap: u32) -> ModuleCycle {
         let mut out = ModuleCycle::default();
 
         // Free FP pipes this cycle, after the static throttle.

@@ -371,7 +371,7 @@ const STREAM_NOISE: u64 = 0x4E4F4953; // "NOIS"
 /// RNG streams, so fault schedules inherit its avalanche behaviour.
 /// Public so other deterministic fault layers (e.g. the network chaos
 /// plan in `audit-net`) draw from the identical mixing discipline.
-pub fn splitmix(z: u64) -> u64 {
+pub(crate) fn splitmix(z: u64) -> u64 {
     let z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

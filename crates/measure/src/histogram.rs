@@ -74,7 +74,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn bin_center(&self, i: usize) -> f64 {
+    pub(crate) fn bin_center(&self, i: usize) -> f64 {
         assert!(i < self.counts.len(), "bin index out of range");
         let w = (self.hi - self.lo) / self.counts.len() as f64;
         self.lo + (i as f64 + 0.5) * w

@@ -34,10 +34,8 @@ pub struct Oscilloscope {
     below_trigger: bool,
     decimation: u64,
     window_min: f64,
-    window_max: f64,
     window_fill: u64,
     envelope_min: Vec<f64>,
-    envelope_max: Vec<f64>,
 }
 
 impl Oscilloscope {
@@ -66,10 +64,8 @@ impl Oscilloscope {
             below_trigger: false,
             decimation: 1,
             window_min: f64::INFINITY,
-            window_max: f64::NEG_INFINITY,
             window_fill: 0,
             envelope_min: Vec::new(),
-            envelope_max: Vec::new(),
         }
     }
 
@@ -80,7 +76,7 @@ impl Oscilloscope {
         self
     }
 
-    /// Sets envelope decimation: one min/max pair is kept per `n`
+    /// Sets envelope decimation: one minimum is kept per `n`
     /// samples (the 100 MS/s view of Fig. 6 at a 3.2 GHz sim rate is
     /// `n = 32`).
     ///
@@ -115,13 +111,10 @@ impl Oscilloscope {
             self.below_trigger = below;
         }
         self.window_min = self.window_min.min(v);
-        self.window_max = self.window_max.max(v);
         self.window_fill += 1;
         if self.window_fill >= self.decimation {
             self.envelope_min.push(self.window_min);
-            self.envelope_max.push(self.window_max);
             self.window_min = f64::INFINITY;
-            self.window_max = f64::NEG_INFINITY;
             self.window_fill = 0;
         }
     }
@@ -144,11 +137,6 @@ impl Oscilloscope {
     /// The decimated min-envelope (one point per decimation window).
     pub fn envelope(&self) -> &[f64] {
         &self.envelope_min
-    }
-
-    /// The decimated max-envelope.
-    pub fn envelope_max(&self) -> &[f64] {
-        &self.envelope_max
     }
 
     /// Convenience: the capture's maximum droop below nominal.
@@ -186,7 +174,6 @@ mod tests {
             s.sample(v);
         }
         assert_eq!(s.envelope(), &[1.0, 1.1]);
-        assert_eq!(s.envelope_max(), &[1.2, 1.3]);
     }
 
     #[test]
@@ -238,7 +225,6 @@ mod tests {
         assert_eq!(dirty.stats().rejected(), 4);
         assert_eq!(dirty.trigger_events(), clean.trigger_events());
         assert_eq!(dirty.envelope(), clean.envelope());
-        assert_eq!(dirty.envelope_max(), clean.envelope_max());
         assert_eq!(dirty.histogram().total(), clean.histogram().total());
         assert_eq!(dirty.max_droop().to_bits(), clean.max_droop().to_bits());
     }

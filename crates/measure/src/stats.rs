@@ -154,7 +154,7 @@ pub fn median_index(xs: &[f64]) -> Option<usize> {
 }
 
 /// Median absolute deviation of a slice; `None` when empty.
-pub fn mad(xs: &[f64]) -> Option<f64> {
+pub(crate) fn mad(xs: &[f64]) -> Option<f64> {
     let m = median(xs)?;
     let deviations: Vec<f64> = xs.iter().map(|x| (x - m).abs()).collect();
     median(&deviations)

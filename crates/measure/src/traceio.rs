@@ -15,7 +15,7 @@
 //! refuse), report the longest valid prefix with a per-kind record
 //! census, and can truncate the file back to that prefix so `--resume`
 //! accepts a previously dead checkpoint. This backs `audit journal
-//! fsck`. All of them read with one line rule ([`fsck_bytes`]).
+//! fsck`. All of them read with one line rule (`fsck_bytes`).
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, Read, Write};
@@ -332,7 +332,7 @@ fn parse_line(line: &[u8]) -> Result<Option<JsonValue>, String> {
 /// (bytes, not `str`: a damaged journal need not be UTF-8). The first
 /// invalid line is a torn tail if nothing follows it, else a corrupt
 /// interior; the valid prefix ends just before it.
-pub fn fsck_bytes(bytes: &[u8]) -> FsckReport {
+pub(crate) fn fsck_bytes(bytes: &[u8]) -> FsckReport {
     scan(bytes).0
 }
 
@@ -375,7 +375,7 @@ pub fn fsck_repair(path: impl AsRef<Path>) -> Result<FsckReport, AuditError> {
 
 /// An append-only NDJSON log: the one writer under the run journal
 /// (`audit_core::journal::JournalWriter`) and the dispatch WAL
-/// (`audit_net::wal::Wal`). Opening reads the file with [`fsck_bytes`]'s
+/// (`audit_net::wal::Wal`). Opening reads the file with `fsck_bytes`'s
 /// rule and cuts a torn tail off before anything is appended after it.
 /// An append is one write, cut back off if it fails. Syncing is the
 /// caller's call ([`AppendLog::sync`]).

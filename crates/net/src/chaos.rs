@@ -259,7 +259,13 @@ impl NetFaultPlan {
     /// The wire-level fate of one frame. Pure: the same arguments
     /// always return the same fate. [`FrameFate::Deliver`] whenever the
     /// plan is disabled.
-    pub fn frame_fate(&self, dir: Direction, frame_key: u64, attempt: u32, copy: u32) -> FrameFate {
+    pub(crate) fn frame_fate(
+        &self,
+        dir: Direction,
+        frame_key: u64,
+        attempt: u32,
+        copy: u32,
+    ) -> FrameFate {
         if !self.is_enabled() {
             return FrameFate::Deliver;
         }
@@ -279,7 +285,13 @@ impl NetFaultPlan {
     /// The deterministic bit index the "network" flips when
     /// [`FrameFate::Corrupt`] fires on an outbound frame (the writer
     /// reduces it modulo the payload length in bits).
-    pub fn corrupt_bit(&self, dir: Direction, frame_key: u64, attempt: u32, copy: u32) -> u64 {
+    pub(crate) fn corrupt_bit(
+        &self,
+        dir: Direction,
+        frame_key: u64,
+        attempt: u32,
+        copy: u32,
+    ) -> u64 {
         mix(self.base(dir, frame_key, attempt, copy), STREAM_CORRUPT_BIT)
     }
 
@@ -299,7 +311,7 @@ impl NetFaultPlan {
     /// that survives round-trips and is detectable only by
     /// cross-validation. Keyed per copy, so two copies of a verified
     /// job practically never lie identically.
-    pub fn lie_mask(&self, frame_key: u64, attempt: u32, copy: u32) -> u64 {
+    pub(crate) fn lie_mask(&self, frame_key: u64, attempt: u32, copy: u32) -> u64 {
         if self.rates.lie == 0.0 {
             return 0;
         }

@@ -81,7 +81,7 @@ pub fn write_frame(w: &mut impl Write, payload: &JsonValue) -> Result<(), AuditE
 /// # Errors
 ///
 /// Returns [`AuditError::Io`] on any socket write failure.
-pub fn write_corrupted_frame(
+pub(crate) fn write_corrupted_frame(
     w: &mut impl Write,
     payload: &JsonValue,
     flip_bit: u64,

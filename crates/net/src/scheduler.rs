@@ -53,7 +53,7 @@ impl FairShare {
     }
 
     /// Removes a campaign (a completed or failed tenant).
-    pub fn unregister(&mut self, id: u64) {
+    pub(crate) fn unregister(&mut self, id: u64) {
         if let Some(pos) = self.entries.iter().position(|e| e.id == id) {
             self.entries.remove(pos);
             if pos < self.cursor {

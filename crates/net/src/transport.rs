@@ -2,7 +2,7 @@
 //!
 //! Addresses are either `host:port` (TCP; `host:0` asks the OS for a
 //! free port — read the bound address back with
-//! [`Listener::local_addr_string`]) or `unix:/path/to.sock` (Unix
+//! `Listener::local_addr_string`) or `unix:/path/to.sock` (Unix
 //! domain socket; the path is unlinked before binding so a stale socket
 //! file from a killed broker does not block a restart).
 //!
@@ -50,7 +50,7 @@ impl Listener {
     /// The bound address in the same syntax [`Listener::bind`] accepts,
     /// suitable for handing to [`connect`]. For TCP this resolves
     /// `:0` to the actual port.
-    pub fn local_addr_string(&self) -> String {
+    pub(crate) fn local_addr_string(&self) -> String {
         match self {
             Listener::Tcp(l) => l
                 .local_addr()
@@ -106,7 +106,7 @@ impl Conn {
     /// # Errors
     ///
     /// Returns the underlying duplication error.
-    pub fn try_clone(&self) -> std::io::Result<Conn> {
+    pub(crate) fn try_clone(&self) -> std::io::Result<Conn> {
         match self {
             Conn::Tcp(s) => Ok(Conn::Tcp(s.try_clone()?)),
             #[cfg(unix)]

@@ -102,7 +102,12 @@ impl Wal {
     /// # Errors
     ///
     /// Returns [`AuditError::Io`] if the append fails.
-    pub fn log_dispatch(&mut self, key: u64, slot: usize, attempt: u32) -> Result<(), AuditError> {
+    pub(crate) fn log_dispatch(
+        &mut self,
+        key: u64,
+        slot: usize,
+        attempt: u32,
+    ) -> Result<(), AuditError> {
         self.append(&WalLine::Dispatch { key, slot, attempt }.encode())
     }
 
@@ -111,7 +116,7 @@ impl Wal {
     /// # Errors
     ///
     /// Returns [`AuditError::Io`] if the append fails.
-    pub fn log_result(
+    pub(crate) fn log_result(
         &mut self,
         key: u64,
         objectives: &Objectives,
@@ -130,7 +135,7 @@ impl Wal {
     /// # Errors
     ///
     /// Returns [`AuditError::Io`] if the append fails.
-    pub fn log_worker_evicted(
+    pub(crate) fn log_worker_evicted(
         &mut self,
         worker: u64,
         key: u64,

@@ -108,7 +108,8 @@ mod tests {
         let rlc = die_stage_rlc();
         let f = rlc.omega0() / (2.0 * std::f64::consts::PI);
         assert!((f - s.natural_frequency_hz()).abs() / f < 1e-9);
-        assert!((rlc.q() - s.quality_factor()).abs() / rlc.q() < 1e-9);
+        let q = (s.series_l / s.shunt_c).sqrt() / (s.series_r + s.shunt_esr);
+        assert!((rlc.q() - q).abs() / rlc.q() < 1e-9);
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl Complex {
     }
 
     /// Squared magnitude, avoiding the square root of [`Complex::norm`].
-    pub fn norm_sqr(self) -> f64 {
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 

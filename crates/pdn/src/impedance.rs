@@ -162,8 +162,8 @@ mod tests {
         let pdn = PdnModel::bulldozer_board();
         let peaks = sweep().resonances();
         let estimates = [
-            pdn.board_stage().natural_frequency_hz(),
-            pdn.package_stage().natural_frequency_hz(),
+            pdn.stages()[0].natural_frequency_hz(),
+            pdn.stages()[1].natural_frequency_hz(),
             pdn.die_stage().natural_frequency_hz(),
         ];
         for (peak, est) in peaks.iter().zip(estimates) {

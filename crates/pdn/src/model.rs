@@ -47,17 +47,6 @@ impl PdnStage {
     pub fn natural_frequency_hz(&self) -> f64 {
         1.0 / (2.0 * std::f64::consts::PI * (self.series_l * self.shunt_c).sqrt())
     }
-
-    /// Characteristic impedance `√(L/C)` in ohms.
-    pub fn characteristic_impedance(&self) -> f64 {
-        (self.series_l / self.shunt_c).sqrt()
-    }
-
-    /// Approximate quality factor `√(L/C) / R_total` of the stage's
-    /// resonance, using series R plus decap ESR as the damping.
-    pub fn quality_factor(&self) -> f64 {
-        self.characteristic_impedance() / (self.series_r + self.shunt_esr)
-    }
 }
 
 /// Full PDN description: VRM + three ladder stages.
@@ -197,16 +186,6 @@ impl PdnModel {
         self
     }
 
-    /// The motherboard stage.
-    pub fn board_stage(&self) -> &PdnStage {
-        &self.stages[0]
-    }
-
-    /// The package stage.
-    pub fn package_stage(&self) -> &PdnStage {
-        &self.stages[1]
-    }
-
     /// The die stage, whose resonance is the first droop.
     pub fn die_stage(&self) -> &PdnStage {
         &self.stages[2]
@@ -286,8 +265,8 @@ mod tests {
     fn resonances_are_ordered_fast_to_slow() {
         let pdn = PdnModel::bulldozer_board();
         let f1 = pdn.die_stage().natural_frequency_hz();
-        let f2 = pdn.package_stage().natural_frequency_hz();
-        let f3 = pdn.board_stage().natural_frequency_hz();
+        let f2 = pdn.stages()[1].natural_frequency_hz();
+        let f3 = pdn.stages()[0].natural_frequency_hz();
         assert!(f1 > f2 && f2 > f3, "f1={f1} f2={f2} f3={f3}");
     }
 
@@ -295,8 +274,7 @@ mod tests {
     fn phenom_changes_only_die_stage() {
         let b = PdnModel::bulldozer_board();
         let p = PdnModel::phenom_board();
-        assert_eq!(b.board_stage(), p.board_stage());
-        assert_eq!(b.package_stage(), p.package_stage());
+        assert_eq!(b.stages()[..2], p.stages()[..2]);
         assert_ne!(b.die_stage(), p.die_stage());
     }
 
@@ -342,7 +320,8 @@ mod tests {
     fn quality_factor_is_reasonable() {
         // An underdamped first droop (Q well above 1) is what makes
         // resonant stressmarks build amplitude (paper Fig. 4).
-        let q = PdnModel::bulldozer_board().die_stage().quality_factor();
+        let s = *PdnModel::bulldozer_board().die_stage();
+        let q = (s.series_l / s.shunt_c).sqrt() / (s.series_r + s.shunt_esr);
         assert!(q > 2.0 && q < 50.0, "Q = {q}");
     }
 

@@ -48,7 +48,6 @@ pub struct Transient {
     load_line_slope: f64,
     dt: f64,
     state: State,
-    elapsed_cycles: u64,
 }
 
 impl Transient {
@@ -81,7 +80,6 @@ impl Transient {
             dt: 1.0 / clock_hz,
             // All caps charged to Vnom, no branch current: zero-load DC.
             state: [0.0, 0.0, 0.0, v_nom, v_nom, v_nom],
-            elapsed_cycles: 0,
         }
     }
 
@@ -96,13 +94,12 @@ impl Transient {
     /// steps land on `x* + Mᶜʸᶜˡᵉˢ·(x − x*)`. The matrix power takes
     /// O(log `cycles`) 6×6 products, so the cost does not grow with
     /// `cycles`; the result matches the stepped loop to float rounding
-    /// (≈ 1e-13 V). Resets the elapsed-cycle counter.
+    /// (≈ 1e-13 V).
     pub fn settle(&mut self, amps: f64, cycles: u64) {
         let dc = self.dc_state(amps);
         let m = matrix_pow(self.step_matrix(), cycles);
         let offset: State = std::array::from_fn(|j| self.state[j] - dc[j]);
         self.state = std::array::from_fn(|i| dc[i] + dot(&m[i], &offset));
-        self.elapsed_cycles = 0;
     }
 
     /// DC operating point under `amps`: every branch carries the load,
@@ -153,7 +150,6 @@ impl Transient {
         for i in 0..6 {
             self.state[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
         }
-        self.elapsed_cycles += 1;
         self.die_voltage(amps)
     }
 
@@ -162,11 +158,6 @@ impl Transient {
     pub fn die_voltage(&self, amps: f64) -> f64 {
         // v_die = u_die + ESR_die · i_cap, i_cap = i_branch3 − i_load.
         self.state[5] + self.esr[2] * (self.state[2] - amps)
-    }
-
-    /// Number of cycles stepped since construction or [`Transient::settle`].
-    pub fn elapsed_cycles(&self) -> u64 {
-        self.elapsed_cycles
     }
 
     /// Simulation time step in seconds.
@@ -404,16 +395,6 @@ mod tests {
             acc
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn settle_resets_elapsed_cycles() {
-        let pdn = PdnModel::bulldozer_board();
-        let mut t = Transient::new(&pdn, CLOCK);
-        t.settle(5.0, 123);
-        assert_eq!(t.elapsed_cycles(), 0);
-        t.step(5.0);
-        assert_eq!(t.elapsed_cycles(), 1);
     }
 
     #[test]

@@ -38,8 +38,7 @@ impl Kernel {
     ///
     /// # Panics
     ///
-    /// Panics if the high-power region is empty; use [`Self::try_new`]
-    /// to handle that as an error.
+    /// Panics if the high-power region is empty.
     pub fn new(name: impl Into<String>, hp: Vec<Inst>, lp_nops: usize) -> Self {
         Kernel::try_new(name, hp, lp_nops).expect("high-power region must not be empty")
     }
@@ -50,7 +49,7 @@ impl Kernel {
     ///
     /// Returns [`AuditError::InvalidConfig`] if the high-power region
     /// is empty.
-    pub fn try_new(
+    pub(crate) fn try_new(
         name: impl Into<String>,
         hp: Vec<Inst>,
         lp_nops: usize,
@@ -74,8 +73,7 @@ impl Kernel {
     ///
     /// # Panics
     ///
-    /// Panics if `sub_block` is empty or `s == 0`; use
-    /// [`Self::try_from_sub_blocks`] to handle those as errors.
+    /// Panics if `sub_block` is empty or `s == 0`.
     pub fn from_sub_blocks(
         name: impl Into<String>,
         sub_block: &[Inst],
@@ -92,7 +90,7 @@ impl Kernel {
     ///
     /// Returns [`AuditError::InvalidConfig`] if `sub_block` is empty or
     /// `s == 0`.
-    pub fn try_from_sub_blocks(
+    pub(crate) fn try_from_sub_blocks(
         name: impl Into<String>,
         sub_block: &[Inst],
         s: usize,

@@ -41,8 +41,7 @@ pub const TOGGLE_PATTERNS: [(u64, u64); 2] = [
 ///
 /// # Panics
 ///
-/// Panics if the program fails structural verification; use
-/// [`try_emit`] to handle that as an error.
+/// Panics if the program fails structural verification.
 pub fn emit(program: &Program, iterations: u64) -> String {
     try_emit(program, iterations).expect("program failed structural verification")
 }
@@ -56,7 +55,7 @@ pub fn emit(program: &Program, iterations: u64) -> String {
 /// pattern, and the full opcode set (chip capability checks like
 /// AUD003 belong to [`VerifyTarget::for_chip`], not to emission — NASM
 /// will happily assemble FMA4 forms).
-pub fn try_emit(program: &Program, iterations: u64) -> Result<String, AuditError> {
+pub(crate) fn try_emit(program: &Program, iterations: u64) -> Result<String, AuditError> {
     let target = VerifyTarget::permissive();
     let errors: Vec<String> = audit_analyze::verify(program, &target)
         .into_iter()

@@ -18,25 +18,30 @@ cd "$(dirname "$0")/.."
 # one per `record`/`enum` table of a top-level `codec!` block (the
 # tables generate public trait impls and `kind()`), normalized and
 # sorted deterministically. A signature rustfmt wraps over several
-# lines is joined until it closes (`{`, `;` or `where`; a `const`,
-# `static` or `type` at its `=`) and loses the wrap's trailing comma,
-# so re-wrapping is not drift. Signatures are cut at `{`, `;`, `->`
-# and `where`: this is a drift detector, not a parser.
+# lines is joined until it closes (a trailing ` {`, `{}` or `;`, or a
+# `where`; a `const`, `static` or `type` at its `=`) and loses the
+# wrap's trailing comma, so re-wrapping is not drift. Each signature is
+# then cut at its body's ` {`, a trailing `;` or its `where`, so
+# argument and return types are part of the snapshot (a `;` inside an
+# array type or a `->` inside a closure type cuts nothing). This is a
+# drift detector, not a parser.
 api_surface() {
     find crates/*/src -name '*.rs' | LC_ALL=C sort | xargs awk '
-        function closes(s) { return s ~ /[{;]/ || s ~ /(^|[[:space:]])where([[:space:]]|$)/ }
+        function closes(s) {
+            return s ~ /( [{]|[{][}]|;)[[:space:]]*$/ || s ~ /(^|[[:space:]])where([[:space:]]|$)/
+        }
         FNR == 1 { sig = ""; in_codec = 0 }
         sig != "" {
             line = $0
             sub(/^[[:space:]]+/, "", line)
-            if (line ~ /^[])>]/) sub(/,$/, "", sig)
-            else if (sig !~ /[(<[]$/) sig = sig " "
+            if (line ~ /^[])>}]/) sub(/,$/, "", sig)
+            else if (sig !~ /[(<[{]$/) sig = sig " "
             sig = sig line
             if (closes(line)) { print FILENAME ":" sig; sig = "" }
             next
         }
         /^[[:space:]]*pub (fn|struct|enum|trait|mod|const|type|use|static) / {
-            if (closes($0) || /=/) print FILENAME ":" $0
+            if (closes($0) || (/=/ && !/^[[:space:]]*pub (const )?fn /)) print FILENAME ":" $0
             else sig = $0
             next
         }
@@ -44,7 +49,7 @@ api_surface() {
         in_codec && /^[}]/ { in_codec = 0; next }
         in_codec && /^[[:space:]]+(record|enum) / { sub(/^[[:space:]]+/, ""); print FILENAME ": codec! " $0 }
     ' \
-        | sed -E 's/:[[:space:]]+/: /; s/[[:space:]]+/ /g; s/ \{.*$//; s/;.*$//; s/ ->.*$//; s/ where( .*)?$//; s/[[:space:]]+$//' \
+        | sed -E 's/:[[:space:]]+/: /; s/[[:space:]]+/ /g; s/ [{].*$//; s/[{][}]$//; s/;[[:space:]]*$//; s/ where( .*)?$//; s/[[:space:]]+$//' \
         | LC_ALL=C sort
 }
 
