@@ -674,7 +674,7 @@ pub(crate) fn measure(args: &Args) -> Result<(), ArgError> {
     let threads = platform::threads_from(args, &rig)?;
     let spec = platform::spec_from(args)?;
     let policy = platform::policy_from(args)?;
-    let program = platform::program_from(args)?;
+    let program = platform::program_from(args, &rig)?;
     args.reject_unknown()?;
 
     let programs = vec![program.clone(); threads];
@@ -716,7 +716,7 @@ pub(crate) fn failure(args: &Args) -> Result<(), ArgError> {
     let threads = platform::threads_from(&cfg, &rig)?;
     let spec = platform::spec_from(&cfg)?;
     let policy = platform::policy_from(&cfg)?;
-    let program = platform::program_from(&cfg)?;
+    let program = platform::program_from(&cfg, &rig)?;
     let (journal, sink) = checkpoint.open()?;
 
     let programs = vec![program.clone(); threads];
@@ -803,7 +803,7 @@ fn minimize_setup(args: &Args, input: &str) -> Result<(Program, MinimizeSearch, 
         let program = progfile::parse(&text).map_err(|e| ArgError(format!("{input}: {e}")))?;
         let rig = platform::rig_from(args)?;
         let threads = platform::threads_from(args, &rig)?;
-        (program, threads, rig)
+        (platform::runnable(&rig, program)?, threads, rig)
     };
     let mut search = MinimizeSearch::new(threads, spec);
     search.retain = retain;
@@ -852,7 +852,7 @@ pub(crate) fn shmoo(args: &Args) -> Result<(), ArgError> {
     let threads = platform::threads_from(&cfg, &rig)?;
     let spec = platform::spec_from(&cfg)?;
     let policy = platform::policy_from(&cfg)?;
-    let program = platform::program_from(&cfg)?;
+    let program = platform::program_from(&cfg, &rig)?;
     let sweep = shmoo_sweep(&cfg, &rig, spec, policy)?;
     let (journal, sink) = checkpoint.open()?;
 

@@ -401,24 +401,33 @@ pub(crate) fn spec_from(args: &Args) -> Result<MeasureSpec, ArgError> {
 ///
 /// Returns [`ArgError`] when no selector is given, the name is unknown,
 /// or the file fails to read/parse.
-pub(crate) fn program_from(args: &Args) -> Result<Program, ArgError> {
-    if let Some(path) = args.opt_flag("--file") {
+pub(crate) fn program_from(args: &Args, rig: &Rig) -> Result<Program, ArgError> {
+    let program = if let Some(path) = args.opt_flag("--file") {
         let text =
             std::fs::read_to_string(&path).map_err(|e| ArgError(format!("reading {path}: {e}")))?;
-        return progfile::parse(&text).map_err(|e| ArgError(format!("{path}: {e}")));
-    }
-    if let Some(name) = args.opt_flag("--workload") {
-        return workloads::by_name(&name)
+        progfile::parse(&text).map_err(|e| ArgError(format!("{path}: {e}")))?
+    } else if let Some(name) = args.opt_flag("--workload") {
+        workloads::by_name(&name)
             .map(|p| p.synthesize(4_000, 1))
-            .ok_or_else(|| ArgError(format!("unknown workload `{name}` (see `audit list`)")));
-    }
-    if let Some(name) = args.opt_flag("--stressmark") {
-        return stressmark_by_name(&name)
-            .ok_or_else(|| ArgError(format!("unknown stressmark `{name}` (see `audit list`)")));
-    }
-    Err(ArgError(
-        "need --workload <name>, --stressmark <name>, or --file <path>".into(),
-    ))
+            .ok_or_else(|| ArgError(format!("unknown workload `{name}` (see `audit list`)")))?
+    } else if let Some(name) = args.opt_flag("--stressmark") {
+        stressmark_by_name(&name)
+            .ok_or_else(|| ArgError(format!("unknown stressmark `{name}` (see `audit list`)")))?
+    } else {
+        return Err(ArgError(
+            "need --workload <name>, --stressmark <name>, or --file <path>".into(),
+        ));
+    };
+    runnable(rig, program)
+}
+
+/// `program`, if `rig`'s chip can run it; an argument error naming the
+/// program and the chip otherwise.
+pub(crate) fn runnable(rig: &Rig, program: Program) -> Result<Program, ArgError> {
+    rig.chip
+        .check_program(&program)
+        .map_err(|e| ArgError(e.to_string()))?;
+    Ok(program)
 }
 
 /// Named manual stressmarks.
@@ -474,19 +483,19 @@ mod tests {
     #[test]
     fn program_lookup_both_kinds() {
         assert_eq!(
-            program_from(&parse(&["--workload", "zeusmp"]))
+            program_from(&parse(&["--workload", "zeusmp"]), &Rig::bulldozer())
                 .unwrap()
                 .name(),
             "zeusmp"
         );
         assert_eq!(
-            program_from(&parse(&["--stressmark", "SM-Res"]))
+            program_from(&parse(&["--stressmark", "SM-Res"]), &Rig::bulldozer())
                 .unwrap()
                 .name(),
             "SM-Res"
         );
-        assert!(program_from(&parse(&["--workload", "crysis"])).is_err());
-        assert!(program_from(&parse(&[])).is_err());
+        assert!(program_from(&parse(&["--workload", "crysis"]), &Rig::bulldozer()).is_err());
+        assert!(program_from(&parse(&[]), &Rig::bulldozer()).is_err());
     }
 
     #[test]

@@ -567,6 +567,76 @@ fn unplaceable_thread_counts_are_errors_not_panics() {
 }
 
 #[test]
+fn programs_the_chip_cannot_run_are_errors_not_panics() {
+    // SM1 and an FMA witness use FMA-class instructions the Phenom-class
+    // chip lacks (paper §5.C). Every command that simulates a program
+    // must refuse them as an argument error (exit 1) naming the program
+    // and the chip, before a checkpoint is created, never a panic (exit
+    // 101).
+    let dir = std::env::temp_dir().join("audit-cli-unsupported-program-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let witness = dir.join("fma.prog");
+    std::fs::write(
+        &witness,
+        "# name: fma-witness\nsimdfma f0 f12 f13 t=1.00\nnop\n",
+    )
+    .unwrap();
+    let witness = witness.to_str().unwrap();
+    let ckpt = dir.join("run.ndjson");
+    let ckpt = ckpt.to_str().unwrap();
+    let sm1 = [
+        "--chip",
+        "phenom",
+        "--stressmark",
+        "sm1",
+        "--threads",
+        "2",
+        "--fast",
+    ];
+    let cases: [(Vec<&str>, &str); 5] = [
+        ([&["measure"][..], &sm1].concat(), "SM1"),
+        ([&["failure"][..], &sm1].concat(), "SM1"),
+        (
+            [&["failure"][..], &sm1, &["--checkpoint", ckpt]].concat(),
+            "SM1",
+        ),
+        (
+            [&["shmoo"][..], &sm1, &["--checkpoint", ckpt]].concat(),
+            "SM1",
+        ),
+        (
+            vec![
+                "minimize",
+                witness,
+                "--chip",
+                "phenom",
+                "--fast",
+                "--checkpoint",
+                ckpt,
+            ],
+            "fma-witness",
+        ),
+    ];
+    for (args, program) in cases {
+        let out = audit(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(err.contains(program), "{args:?}: {err}");
+        assert!(err.contains("phenom"), "{args:?}: {err}");
+        assert!(
+            !std::path::Path::new(ckpt).exists(),
+            "{args:?} created its checkpoint"
+        );
+    }
+    // The FMA-capable chip runs the same witness.
+    let out = audit(&["measure", "--file", witness, "--threads", "2", "--fast"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn unusable_supply_voltages_are_errors_not_panics() {
     // A `--volts` the PDN cannot run at must be an argument error (exit
     // 1) naming the flag, never a simulator panic (exit 101).

@@ -268,15 +268,7 @@ impl ChipSim {
             ));
         }
         for p in programs {
-            if !config.supports_fma && !p.avoids_fma() {
-                return Err(AuditError::Unsupported {
-                    context: "ChipSim",
-                    message: format!(
-                        "program `{}` uses instructions this chip does not support",
-                        p.name()
-                    ),
-                });
-            }
+            config.check_program(p)?;
         }
         // Each module's loads, `(core, program, start offset)` sorted by
         // core.

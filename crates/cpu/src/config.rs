@@ -12,6 +12,7 @@ use audit_error::AuditError;
 
 use crate::cache::CacheConfig;
 use crate::energy::EnergyModel;
+use crate::inst::Program;
 use crate::placement::Placement;
 
 /// A dynamic di/dt limiter: a chip-level controller that watches the
@@ -251,6 +252,28 @@ impl ChipConfig {
     /// [`ChipConfig::total_threads`].
     pub fn spread_placement(&self, n: u32) -> Result<Placement, AuditError> {
         Placement::spread(self, n)
+    }
+
+    /// Checks that this chip can run `program`: FMA-class instructions
+    /// need a chip with FMA support (paper §5.C could not run SM1 on the
+    /// older part).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuditError::Unsupported`] naming the program and the
+    /// chip.
+    pub fn check_program(&self, program: &Program) -> Result<(), AuditError> {
+        if self.supports_fma || program.avoids_fma() {
+            return Ok(());
+        }
+        Err(AuditError::Unsupported {
+            context: "ChipSim",
+            message: format!(
+                "program `{}` uses instructions chip `{}` does not support",
+                program.name(),
+                self.name
+            ),
+        })
     }
 
     /// Checks structural parameters: module/core counts, pipeline

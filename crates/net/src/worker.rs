@@ -34,9 +34,10 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use audit_core::ga::Objectives;
+use audit_core::ga::{self, Objectives};
 use audit_core::resilient::genome_key;
 use audit_core::{FitnessSpec, ResilienceReport, Rig};
+use audit_cpu::Program;
 use audit_error::AuditError;
 use audit_measure::fault::{mix, uniform};
 
@@ -264,6 +265,10 @@ fn serve_session(
                 if genome.is_empty() {
                     return Err(AuditError::journal(0, "eval of an empty genome"));
                 }
+                // A genome the bound chip cannot run (FMA-class genes on
+                // a chip without FMA) is refused, not simulated.
+                rig.chip
+                    .check_program(&Program::new("genome", ga::to_sub_block(&genome)))?;
                 let key = genome_key(&genome);
                 let (objectives, resilience, cached) = match cache.lookup(*ctx_id, key) {
                     Some((objectives, resilience)) => (objectives, resilience, true),

@@ -194,6 +194,14 @@ fn bad_setup_and_eval_frames_are_worker_errors_not_panics() {
             genome.clone(),
         ),
         ("empty genome", good.clone(), Vec::new()),
+        (
+            "FMA genome on a chip without FMA",
+            EvalContext {
+                chip: "phenom".into(),
+                ..good.clone()
+            },
+            genome.clone(),
+        ),
     ];
     for (what, ctx, genome) in cases {
         let addr = serve_one_session(ctx, genome);
