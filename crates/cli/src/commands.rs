@@ -1182,6 +1182,7 @@ pub(crate) fn spice(args: &Args) -> Result<(), ArgError> {
     .with_traces();
     spec.validate().map_err(core_err)?;
     let program = platform::stressmark_by_name("sm-res").expect("built-in stressmark");
+    let program = platform::runnable(&rig, program)?;
     let m = rig.measure_aligned(&vec![program; 4], spec);
     let deck = audit_pdn::spice::emit_deck(&rig.pdn, &m.current_trace, rig.chip.clock_hz, 1_000);
     fs::write(&out, deck).map_err(|e| ArgError(format!("writing {out}: {e}")))?;

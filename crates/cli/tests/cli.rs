@@ -568,11 +568,11 @@ fn unplaceable_thread_counts_are_errors_not_panics() {
 
 #[test]
 fn programs_the_chip_cannot_run_are_errors_not_panics() {
-    // SM1 and an FMA witness use FMA-class instructions the Phenom-class
-    // chip lacks (paper §5.C). Every command that simulates a program
-    // must refuse them as an argument error (exit 1) naming the program
-    // and the chip, before a checkpoint is created, never a panic (exit
-    // 101).
+    // SM1, SM-Res and an FMA witness use FMA-class instructions the
+    // Phenom-class chip lacks (paper §5.C). Every command that simulates
+    // a program must refuse them as an argument error (exit 1) naming
+    // the program and the chip, before a checkpoint is created, never a
+    // panic (exit 101).
     let dir = std::env::temp_dir().join("audit-cli-unsupported-program-test");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -585,6 +585,8 @@ fn programs_the_chip_cannot_run_are_errors_not_panics() {
     let witness = witness.to_str().unwrap();
     let ckpt = dir.join("run.ndjson");
     let ckpt = ckpt.to_str().unwrap();
+    let deck = dir.join("pdn_tran.sp");
+    let deck = deck.to_str().unwrap();
     let sm1 = [
         "--chip",
         "phenom",
@@ -594,7 +596,7 @@ fn programs_the_chip_cannot_run_are_errors_not_panics() {
         "2",
         "--fast",
     ];
-    let cases: [(Vec<&str>, &str); 5] = [
+    let cases: [(Vec<&str>, &str); 6] = [
         ([&["measure"][..], &sm1].concat(), "SM1"),
         ([&["failure"][..], &sm1].concat(), "SM1"),
         (
@@ -617,6 +619,7 @@ fn programs_the_chip_cannot_run_are_errors_not_panics() {
             ],
             "fma-witness",
         ),
+        (vec!["spice", "--chip", "phenom", "--out", deck], "SM-Res"),
     ];
     for (args, program) in cases {
         let out = audit(&args);

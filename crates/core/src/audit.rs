@@ -411,30 +411,15 @@ impl Audit {
     ///
     /// Panics if `threads` is zero or exceeds the rig's chip.
     pub fn generate_excitation(&self, threads: usize) -> StressmarkRun {
-        self.generate_excitation_journaled(threads, &mut NullSink)
+        self.resume_excitation(&Journal::default(), threads, &mut NullSink)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Audit::generate_excitation`], checkpointed to a run journal —
-    /// the excitation counterpart of
-    /// [`Audit::generate_resonant_journaled`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Audit::generate_resonant_journaled`].
-    pub(crate) fn generate_excitation_journaled(
-        &self,
-        threads: usize,
-        sink: &mut dyn JournalSink,
-    ) -> Result<StressmarkRun, AuditError> {
-        self.resume_excitation(&Journal::default(), threads, sink)
-    }
-
-    /// Resumes a run journaled by
-    /// `Audit::generate_excitation_journaled`. Same semantics as
-    /// [`Audit::resume_resonant`]: completed phases are reused, a
-    /// mid-GA kill resumes generation-exact, and the result is
-    /// bit-identical to the uninterrupted run's.
+    /// [`Audit::generate_excitation`], checkpointed to `sink`, resuming
+    /// the excitation run `journal` holds (a fresh run resumes an empty
+    /// one). Same semantics as [`Audit::resume_resonant`]: completed
+    /// phases are reused, a mid-GA kill resumes generation-exact, and
+    /// the result is bit-identical to the uninterrupted run's.
     ///
     /// # Errors
     ///

@@ -31,20 +31,18 @@ pub struct Resonance {
 #[derive(Debug, Clone)]
 pub struct ImpedanceSweep {
     pdn: PdnModel,
-    f_lo: f64,
-    f_hi: f64,
     points: usize,
 }
 
 impl ImpedanceSweep {
-    /// Creates a sweep with the default range 10 kHz – 1 GHz, 4096 points.
+    /// Lowest swept frequency, Hz.
+    const F_LO: f64 = 1e4;
+    /// Highest swept frequency, Hz.
+    const F_HI: f64 = 1e9;
+
+    /// Creates a sweep over 10 kHz – 1 GHz with 4096 points.
     pub fn new(pdn: PdnModel) -> Self {
-        ImpedanceSweep {
-            pdn,
-            f_lo: 1e4,
-            f_hi: 1e9,
-            points: 4096,
-        }
+        ImpedanceSweep { pdn, points: 4096 }
     }
 
     /// Sets the number of logarithmically spaced sweep points.
@@ -66,8 +64,8 @@ impl ImpedanceSweep {
     /// Runs the sweep, returning `(frequency, |Z|)` pairs in ascending
     /// frequency order.
     pub fn run(&self) -> Vec<(f64, f64)> {
-        let log_lo = self.f_lo.ln();
-        let log_hi = self.f_hi.ln();
+        let log_lo = Self::F_LO.ln();
+        let log_hi = Self::F_HI.ln();
         (0..self.points)
             .map(|i| {
                 let t = i as f64 / (self.points - 1) as f64;
