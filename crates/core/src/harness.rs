@@ -329,10 +329,8 @@ impl Rig {
         spec: MeasureSpec,
         hook: &mut dyn FnMut(u64, &mut ChipSim),
     ) -> Measurement {
-        let placement = self
-            .placement(programs.len())
-            .expect("thread count incompatible with chip");
-        let mut chip = ChipSim::with_start_offsets(&self.chip, &placement, programs, offsets)
+        let mut chip = self
+            .chip_sim(programs, offsets)
             .expect("programs incompatible with chip");
         let mut os = self.os.map(|cfg| OsModel::new(cfg, programs.len()));
         self.run(&mut chip, os.as_mut(), spec, hook, None)
@@ -364,12 +362,9 @@ impl Rig {
     /// # Errors
     ///
     /// [`AuditError::Timeout`] and [`AuditError::InjectedFault`] as
-    /// above; both are transient ([`AuditError::is_transient`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Rig::measure_with_offsets`]
-    /// (placement or program incompatibility — caller bugs, not faults).
+    /// above; both are transient ([`AuditError::is_transient`]). Before
+    /// any fault is drawn, the errors of [`Rig::chip_sim`], which are
+    /// not.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn try_measure_faulted(
         &self,
@@ -381,6 +376,7 @@ impl Rig {
         attempt: u32,
         cycle_budget: Option<u64>,
     ) -> Result<Measurement, AuditError> {
+        let mut chip = self.chip_sim(programs, offsets)?;
         let mut injector = plan.injector(key, attempt);
         if injector.hangs() {
             return Err(AuditError::timeout("harness", cycle_budget.unwrap_or(0)));
@@ -397,11 +393,6 @@ impl Rig {
                 format!("evaluation {key:#018x} attempt {attempt}"),
             ));
         }
-        let placement = self
-            .placement(programs.len())
-            .expect("thread count incompatible with chip");
-        let mut chip = ChipSim::with_start_offsets(&self.chip, &placement, programs, offsets)
-            .expect("programs incompatible with chip");
         let mut os = self.os.map(|cfg| OsModel::new(cfg, programs.len()));
         Ok(self.run(
             &mut chip,
@@ -410,6 +401,24 @@ impl Rig {
             &mut |_, _| {},
             injector.noise_mut(),
         ))
+    }
+
+    /// A chip simulator running `programs` from `offsets` on this rig's
+    /// chip, placed by [`Rig::placement`].
+    ///
+    /// # Errors
+    ///
+    /// [`AuditError::InvalidConfig`] if the chip has no placement for
+    /// that many programs or `offsets` does not match them, and
+    /// [`AuditError::Unsupported`] if the chip cannot run one of them
+    /// ([`audit_cpu::ChipConfig::check_program`]).
+    pub(crate) fn chip_sim(
+        &self,
+        programs: &[Program],
+        offsets: &[u64],
+    ) -> Result<ChipSim, AuditError> {
+        let placement = self.placement(programs.len())?;
+        ChipSim::with_start_offsets(&self.chip, &placement, programs, offsets)
     }
 
     /// The paper's spread placement for `n` threads.

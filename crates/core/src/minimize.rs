@@ -116,7 +116,9 @@ impl MinimizeSearch {
     ///
     /// # Errors
     ///
-    /// Propagates journal-append failures and validation errors.
+    /// Propagates journal-append failures and validation errors. A
+    /// program the rig cannot run is refused before anything is
+    /// journaled, as by [`crate::resilient::VminSearch::run`].
     pub fn run(
         &self,
         rig: &Rig,
@@ -185,6 +187,8 @@ impl MinimizeSearch {
         replay: &Replay,
     ) -> AuditResult<MinimizeResult> {
         self.validate()?;
+        // Refuse a program the rig cannot run before the first record.
+        rig.chip_sim(&vec![program.clone(); self.threads], &vec![0; self.threads])?;
         let body = program.body();
         let baseline = match replay.baseline {
             Some(d) => d,

@@ -190,6 +190,9 @@ impl MeasurePolicy {
                         quarantined: false,
                     };
                 }
+                // A caller bug, not a fault: never retried into a
+                // quarantine.
+                Err(e) if !e.is_transient() => panic!("{e}"),
                 Err(_) => {
                     retries_used += 1;
                     backoff_cycles = backoff_cycles.saturating_add(self.backoff_cycles(attempt));
@@ -459,6 +462,9 @@ impl VminSearch {
     /// # Errors
     ///
     /// Propagates journal-append failures and validation errors.
+    /// Programs the rig's chip cannot run ([`AuditError::Unsupported`]),
+    /// or more than it has threads for ([`AuditError::InvalidConfig`]),
+    /// are refused before anything is journaled.
     pub fn run(
         &self,
         rig: &Rig,
@@ -522,6 +528,9 @@ impl VminSearch {
         replay: &HashMap<u64, (f64, bool)>,
     ) -> AuditResult<VminResult> {
         self.validate()?;
+        // Refuse programs the rig cannot run before the first
+        // write-ahead record, not at the first probe.
+        rig.chip_sim(programs, offsets)?;
         let spec = MeasureSpec {
             check_failure: true,
             ..spec
@@ -901,6 +910,35 @@ mod tests {
             assert_eq!(*o0, VminOutcome::Pending);
             assert!(o1.is_terminal());
         }
+    }
+
+    #[test]
+    fn programs_the_chip_cannot_run_are_refused_before_the_journal() {
+        // SM1 needs FMA, which the Phenom-class chip lacks.
+        let rig = Rig::phenom();
+        let sm1 = vec![manual::sm1()];
+        let search = VminSearch::paper(rig.pdn.nominal_voltage(), MeasurePolicy::disabled());
+        let mut mem = MemJournal::default();
+        let err = search
+            .run(&rig, &sm1, &[0], fast_spec(), &mut mem)
+            .unwrap_err();
+        assert!(matches!(err, AuditError::Unsupported { .. }), "{err}");
+        assert!(mem.records.is_empty(), "journaled {:?}", mem.records);
+
+        let shmoo = crate::shmoo::ShmooSweep::grid(
+            vec![1.0],
+            vec![3.0e9],
+            fast_spec(),
+            MeasurePolicy::disabled(),
+        );
+        let err = shmoo.run(&rig, &sm1, &[0], &mut mem).unwrap_err();
+        assert!(matches!(err, AuditError::Unsupported { .. }), "{err}");
+        assert!(mem.records.is_empty(), "journaled {:?}", mem.records);
+
+        let minimize = crate::minimize::MinimizeSearch::new(1, fast_spec());
+        let err = minimize.run(&rig, &sm1[0], &mut mem).unwrap_err();
+        assert!(matches!(err, AuditError::Unsupported { .. }), "{err}");
+        assert!(mem.records.is_empty(), "journaled {:?}", mem.records);
     }
 
     #[test]

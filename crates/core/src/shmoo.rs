@@ -135,7 +135,9 @@ impl ShmooSweep {
     ///
     /// # Errors
     ///
-    /// Propagates validation and journal-append failures.
+    /// Propagates validation and journal-append failures. Programs the
+    /// rig cannot run are refused before anything is journaled, as by
+    /// [`VminSearch::run`].
     pub fn run(
         &self,
         rig: &Rig,
@@ -205,6 +207,8 @@ impl ShmooSweep {
         open: Option<(u64, Vec<JournalRecord>)>,
     ) -> AuditResult<ShmooResult> {
         self.validate()?;
+        // Refuse programs the rig cannot run before the first record.
+        rig.chip_sim(programs, offsets)?;
         let mut result = ShmooResult {
             cells: Vec::new(),
             live_points: 0,

@@ -16,7 +16,7 @@ use audit_cpu::isa::Opcode;
 use audit_fleet::{CampaignSpec, Fleet, FleetConfig};
 use audit_net::{
     read_frame, run_worker, write_frame, EvalContext, FrameOutcome, Msg, NetFaultPlan,
-    WorkerOptions,
+    WorkerOptions, PROTOCOL_VERSION,
 };
 
 const GENOME_LEN: usize = 10;
@@ -596,19 +596,27 @@ fn status_and_metrics_describe_the_tenants() {
 
 #[test]
 fn previous_protocol_worker_is_refused_at_the_front_door() {
-    // A v2 worker settles the PDN by stepping, so its fitness floats
-    // differ from a v3 worker's in the last bits. The front door must
-    // hang up on its hello instead of registering it with the pool.
+    // A v3 worker steps the PDN by RK4 derivative passes, not by the
+    // precomputed affine map, so its fitness floats differ from a v4
+    // worker's in the last bits. The front door must hang up on its
+    // hello instead of registering it with the pool.
     let mut manager = Fleet::bind("127.0.0.1:0", FleetConfig::default()).unwrap();
     let mut stale = std::net::TcpStream::connect(manager.addr()).unwrap();
     // Bounded, so an accepted hello fails the test instead of hanging it.
     stale
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    write_frame(&mut stale, &Msg::Hello { protocol: 2 }.to_json()).unwrap();
+    write_frame(
+        &mut stale,
+        &Msg::Hello {
+            protocol: PROTOCOL_VERSION - 1,
+        }
+        .to_json(),
+    )
+    .unwrap();
     assert!(
         matches!(read_frame(&mut stale), Ok(FrameOutcome::Eof)),
-        "a v2 hello must be answered by a hang-up"
+        "a previous-version hello must be answered by a hang-up"
     );
     let metrics = audit_fleet::scrape(manager.addr()).unwrap();
     assert!(

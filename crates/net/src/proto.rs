@@ -36,8 +36,12 @@ use audit_measure::json::{self, Codec, Fields, JsonValue};
 /// v2 frames but workers pre-settle the PDN in closed form, so their
 /// fitness floats differ from a v2 worker's in the last bits; mixing
 /// the two would make journal bytes depend on which worker ran a job
-/// (and trip cross-validation), so a v2 worker is refused.
-pub const PROTOCOL_VERSION: u64 = 3;
+/// (and trip cross-validation), so a v2 worker is refused. v4 keeps the
+/// v3 frames but workers step the PDN by a precomputed affine map
+/// instead of RK4's four derivative passes, which again moves fitness
+/// floats in their last bits, so a v3 worker is refused for the same
+/// reason.
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq)]

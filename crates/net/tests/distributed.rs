@@ -719,9 +719,10 @@ fn replayed_duplicate_result_is_ignored_with_accounting_unchanged() {
 
 #[test]
 fn previous_protocol_worker_is_refused_at_handshake() {
-    // A v2 worker settles the PDN by stepping, so its fitness floats
-    // differ from a v3 worker's in the last bits. The broker must close
-    // the connection before sending Setup rather than let it evaluate.
+    // A v3 worker steps the PDN by RK4 derivative passes, not by the
+    // precomputed affine map, so its fitness floats differ from a v4
+    // worker's in the last bits. The broker must close the connection
+    // before sending Setup rather than let it evaluate.
     let mut broker = Broker::bind(
         "127.0.0.1:0",
         &ctx(fspec(MeasurePolicy::disabled())),
@@ -733,10 +734,17 @@ fn previous_protocol_worker_is_refused_at_handshake() {
     stale
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    write_frame(&mut stale, &Msg::Hello { protocol: 2 }.to_json()).unwrap();
+    write_frame(
+        &mut stale,
+        &Msg::Hello {
+            protocol: PROTOCOL_VERSION - 1,
+        }
+        .to_json(),
+    )
+    .unwrap();
     assert!(
         matches!(read_frame(&mut stale), Ok(FrameOutcome::Eof)),
-        "a v2 hello must be answered by a hang-up"
+        "a previous-version hello must be answered by a hang-up"
     );
     // Control: a current worker on the same listener gets its Setup.
     let mut current = connect(broker.addr()).unwrap();

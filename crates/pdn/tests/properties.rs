@@ -99,7 +99,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The closed-form settle lands where explicit RK4 steps do, from an
+    /// The closed-form settle lands where explicit steps do, from an
     /// arbitrary pre-driven state, and its infinite-cycle limit is the
     /// analytic DC operating point.
     #[test]
@@ -289,4 +289,99 @@ fn ring_down_frequency_matches_impedance_peak() {
         "ring {measured_hz} Hz vs peak {} Hz",
         first.frequency_hz
     );
+}
+
+/// Fundamental amplitude, in volts, of the periodic steady state that
+/// the load `i0 + amps·sin(2πk/period)` (cycle `k`) drives the die
+/// voltage to, from the DC point of `i0`. Periods are stepped until two
+/// in a row agree to 1e-10 relative; the amplitude is the DFT bin of the
+/// last one.
+fn steady_sine_amplitude(pdn: &PdnModel, clock: f64, period: usize, i0: f64, amps: f64) -> f64 {
+    use std::f64::consts::PI;
+    let mut t = Transient::new(pdn, clock);
+    t.settle(i0, u64::MAX);
+    let mut last = f64::NAN;
+    for _ in 0..2_000 {
+        let mut bin = Complex::new(0.0, 0.0);
+        for k in 0..period {
+            let phase = 2.0 * PI * k as f64 / period as f64;
+            let v = t.step(i0 + amps * phase.sin());
+            bin = bin + Complex::new(phase.cos(), -phase.sin()).scale(v);
+        }
+        let amplitude = 2.0 * bin.norm() / period as f64;
+        if (amplitude - last).abs() <= 1e-10 * amplitude {
+            return amplitude;
+        }
+        last = amplitude;
+    }
+    panic!("no periodic steady state after 2000 periods of {period} cycles");
+}
+
+/// The die impedance that a load held constant over each cycle and a
+/// voltage sampled at each cycle's end see at `f = clock/period`
+/// (`f_q = f + q·clock`, `θ_q = 2π(q + 1/period)`, `D` the die decap
+/// ESR, the one direct feed-through of the load to the die voltage):
+/// `D + Σ_q (Z(f_q) − D)·(e^{jθ₀} − 1)/(jθ_q)`, with `Z` the AC
+/// impedance. The hold weighs every alias `f_q` of `f` by its spectrum,
+/// the sampling folds them back onto `f`; the sum runs to |q| ≤ 20 000,
+/// whose tail is below 1e-6 of |Z| across the swept band.
+fn sample_and_hold_impedance(pdn: &PdnModel, clock: f64, period: usize) -> f64 {
+    use std::f64::consts::PI;
+    let sweep = ImpedanceSweep::new(pdn.clone());
+    let f = clock / period as f64;
+    let esr = Complex::new(pdn.die_stage().shunt_esr, 0.0);
+    let theta = 2.0 * PI / period as f64;
+    let mut z = esr;
+    for q in -20_000i64..=20_000 {
+        let theta_q = theta + 2.0 * PI * q as f64;
+        // (e^{jθ₀} − 1)/(jθ_q)
+        let hold = Complex::new(theta.sin(), 1.0 - theta.cos()).scale(1.0 / theta_q);
+        z = z + (sweep.impedance_at(f + q as f64 * clock) - esr) * hold;
+    }
+    z.norm()
+}
+
+/// Physics oracle: a sinusoidal load at `f = clock/P` drives the die
+/// voltage, at periodic steady state, to the amplitude `|Z(f)|·I` that
+/// AC analysis ([`ImpedanceSweep::impedance_at`]) predicts, on both
+/// boards from 100 kHz to 150 MHz.
+///
+/// - Up to 1 MHz the plain `|impedance_at(f)|·I` holds within 1e-5
+///   (measured: 4.0e-6 at worst).
+/// - Above, the load held constant over each cycle leaves a residue
+///   that grows with `f`: up to 0.5 % at 100–150 MHz, and up to 1.3 %
+///   where |Z| is small, in the 30–50 MHz valley between the second
+///   and the first droop.
+///   Folding the hold into the impedance ([`sample_and_hold_impedance`])
+///   removes it, and the amplitude matches that within 5e-4 everywhere
+///   (measured: 1.7e-4 at worst, at the first droop, where RK4's
+///   truncation error shows).
+#[test]
+fn sine_steady_state_matches_impedance() {
+    let (i0, amps) = (50.0, 20.0);
+    for (pdn, clock) in [
+        (PdnModel::bulldozer_board(), 3.2e9),
+        (PdnModel::phenom_board(), 3.0e9),
+    ] {
+        let sweep = ImpedanceSweep::new(pdn.clone());
+        for f_target in [1e5f64, 3e5, 1e6, 3e6, 1e7, 3e7, 5e7, 1e8, 1.5e8] {
+            let period = (clock / f_target).round() as usize;
+            let f = clock / period as f64;
+            let amplitude = steady_sine_amplitude(&pdn, clock, period, i0, amps);
+            let held = sample_and_hold_impedance(&pdn, clock, period) * amps;
+            let err = (amplitude / held - 1.0).abs();
+            assert!(
+                err <= 5e-4,
+                "{f:.4e} Hz: amplitude {amplitude} V vs held {held} V"
+            );
+            if f <= 1e6 {
+                let plain = sweep.impedance_at(f).norm() * amps;
+                let err = (amplitude / plain - 1.0).abs();
+                assert!(
+                    err <= 1e-5,
+                    "{f:.4e} Hz: amplitude {amplitude} V vs |Z|·I {plain} V"
+                );
+            }
+        }
+    }
 }

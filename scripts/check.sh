@@ -108,6 +108,16 @@ echo "==> shift-class contract (1024 generated chips in release)"
 PROPTEST_CASES=1024 cargo test --release -q -p audit-cpu --test properties \
     shifted_modules_match_unshared_stepping
 
+echo "==> affine PDN step contract (1024 generated load traces in release)"
+# Transient::step applies one RK4 step precomputed as an affine map
+# (crates/pdn/src/transient.rs). affine_step_matches_rk4 steps the map
+# and the RK4 step it was built from side by side over random load
+# traces, on both boards, with and without the load line, at random
+# nominal voltages: die voltage within 1e-12 V and branch currents
+# within 1e-9 A on every cycle. The closed-form settle is tested against
+# the same map, so this is the tie of both to RK4; ~1 s.
+PROPTEST_CASES=1024 cargo test --release -q -p audit-pdn --lib affine_step_matches_rk4
+
 echo "==> self-lint (every built-in program must be clean)"
 cargo run --release -q -p audit-cli --bin audit -- lint --all-builtins --deny-warnings
 
