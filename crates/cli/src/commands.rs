@@ -2,6 +2,7 @@
 
 use std::fs;
 use std::path::Path;
+use std::time::Duration;
 
 use audit_analyze::{check, Code, Diagnostic, LintConfig, Severity, VerifyTarget};
 use audit_core::audit::{Audit, StressmarkRun};
@@ -17,7 +18,9 @@ use audit_core::AuditError;
 use audit_cpu::{ChipConfig, Program};
 use audit_measure::json::JsonValue;
 use audit_measure::traceio::{self, FsckVerdict};
-use audit_net::{run_worker, Broker, BrokerConfig, EvalContext, NetFaultPlan, WorkerOptions};
+use audit_net::{
+    run_worker, Broker, BrokerConfig, EvalContext, FleetConfig, NetFaultPlan, WorkerOptions,
+};
 use audit_stressmark::{manual, nasm, progfile, workloads};
 
 use crate::args::{ArgError, Args};
@@ -386,8 +389,8 @@ pub(crate) fn work(args: &Args) -> Result<(), ArgError> {
     args.reject_unknown()?;
 
     let opts = WorkerOptions {
-        connect_for: std::time::Duration::from_millis(connect_for),
-        connect_retry: std::time::Duration::from_millis(connect_retry),
+        connect_for: Duration::from_millis(connect_for),
+        connect_retry: Duration::from_millis(connect_retry),
         // Decorrelate a fleet's retry storms; the schedule of any one
         // worker process stays reproducible.
         jitter_salt: u64::from(std::process::id()),
@@ -484,16 +487,15 @@ fn journal_fsck(args: &Args, path: &str) -> Result<(), ArgError> {
 pub(crate) struct DistFlags {
     pub(crate) listen: String,
     pub(crate) min_workers: usize,
-    pub(crate) window: usize,
-    pub(crate) heartbeat: std::time::Duration,
-    pub(crate) dead_after: std::time::Duration,
-    pub(crate) verify_fraction: f64,
-    pub(crate) chaos: NetFaultPlan,
+    /// [`FleetConfig::default`] with the pool flags applied.
+    pub(crate) pool: FleetConfig,
 }
 
 pub(crate) fn dist_flags(args: &Args) -> Result<DistFlags, ArgError> {
-    let heartbeat = args.num_flag("--heartbeat", 1000u64)?;
-    let dead_after = args.num_flag("--dead-after", 10_000u64)?;
+    let mut pool = FleetConfig::default();
+    let millis = |d: Duration| d.as_millis() as u64;
+    let heartbeat = args.num_flag("--heartbeat", millis(pool.heartbeat))?;
+    let dead_after = args.num_flag("--dead-after", millis(pool.dead_after))?;
     if heartbeat == 0 {
         return Err(ArgError("--heartbeat must be at least 1 ms".into()));
     }
@@ -503,24 +505,25 @@ pub(crate) fn dist_flags(args: &Args) -> Result<DistFlags, ArgError> {
              a worker must miss at least one ping before it is declared lost"
         )));
     }
-    let verify_fraction = args.num_flag("--verify-fraction", 0.0f64)?;
-    if !(0.0..=1.0).contains(&verify_fraction) {
+    pool.heartbeat = Duration::from_millis(heartbeat);
+    pool.dead_after = Duration::from_millis(dead_after);
+    pool.verify_fraction = args.num_flag("--verify-fraction", pool.verify_fraction)?;
+    if !(0.0..=1.0).contains(&pool.verify_fraction) {
         return Err(ArgError(format!(
-            "--verify-fraction must be within 0..=1, got {verify_fraction}"
+            "--verify-fraction must be within 0..=1, got {}",
+            pool.verify_fraction
         )));
     }
-    let chaos = match args.opt_flag("--net-faults") {
-        Some(spec) => NetFaultPlan::parse(&spec).map_err(core_err)?,
-        None => NetFaultPlan::disabled(),
-    };
+    if let Some(spec) = args.opt_flag("--net-faults") {
+        pool.chaos = NetFaultPlan::parse(&spec).map_err(core_err)?;
+    }
+    let listen = args.str_flag("--listen", "127.0.0.1:0");
+    let min_workers = args.num_flag("--min-workers", 1usize)?;
+    pool.window = args.num_flag("--window", pool.window)?;
     Ok(DistFlags {
-        listen: args.str_flag("--listen", "127.0.0.1:0"),
-        min_workers: args.num_flag("--min-workers", 1usize)?,
-        window: args.num_flag("--window", 2usize)?,
-        heartbeat: std::time::Duration::from_millis(heartbeat),
-        dead_after: std::time::Duration::from_millis(dead_after),
-        verify_fraction,
-        chaos,
+        listen,
+        min_workers,
+        pool,
     })
 }
 
@@ -539,12 +542,7 @@ fn run_distributed(
     let (mut broker, run) = setup.run_dispatched(cfg, journal, sink, |ctx| {
         let broker_cfg = BrokerConfig {
             seed: setup.seed(),
-            window: dist.window.max(1),
-            heartbeat: dist.heartbeat,
-            dead_after: dist.dead_after,
-            verify_fraction: dist.verify_fraction,
-            chaos: dist.chaos,
-            ..BrokerConfig::default()
+            pool: dist.pool,
         };
         let mut broker = Broker::bind(&dist.listen, &ctx, broker_cfg).map_err(core_err)?;
         if let Some(wal) = wal {

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use audit_fleet::{CampaignSpec, Fleet, FleetConfig, PoolHandle, Submission};
+use audit_fleet::{CampaignSpec, Fleet, PoolHandle, Submission};
 use audit_measure::json::JsonValue;
 
 use crate::args::{ArgError, Args};
@@ -46,15 +46,7 @@ fn serve(args: &Args) -> Result<(), ArgError> {
     let campaigns_target = args.num_flag("--campaigns", 0usize)?;
     args.reject_unknown()?;
 
-    let cfg = FleetConfig {
-        window: dist.window.max(1),
-        heartbeat: dist.heartbeat,
-        dead_after: dist.dead_after,
-        verify_fraction: dist.verify_fraction,
-        chaos: dist.chaos,
-        ..FleetConfig::default()
-    };
-    let mut manager = Fleet::bind(&dist.listen, cfg).map_err(core_err)?;
+    let mut manager = Fleet::bind(&dist.listen, dist.pool).map_err(core_err)?;
     println!("fleet listening on {}", manager.addr());
     println!(
         "  workers join with : audit work --connect {}",

@@ -287,7 +287,7 @@ impl Audit {
     pub fn opcode_menu(&self) -> Vec<Opcode> {
         Opcode::stress_menu()
             .into_iter()
-            .filter(|op| self.rig.chip.supports_fma || !op.props().needs_fma)
+            .filter(|&op| self.rig.chip.runs(op))
             .collect()
     }
 
@@ -560,13 +560,8 @@ impl Audit {
         let seed: Vec<Gene> = (0..genome_len)
             .map(|i| {
                 let opcode = match i % 4 {
-                    0 | 1 => {
-                        if self.rig.chip.supports_fma {
-                            Opcode::SimdFma
-                        } else {
-                            Opcode::SimdFMul
-                        }
-                    }
+                    0 | 1 if self.rig.chip.runs(Opcode::SimdFma) => Opcode::SimdFma,
+                    0 | 1 => Opcode::SimdFMul,
                     2 => Opcode::IAdd,
                     _ => Opcode::Nop,
                 };
@@ -730,7 +725,7 @@ impl FitnessSpec {
     /// genome is dominated on (or ties) every axis exactly as it loses
     /// every scalar comparison today.
     fn quarantined_objectives(&self) -> Objectives {
-        Objectives(vec![self.policy.quarantine_fitness; self.objectives.len()])
+        Objectives(vec![resilient::QUARANTINE_FITNESS; self.objectives.len()])
     }
 
     /// Scores one genome on `rig`, returning the objective vector and
@@ -908,14 +903,13 @@ mod tests {
                 FaultRates {
                     noise_sigma: 0.002,
                     hang_rate: 0.05,
-                    ..FaultRates::none()
+                    ..FaultRates::default()
                 },
             )
             .unwrap(),
             repeat: 2,
             retries: 3,
             cycle_budget: Some(1 << 22),
-            ..crate::resilient::MeasurePolicy::disabled()
         };
         let opts = AuditOptions::fast_demo().with_policy(policy);
         let one =

@@ -11,7 +11,7 @@ use audit_measure::FaultPlan;
 use crate::audit::FitnessSpec;
 use crate::ga::{CostFunction, Gene, ObjectiveSet, Objectives};
 use crate::harness::MeasureSpec;
-use crate::resilient::{MeasurePolicy, ResilienceReport};
+use crate::resilient::{MeasurePolicy, ResilienceReport, MAD_THRESHOLD, QUARANTINE_FITNESS};
 
 /// Each cost function's wire tag.
 const COST_TAGS: [(CostFunction, &str); 3] = [
@@ -63,7 +63,10 @@ codec! {
         faults: if_set(FaultPlan::is_enabled),
         repeat, retries,
         cycle_budget: if_set,
-        mad_threshold, quarantine_fitness,
+        // Fixed values, not knobs: still written, so setup frames keep
+        // their bytes, and ignored on read.
+        mad_threshold: const(MAD_THRESHOLD),
+        quarantine_fitness: const(QUARANTINE_FITNESS),
     }
 }
 

@@ -216,50 +216,37 @@ pub fn stream_seed(seed: u64, generation: u64) -> u64 {
 /// (the [determinism contract](self)): a hit returns exactly what a
 /// re-simulation would have produced.
 #[derive(Debug, Clone, Default)]
-pub struct EvalCache {
+pub(crate) struct EvalCache {
     map: HashMap<Vec<Gene>, Objectives>,
     capacity: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl EvalCache {
     /// Creates a cache bounded to `capacity` genomes (0 = disabled).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         EvalCache {
             map: HashMap::with_capacity(capacity.min(4096)),
             capacity,
-            hits: 0,
-            misses: 0,
         }
     }
 
     /// Whether caching is active at all.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.capacity > 0
     }
 
-    /// Looks up a genome, counting the hit or miss.
-    pub fn lookup(&mut self, genome: &[Gene]) -> Option<Objectives> {
+    /// Looks up a genome.
+    pub(crate) fn lookup(&self, genome: &[Gene]) -> Option<Objectives> {
         if !self.is_enabled() {
             return None;
         }
-        match self.map.get(genome) {
-            Some(objectives) => {
-                self.hits += 1;
-                Some(objectives.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        self.map.get(genome).cloned()
     }
 
     /// Records a computed objective vector (a plain `f64` converts to
     /// the 1-axis scalar vector), flushing the cache first if inserting
     /// would exceed the capacity bound.
-    pub fn insert(&mut self, genome: &[Gene], objectives: impl Into<Objectives>) {
+    pub(crate) fn insert(&mut self, genome: &[Gene], objectives: impl Into<Objectives>) {
         if !self.is_enabled() {
             return;
         }
@@ -267,26 +254,6 @@ impl EvalCache {
             self.map.clear();
         }
         self.map.insert(genome.to_vec(), objectives.into());
-    }
-
-    /// Lookups served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that required a simulation.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Genomes currently memoized.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -1858,13 +1825,12 @@ mod tests {
             .collect();
         cache.insert(&genomes[0], 1.0);
         cache.insert(&genomes[1], 2.0);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.lookup(&genomes[0]), Some(Objectives::scalar(1.0)));
+        assert_eq!(cache.lookup(&genomes[1]), Some(Objectives::scalar(2.0)));
         cache.insert(&genomes[2], 3.0); // exceeds capacity → flush
-        assert_eq!(cache.len(), 1);
         assert_eq!(cache.lookup(&genomes[2]), Some(Objectives::scalar(3.0)));
         assert_eq!(cache.lookup(&genomes[0]), None);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.lookup(&genomes[1]), None);
     }
 
     #[test]
@@ -1875,7 +1841,6 @@ mod tests {
         let genome: Vec<Gene> = (0..4).map(|_| Gene::random(&menu, &mut rng)).collect();
         cache.insert(&genome, 1.0);
         assert!(!cache.is_enabled());
-        assert!(cache.is_empty());
         assert_eq!(cache.lookup(&genome), None);
     }
 

@@ -27,7 +27,7 @@ pub mod study;
 
 pub use cost::CostFunction;
 pub use engine::{
-    evolve, resolve_workers, resume, run, stream_seed, EvalCache, EvalDispatcher, GaConfig, GaRun,
+    evolve, resolve_workers, resume, run, stream_seed, EvalDispatcher, GaConfig, GaRun,
     GaTelemetry, LocalDispatcher,
 };
 pub use genome::{from_program, to_sub_block, Gene};

@@ -68,7 +68,7 @@ impl ActivityPattern {
         let hp: Vec<Inst> = (0..hp_slots)
             .map(|i| match i % 4 {
                 0 | 1 => {
-                    let op = if chip.supports_fma {
+                    let op = if chip.runs(Opcode::SimdFma) {
                         Opcode::SimdFma
                     } else {
                         Opcode::SimdFMul

@@ -56,6 +56,15 @@ use crate::journal::{Journal, JournalRecord, JournalSink, VminOutcome};
 /// budget is the natural quantum: it is how long the watchdog waited).
 const DEFAULT_BACKOFF_QUANTUM: u64 = 1 << 20;
 
+/// Modified z-score threshold for MAD outlier rejection among a
+/// policy's `repeat` droop readings (3.5 is the conventional cut).
+pub(crate) const MAD_THRESHOLD: f64 = 3.5;
+
+/// Fitness assigned to a quarantined candidate: one that exhausted its
+/// retry budget without a successful attempt, locally or on the
+/// distributed pool.
+pub const QUARANTINE_FITNESS: f64 = 0.0;
+
 /// How resiliently to run each harness evaluation.
 ///
 /// The default policy is a guaranteed no-op: faults disabled, one
@@ -66,22 +75,18 @@ pub struct MeasurePolicy {
     /// The seeded fault schedule (disabled by default).
     pub faults: FaultPlan,
     /// Measurements per successful attempt; the reported measurement is
-    /// the median-of-k by max droop after MAD outlier rejection. Must be
-    /// at least 1.
+    /// the median-of-k by max droop after MAD outlier rejection
+    /// (modified z-score above 3.5). Must be at least 1.
     pub repeat: u32,
     /// Transient-fault retries per evaluation beyond the first attempt
-    /// (so an evaluation consumes at most `retries + 1` attempts).
+    /// (so an evaluation consumes at most `retries + 1` attempts); a
+    /// candidate that exhausts them is quarantined and scored
+    /// [`QUARANTINE_FITNESS`].
     pub retries: u32,
     /// Watchdog bound on one harness run's co-simulated cycles
     /// (`warmup + record`); `None` disables the watchdog (injected
     /// hangs are still reaped — they never complete at any budget).
     pub cycle_budget: Option<u64>,
-    /// Modified z-score threshold for MAD outlier rejection among the
-    /// `repeat` droop readings (3.5 is the conventional cut).
-    pub mad_threshold: f64,
-    /// Fitness assigned to a quarantined candidate (one that exhausted
-    /// its retry budget without a successful attempt).
-    pub quarantine_fitness: f64,
 }
 
 impl Default for MeasurePolicy {
@@ -98,8 +103,6 @@ impl MeasurePolicy {
             repeat: 1,
             retries: 2,
             cycle_budget: None,
-            mad_threshold: 3.5,
-            quarantine_fitness: 0.0,
         }
     }
 
@@ -122,20 +125,6 @@ impl MeasurePolicy {
                 "MeasurePolicy",
                 "repeat",
                 "must be at least 1",
-            ));
-        }
-        if !self.mad_threshold.is_finite() || self.mad_threshold <= 0.0 {
-            return Err(AuditError::invalid(
-                "MeasurePolicy",
-                "mad_threshold",
-                format!("must be finite and positive (got {})", self.mad_threshold),
-            ));
-        }
-        if !self.quarantine_fitness.is_finite() {
-            return Err(AuditError::invalid(
-                "MeasurePolicy",
-                "quarantine_fitness",
-                "must be finite",
             ));
         }
         Ok(())
@@ -237,7 +226,7 @@ impl MeasurePolicy {
             )?);
         }
         let droops: Vec<f64> = measurements.iter().map(Measurement::max_droop).collect();
-        let kept = mad_filter(&droops, self.mad_threshold);
+        let kept = mad_filter(&droops, MAD_THRESHOLD);
         let kept_droops: Vec<f64> = kept.iter().map(|&i| droops[i]).collect();
         let pick = kept[median_index(&kept_droops).expect("repeat >= 1 leaves survivors")];
         let kept_count = kept.len() as u32;
@@ -249,7 +238,7 @@ impl MeasurePolicy {
     pub fn score(&self, cost: CostFunction, outcome: &ResilientOutcome) -> f64 {
         match &outcome.measurement {
             Some(m) => cost.score(m),
-            None => self.quarantine_fitness,
+            None => QUARANTINE_FITNESS,
         }
     }
 }
@@ -693,7 +682,7 @@ impl VminSearch {
             sink.append(&JournalRecord::Quarantine {
                 step,
                 attempts,
-                fallback: self.policy.quarantine_fitness,
+                fallback: QUARANTINE_FITNESS,
             })?;
             false
         };
@@ -808,7 +797,7 @@ mod tests {
                 11,
                 FaultRates {
                     hang_rate: 1.0,
-                    ..FaultRates::none()
+                    ..FaultRates::default()
                 },
             )
             .unwrap(),
@@ -837,14 +826,13 @@ mod tests {
                     outlier_rate: 0.001,
                     outlier_volts: 0.08,
                     hang_rate: 0.2,
-                    ..FaultRates::none()
+                    ..FaultRates::default()
                 },
             )
             .unwrap(),
             repeat: 3,
             retries: 4,
             cycle_budget: Some(1 << 20),
-            ..MeasurePolicy::disabled()
         };
         let a = policy.measure(&rig, &programs(), &[0; 4], fast_spec(), 0xBEEF);
         let b = policy.measure(&rig, &programs(), &[0; 4], fast_spec(), 0xBEEF);
@@ -949,7 +937,7 @@ mod tests {
                 3,
                 FaultRates {
                     crash_rate: 0.4,
-                    ..FaultRates::none()
+                    ..FaultRates::default()
                 },
             )
             .unwrap(),
@@ -1046,22 +1034,12 @@ mod tests {
 
     #[test]
     fn policy_validation_catches_bad_knobs() {
-        for bad in [
-            MeasurePolicy {
-                repeat: 0,
-                ..MeasurePolicy::disabled()
-            },
-            MeasurePolicy {
-                mad_threshold: 0.0,
-                ..MeasurePolicy::disabled()
-            },
-            MeasurePolicy {
-                quarantine_fitness: f64::NAN,
-                ..MeasurePolicy::disabled()
-            },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?}");
-        }
+        let bad = MeasurePolicy {
+            repeat: 0,
+            ..MeasurePolicy::disabled()
+        };
+        let err = bad.validate().unwrap_err().to_string();
+        assert!(err.contains("MeasurePolicy.repeat"), "{err}");
         assert!(MeasurePolicy::disabled().validate().is_ok());
     }
 

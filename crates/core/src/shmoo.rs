@@ -473,7 +473,7 @@ mod tests {
                     11,
                     FaultRates {
                         crash_rate: 0.4,
-                        ..FaultRates::none()
+                        ..FaultRates::default()
                     },
                 )
                 .unwrap(),

@@ -269,7 +269,7 @@ proptest! {
         let policy = MeasurePolicy {
             faults: FaultPlan::new(seed, FaultRates {
                 noise_sigma: sigma,
-                ..FaultRates::none()
+                ..FaultRates::default()
             }).unwrap(),
             repeat: 5,
             ..MeasurePolicy::disabled()
@@ -424,12 +424,11 @@ proptest! {
         let policy = MeasurePolicy {
             faults: FaultPlan::new(seed, FaultRates {
                 hang_rate: 1.0,
-                ..FaultRates::none()
+                ..FaultRates::default()
             }).unwrap(),
             repeat,
             retries,
             cycle_budget: Some(1 << 20),
-            ..MeasurePolicy::disabled()
         };
         let rig = Rig::bulldozer();
         let programs = vec![manual::sm_res(); 2];

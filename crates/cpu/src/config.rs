@@ -13,6 +13,7 @@ use audit_error::AuditError;
 use crate::cache::CacheConfig;
 use crate::energy::EnergyModel;
 use crate::inst::Program;
+use crate::isa::Opcode;
 use crate::placement::Placement;
 
 /// A dynamic di/dt limiter: a chip-level controller that watches the
@@ -254,16 +255,22 @@ impl ChipConfig {
         Placement::spread(self, n)
     }
 
-    /// Checks that this chip can run `program`: FMA-class instructions
-    /// need a chip with FMA support (paper §5.C could not run SM1 on the
-    /// older part).
+    /// True when this chip executes `op`: FMA-class instructions need a
+    /// chip with FMA support (paper §5.C could not run SM1 on the older
+    /// part).
+    pub fn runs(&self, op: Opcode) -> bool {
+        self.supports_fma || !op.props().needs_fma
+    }
+
+    /// Checks that this chip [runs](ChipConfig::runs) every instruction
+    /// of `program`.
     ///
     /// # Errors
     ///
     /// Returns [`AuditError::Unsupported`] naming the program and the
     /// chip.
     pub fn check_program(&self, program: &Program) -> Result<(), AuditError> {
-        if self.supports_fma || program.avoids_fma() {
+        if program.body().iter().all(|inst| self.runs(inst.opcode)) {
             return Ok(());
         }
         Err(AuditError::Unsupported {
@@ -348,6 +355,8 @@ mod tests {
         let p = ChipConfig::phenom();
         assert_eq!(p.total_threads(), 4);
         assert!(!p.supports_fma);
+        assert!(!p.runs(Opcode::SimdFma));
+        assert!(p.runs(Opcode::SimdFMul));
         assert!(!p.module.shared_frontend);
     }
 

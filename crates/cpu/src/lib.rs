@@ -55,7 +55,6 @@ pub mod module_sim;
 pub mod placement;
 pub mod tier;
 
-pub use analysis::ProgramProfile;
 pub use audit_error::AuditError;
 pub use cache::{Cache, CacheConfig, Hierarchy, MemLevel};
 pub use chip::{ChipCycle, ChipSim};

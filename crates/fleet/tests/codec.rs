@@ -262,8 +262,6 @@ impl Gen {
                     repeat: self.u32(),
                     retries: self.u32(),
                     cycle_budget: self.option(Gen::u64),
-                    mad_threshold: self.f64(),
-                    quarantine_fitness: self.f64(),
                 },
                 objectives: ObjectiveSet::parse(
                     [

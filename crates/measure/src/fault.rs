@@ -36,8 +36,14 @@
 
 use audit_error::{AuditError, AuditResult};
 
+use Bound::{Magnitude, Probability, SizeOf};
+
 /// Per-fault-class probabilities and magnitudes. All rates are
 /// probabilities in `[0, 1]`; magnitudes are volts.
+///
+/// Spec keys ([`Plan::parse`]): `noise` (Gaussian σ, volts), `outlier`
+/// (rate), `spike` (outlier magnitude, volts; defaults to 0.05 when
+/// `outlier` is set), `hang` (rate), `crash` (rate).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultRates {
     /// Standard deviation of Gaussian noise added to every scope sample,
@@ -56,85 +62,151 @@ pub struct FaultRates {
     pub crash_rate: f64,
 }
 
-impl FaultRates {
-    /// All-zero rates: injection disabled.
-    pub fn none() -> Self {
-        FaultRates::default()
+impl Rates for FaultRates {
+    const PLAN: &'static str = "FaultPlan";
+    const NAME: &'static str = "FaultRates";
+    const NOUN: &'static str = "fault";
+    const KEYS: &'static [SpecKey<Self>] = &[
+        SpecKey::new("noise", "noise_sigma", Magnitude, |r| &mut r.noise_sigma),
+        SpecKey::new("outlier", "outlier_rate", Probability, |r| {
+            &mut r.outlier_rate
+        }),
+        SpecKey::new("spike", "outlier_volts", SPIKE, |r| &mut r.outlier_volts),
+        SpecKey::new("hang", "hang_rate", Probability, |r| &mut r.hang_rate),
+        SpecKey::new("crash", "crash_rate", Probability, |r| &mut r.crash_rate),
+    ];
+}
+
+/// A spike is the size of an outlier: written with `outlier`, 0.05 V
+/// when only `outlier` is given.
+const SPIKE: Bound = SizeOf {
+    of: "outlier",
+    default: 0.05,
+};
+
+/// A seeded measurement fault schedule. Call [`FaultPlan::injector`]
+/// with an evaluation key and attempt index to get the concrete fault
+/// decisions for one harness run.
+///
+/// ```
+/// use audit_measure::fault::FaultPlan;
+/// let plan = FaultPlan::parse("7:noise=0.002,hang=0.1").unwrap();
+/// assert!(plan.is_enabled());
+/// assert_eq!(plan.seed(), 7);
+/// assert_eq!(plan.rates().hang_rate, 0.1);
+/// ```
+pub type FaultPlan = Plan<FaultRates>;
+
+/// How a plan spec checks one value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// A probability in `[0, 1]`; nonzero enables the plan.
+    Probability,
+    /// A finite, non-negative magnitude; nonzero enables the plan.
+    Magnitude,
+    /// A finite, non-negative magnitude of the event the key `of`
+    /// draws: written whenever `of` is, `default` when `of` is set
+    /// and this key is not, and on its own it enables nothing.
+    SizeOf {
+        /// The key whose event this value sizes.
+        of: &'static str,
+        /// The value when `of` is set and this key is not.
+        default: f64,
+    },
+}
+
+/// One `KEY=VALUE` of a plan spec: the key, the rates field it sets,
+/// and how the value is checked.
+pub struct SpecKey<R> {
+    key: &'static str,
+    field: &'static str,
+    bound: Bound,
+    rate: fn(&mut R) -> &mut f64,
+}
+
+impl<R: Copy> SpecKey<R> {
+    /// The row for `key`, which sets the rates field named `field`.
+    pub const fn new(
+        key: &'static str,
+        field: &'static str,
+        bound: Bound,
+        rate: fn(&mut R) -> &mut f64,
+    ) -> Self {
+        SpecKey {
+            key,
+            field,
+            bound,
+            rate,
+        }
     }
 
-    /// True when every rate and magnitude is exactly zero.
-    pub fn is_zero(&self) -> bool {
-        self.noise_sigma == 0.0
-            && self.outlier_rate == 0.0
-            && self.hang_rate == 0.0
-            && self.crash_rate == 0.0
+    fn get(&self, rates: &R) -> f64 {
+        let mut rates = *rates;
+        *(self.rate)(&mut rates)
+    }
+}
+
+/// The per-class rates of a [`Plan`], described by their spec keys.
+pub trait Rates: Copy + Default + 'static {
+    /// The plan type that spec errors name.
+    const PLAN: &'static str;
+    /// The rates type that range errors name.
+    const NAME: &'static str;
+    /// What an unknown key is called in its error.
+    const NOUN: &'static str;
+    /// Every key, in the order a spec string writes them.
+    const KEYS: &'static [SpecKey<Self>];
+}
+
+/// A seeded fault schedule: the seed plus the per-class rates, read
+/// from and written as `SEED:KEY=VALUE[,KEY=VALUE...]`.
+///
+/// The plan itself holds no mutable state; every decision drawn from it
+/// is a pure function of its seed and the caller's keys.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct Plan<R> {
+    seed: u64,
+    rates: R,
+}
+
+impl<R: Rates> Plan<R> {
+    /// A plan that injects nothing. [`Plan::is_enabled`] is false.
+    pub fn disabled() -> Self {
+        Plan::default()
     }
 
-    fn validate(&self) -> AuditResult<()> {
-        let probs = [
-            ("outlier_rate", self.outlier_rate),
-            ("hang_rate", self.hang_rate),
-            ("crash_rate", self.crash_rate),
-        ];
-        for (field, p) in probs {
+    /// Builds a plan after validating the rates: probabilities first,
+    /// then magnitudes, each in key order.
+    pub fn new(seed: u64, rates: R) -> AuditResult<Self> {
+        let probability = |k: &&SpecKey<R>| k.bound == Probability;
+        for k in R::KEYS.iter().filter(probability) {
+            let p = k.get(&rates);
             if !(0.0..=1.0).contains(&p) {
                 return Err(AuditError::invalid(
-                    "FaultRates",
-                    field,
+                    R::NAME,
+                    k.field,
                     format!("must be a probability in [0, 1] (got {p})"),
                 ));
             }
         }
-        if !self.noise_sigma.is_finite() || self.noise_sigma < 0.0 {
-            return Err(AuditError::invalid(
-                "FaultRates",
-                "noise_sigma",
-                format!("must be finite and non-negative (got {})", self.noise_sigma),
-            ));
+        for k in R::KEYS.iter().filter(|k| !probability(k)) {
+            let x = k.get(&rates);
+            if !x.is_finite() || x < 0.0 {
+                return Err(AuditError::invalid(
+                    R::NAME,
+                    k.field,
+                    format!("must be finite and non-negative (got {x})"),
+                ));
+            }
         }
-        if !self.outlier_volts.is_finite() || self.outlier_volts < 0.0 {
-            return Err(AuditError::invalid(
-                "FaultRates",
-                "outlier_volts",
-                format!(
-                    "must be finite and non-negative (got {})",
-                    self.outlier_volts
-                ),
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// A seeded fault schedule: the seed plus the per-class rates.
-///
-/// The plan itself holds no mutable state. Call [`FaultPlan::injector`]
-/// with an evaluation key and attempt index to get the concrete fault
-/// decisions for one harness run.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FaultPlan {
-    seed: u64,
-    rates: FaultRates,
-}
-
-impl FaultPlan {
-    /// A plan that injects nothing. [`FaultPlan::is_enabled`] is false.
-    pub fn disabled() -> Self {
-        FaultPlan {
-            seed: 0,
-            rates: FaultRates::none(),
-        }
-    }
-
-    /// Builds a plan after validating the rates.
-    pub fn new(seed: u64, rates: FaultRates) -> AuditResult<Self> {
-        rates.validate()?;
-        Ok(FaultPlan { seed, rates })
+        Ok(Plan { seed, rates })
     }
 
     /// True when at least one fault class can fire.
     pub fn is_enabled(&self) -> bool {
-        !self.rates.is_zero()
+        R::KEYS
+            .iter()
+            .any(|k| !matches!(k.bound, SizeOf { .. }) && k.get(&self.rates) != 0.0)
     }
 
     /// The plan's seed.
@@ -143,25 +215,15 @@ impl FaultPlan {
     }
 
     /// The plan's rates.
-    pub fn rates(&self) -> &FaultRates {
+    pub fn rates(&self) -> &R {
         &self.rates
     }
 
-    /// Parses the CLI spec `SEED:KEY=VALUE[,KEY=VALUE...]`.
-    ///
-    /// Keys: `noise` (Gaussian σ, volts), `outlier` (rate), `spike`
-    /// (outlier magnitude, volts; defaults to 0.05 when `outlier` is
-    /// set), `hang` (rate), `crash` (rate). Example:
-    ///
-    /// ```
-    /// use audit_measure::fault::FaultPlan;
-    /// let plan = FaultPlan::parse("7:noise=0.002,hang=0.1").unwrap();
-    /// assert!(plan.is_enabled());
-    /// assert_eq!(plan.seed(), 7);
-    /// assert_eq!(plan.rates().hang_rate, 0.1);
-    /// ```
+    /// Parses the CLI spec `SEED:KEY=VALUE[,KEY=VALUE...]`, with the
+    /// keys of `R` (see [`FaultRates`] and `audit_net`'s
+    /// `NetFaultRates`). A repeated key keeps its last value.
     pub fn parse(spec: &str) -> AuditResult<Self> {
-        let bad = |msg: String| AuditError::invalid("FaultPlan", "spec", msg);
+        let bad = |msg: String| AuditError::invalid(R::PLAN, "spec", msg);
         let (seed_str, rates_str) = spec
             .split_once(':')
             .ok_or_else(|| bad(format!("expected `SEED:KEY=VALUE,...` (got `{spec}`)")))?;
@@ -169,8 +231,8 @@ impl FaultPlan {
             .trim()
             .parse()
             .map_err(|_| bad(format!("seed must be a u64 (got `{seed_str}`)")))?;
-        let mut rates = FaultRates::none();
-        let mut spike_set = false;
+        let mut rates = R::default();
+        let mut given = vec![false; R::KEYS.len()];
         for part in rates_str.split(',') {
             let part = part.trim();
             if part.is_empty() {
@@ -183,50 +245,54 @@ impl FaultPlan {
                 .trim()
                 .parse()
                 .map_err(|_| bad(format!("`{key}` value must be a number (got `{value}`)")))?;
-            match key.trim() {
-                "noise" => rates.noise_sigma = value,
-                "outlier" => rates.outlier_rate = value,
-                "spike" => {
-                    rates.outlier_volts = value;
-                    spike_set = true;
-                }
-                "hang" => rates.hang_rate = value,
-                "crash" => rates.crash_rate = value,
-                other => {
-                    return Err(bad(format!(
-                        "unknown fault key `{other}` (expected noise/outlier/spike/hang/crash)"
-                    )))
+            let Some(i) = R::KEYS.iter().position(|k| k.key == key.trim()) else {
+                let keys: Vec<&str> = R::KEYS.iter().map(|k| k.key).collect();
+                return Err(bad(format!(
+                    "unknown {} key `{}` (expected {})",
+                    R::NOUN,
+                    key.trim(),
+                    keys.join("/")
+                )));
+            };
+            *(R::KEYS[i].rate)(&mut rates) = value;
+            given[i] = true;
+        }
+        for (k, given) in R::KEYS.iter().zip(given) {
+            if let SizeOf { of, default } = k.bound {
+                if !given && Self::value(&rates, of) > 0.0 {
+                    *(k.rate)(&mut rates) = default;
                 }
             }
         }
-        if rates.outlier_rate > 0.0 && !spike_set {
-            rates.outlier_volts = 0.05;
-        }
-        FaultPlan::new(seed, rates)
+        Plan::new(seed, rates)
     }
 
     /// Renders the plan back into the `SEED:KEY=VALUE,...` spec form
-    /// accepted by [`FaultPlan::parse`] (used to record the plan in a
-    /// journal's `run_start` meta so `--resume` restores it).
+    /// accepted by [`Plan::parse`] (used to record the plan in a
+    /// journal's `run_start` meta so `--resume` restores it): every
+    /// nonzero key, and a size whenever the key it sizes is written.
     pub fn spec_string(&self) -> String {
-        let r = &self.rates;
-        let mut parts = Vec::new();
-        if r.noise_sigma > 0.0 {
-            parts.push(format!("noise={}", r.noise_sigma));
-        }
-        if r.outlier_rate > 0.0 {
-            parts.push(format!("outlier={}", r.outlier_rate));
-            parts.push(format!("spike={}", r.outlier_volts));
-        }
-        if r.hang_rate > 0.0 {
-            parts.push(format!("hang={}", r.hang_rate));
-        }
-        if r.crash_rate > 0.0 {
-            parts.push(format!("crash={}", r.crash_rate));
-        }
+        let parts: Vec<String> = R::KEYS
+            .iter()
+            .filter(|k| match k.bound {
+                SizeOf { of, .. } => Self::value(&self.rates, of) > 0.0,
+                _ => k.get(&self.rates) > 0.0,
+            })
+            .map(|k| format!("{}={}", k.key, k.get(&self.rates)))
+            .collect();
         format!("{}:{}", self.seed, parts.join(","))
     }
 
+    /// The value of the rate that `key` sets.
+    fn value(rates: &R, key: &str) -> f64 {
+        R::KEYS
+            .iter()
+            .find(|k| k.key == key)
+            .map_or(0.0, |k| k.get(rates))
+    }
+}
+
+impl FaultPlan {
     /// The concrete fault decisions for one harness run, identified by
     /// `(key, attempt)`. Pure: the same arguments always produce the
     /// same injector, regardless of thread or call order.
@@ -490,7 +556,7 @@ mod tests {
             9,
             FaultRates {
                 hang_rate: 0.5,
-                ..FaultRates::none()
+                ..FaultRates::default()
             },
         )
         .unwrap();
@@ -505,7 +571,7 @@ mod tests {
             5,
             FaultRates {
                 hang_rate: 1.0,
-                ..FaultRates::none()
+                ..FaultRates::default()
             },
         )
         .unwrap();
@@ -522,7 +588,7 @@ mod tests {
             splitmix(1),
             FaultRates {
                 noise_sigma: 1.0,
-                ..FaultRates::none()
+                ..FaultRates::default()
             },
         );
         let n = 20_000;
@@ -540,7 +606,7 @@ mod tests {
             FaultRates {
                 outlier_rate: 0.1,
                 outlier_volts: 1.0,
-                ..FaultRates::none()
+                ..FaultRates::default()
             },
         );
         let n = 20_000;

@@ -18,13 +18,11 @@
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use audit_core::ga::{EvalDispatcher, Gene, Objectives};
 use audit_core::ResilienceReport;
 use audit_error::AuditError;
 
-use crate::chaos::NetFaultPlan;
 use crate::door::FrontDoor;
 use crate::metrics::{ScrapeFamily, ServeMetrics};
 use crate::pool::{CampaignDispatcher, CampaignSpec, FleetConfig, Pool};
@@ -33,58 +31,13 @@ use crate::proto::EvalContext;
 /// Broker tuning knobs: the pool's [`FleetConfig`] plus the seed of
 /// its one campaign. Results are invariant to every one of them; they
 /// shape scheduling, liveness detection, and failure handling.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BrokerConfig {
     /// Seed folded into the worker-assignment and cross-validation
     /// hashes (use the GA seed so a rerun schedules identically).
     pub seed: u64,
-    /// See [`FleetConfig::window`].
-    pub window: usize,
-    /// See [`FleetConfig::heartbeat`].
-    pub heartbeat: Duration,
-    /// See [`FleetConfig::dead_after`].
-    pub dead_after: Duration,
-    /// See [`FleetConfig::retries`].
-    pub retries: u32,
-    /// See [`FleetConfig::quarantine_fitness`].
-    pub quarantine_fitness: f64,
-    /// See [`FleetConfig::verify_fraction`].
-    pub verify_fraction: f64,
-    /// See [`FleetConfig::chaos`].
-    pub chaos: NetFaultPlan,
-}
-
-impl Default for BrokerConfig {
-    /// Seed 0 and the pool's defaults ([`FleetConfig::default`]).
-    fn default() -> Self {
-        let pool = FleetConfig::default();
-        BrokerConfig {
-            seed: 0,
-            window: pool.window,
-            heartbeat: pool.heartbeat,
-            dead_after: pool.dead_after,
-            retries: pool.retries,
-            quarantine_fitness: pool.quarantine_fitness,
-            verify_fraction: pool.verify_fraction,
-            chaos: pool.chaos,
-        }
-    }
-}
-
-impl BrokerConfig {
-    /// The pool knobs: everything but the seed, which belongs to the
-    /// broker's one campaign.
-    fn pool(&self) -> FleetConfig {
-        FleetConfig {
-            window: self.window,
-            heartbeat: self.heartbeat,
-            dead_after: self.dead_after,
-            retries: self.retries,
-            quarantine_fitness: self.quarantine_fitness,
-            verify_fraction: self.verify_fraction,
-            chaos: self.chaos,
-        }
-    }
+    /// The dispatch pool's knobs.
+    pub pool: FleetConfig,
 }
 
 /// The broker side of distributed evaluation. See the module docs.
@@ -103,7 +56,7 @@ impl Broker {
     ///
     /// Returns [`AuditError::Io`] if the address cannot be bound.
     pub fn bind(addr: &str, ctx: &EvalContext, cfg: BrokerConfig) -> Result<Broker, AuditError> {
-        let pool = Pool::start(cfg.pool(), ScrapeFamily::SERVE);
+        let pool = Pool::start(cfg.pool, ScrapeFamily::SERVE);
         let handle = pool.handle();
         // Registered before the door opens, so every worker that joins
         // is set up with this campaign at its handshake.

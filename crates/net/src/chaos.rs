@@ -33,17 +33,20 @@
 //!   layer (`heartbeat` / `dead_after`) declares it dead and
 //!   re-dispatches its jobs.
 //! * **lie** — the worker returns a plausible but wrong objective
-//!   vector; only cross-validation (`BrokerConfig::verify_fraction`)
+//!   vector; only cross-validation (`FleetConfig::verify_fraction`)
 //!   can catch this, by majority vote and eviction.
 //!
 //! A plan with all rates zero is a guaranteed no-op: the broker's wire
 //! bytes and journal bytes are untouched.
 
-use audit_error::{AuditError, AuditResult};
-use audit_measure::fault::{mix, uniform};
+use audit_measure::fault::Bound::Probability;
+use audit_measure::fault::{mix, uniform, Plan, Rates, SpecKey};
 
 /// Per-class network fault probabilities. All rates are probabilities
 /// in `[0, 1]`, drawn independently per frame.
+///
+/// Spec keys ([`Plan::parse`]): `drop`, `dup`, `corrupt`, `stall`,
+/// `lie` — all per-frame probabilities.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NetFaultRates {
     /// Per-frame probability that the frame is silently lost.
@@ -61,41 +64,32 @@ pub struct NetFaultRates {
     pub lie: f64,
 }
 
-impl NetFaultRates {
-    /// All-zero rates: injection disabled.
-    pub fn none() -> Self {
-        NetFaultRates::default()
-    }
-
-    /// True when every rate is exactly zero.
-    pub fn is_zero(&self) -> bool {
-        self.drop == 0.0
-            && self.dup == 0.0
-            && self.corrupt == 0.0
-            && self.stall == 0.0
-            && self.lie == 0.0
-    }
-
-    fn validate(&self) -> AuditResult<()> {
-        let probs = [
-            ("drop", self.drop),
-            ("dup", self.dup),
-            ("corrupt", self.corrupt),
-            ("stall", self.stall),
-            ("lie", self.lie),
-        ];
-        for (field, p) in probs {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(AuditError::invalid(
-                    "NetFaultRates",
-                    field,
-                    format!("must be a probability in [0, 1] (got {p})"),
-                ));
-            }
-        }
-        Ok(())
-    }
+impl Rates for NetFaultRates {
+    const PLAN: &'static str = "NetFaultPlan";
+    const NAME: &'static str = "NetFaultRates";
+    const NOUN: &'static str = "net fault";
+    const KEYS: &'static [SpecKey<Self>] = &[
+        SpecKey::new("drop", "drop", Probability, |r| &mut r.drop),
+        SpecKey::new("dup", "dup", Probability, |r| &mut r.dup),
+        SpecKey::new("corrupt", "corrupt", Probability, |r| &mut r.corrupt),
+        SpecKey::new("stall", "stall", Probability, |r| &mut r.stall),
+        SpecKey::new("lie", "lie", Probability, |r| &mut r.lie),
+    ];
 }
+
+/// A seeded network fault schedule, parsed from the CLI spec
+/// `SEED:drop=0.02,dup=0.01,corrupt=0.01,stall=0.005,lie=0.01` with the
+/// grammar of [`audit_measure::fault::FaultPlan`]. Every query is a
+/// pure function of its arguments.
+///
+/// ```
+/// use audit_net::chaos::NetFaultPlan;
+/// let plan = NetFaultPlan::parse("7:drop=0.02,lie=0.01").unwrap();
+/// assert!(plan.is_enabled());
+/// assert_eq!(plan.seed(), 7);
+/// assert_eq!(plan.rates().lie, 0.01);
+/// ```
+pub type NetFaultPlan = Plan<NetFaultRates>;
 
 /// Which way a frame is travelling; a class-level discriminator so the
 /// outbound and inbound draws for one `(key, attempt)` are independent.
@@ -131,198 +125,87 @@ pub enum FrameFate {
     Duplicate,
 }
 
-/// A seeded network fault schedule: the seed plus per-class rates.
-///
-/// Parsed from the CLI spec `SEED:drop=0.02,dup=0.01,corrupt=0.01,`
-/// `stall=0.005,lie=0.01` exactly like
-/// [`audit_measure::fault::FaultPlan`]. The plan holds no mutable
-/// state; every query is a pure function of its arguments.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetFaultPlan {
-    seed: u64,
-    rates: NetFaultRates,
+/// The per-frame base word: one well-mixed word per
+/// `(seed, direction, frame_key, attempt, copy)` tuple. `copy`
+/// distinguishes the primary dispatch from cross-validation and
+/// duplicate copies of the same `(key, attempt)`.
+fn base(plan: &NetFaultPlan, dir: Direction, frame_key: u64, attempt: u32, copy: u32) -> u64 {
+    let word = attempt as u64 | ((copy as u64) << 32);
+    mix(mix(mix(plan.seed(), dir.stream()), frame_key), word)
 }
 
-impl NetFaultPlan {
-    /// A plan that injects nothing. [`NetFaultPlan::is_enabled`] is
-    /// false and every frame fate is [`FrameFate::Deliver`].
-    pub fn disabled() -> Self {
-        NetFaultPlan {
-            seed: 0,
-            rates: NetFaultRates::none(),
-        }
+/// The wire-level fate of one frame. Pure: the same arguments always
+/// return the same fate. [`FrameFate::Deliver`] whenever the plan is
+/// disabled.
+pub(crate) fn frame_fate(
+    plan: &NetFaultPlan,
+    dir: Direction,
+    frame_key: u64,
+    attempt: u32,
+    copy: u32,
+) -> FrameFate {
+    if !plan.is_enabled() {
+        return FrameFate::Deliver;
     }
-
-    /// Builds a plan after validating the rates.
-    pub fn new(seed: u64, rates: NetFaultRates) -> AuditResult<Self> {
-        rates.validate()?;
-        Ok(NetFaultPlan { seed, rates })
+    let base = base(plan, dir, frame_key, attempt, copy);
+    let rates = plan.rates();
+    if uniform(mix(base, STREAM_DROP)) < rates.drop {
+        return FrameFate::Drop;
     }
-
-    /// True when at least one fault class can fire.
-    pub fn is_enabled(&self) -> bool {
-        !self.rates.is_zero()
+    if uniform(mix(base, STREAM_CORRUPT)) < rates.corrupt {
+        return FrameFate::Corrupt;
     }
-
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
+    if uniform(mix(base, STREAM_DUP)) < rates.dup {
+        return FrameFate::Duplicate;
     }
+    FrameFate::Deliver
+}
 
-    /// The plan's rates.
-    pub fn rates(&self) -> &NetFaultRates {
-        &self.rates
+/// The deterministic bit index the "network" flips when
+/// [`FrameFate::Corrupt`] fires on an outbound frame (the writer
+/// reduces it modulo the payload length in bits).
+pub(crate) fn corrupt_bit(
+    plan: &NetFaultPlan,
+    dir: Direction,
+    frame_key: u64,
+    attempt: u32,
+    copy: u32,
+) -> u64 {
+    mix(
+        base(plan, dir, frame_key, attempt, copy),
+        STREAM_CORRUPT_BIT,
+    )
+}
+
+/// True when the worker holding this job stalls instead of answering
+/// (inbound only — a stall is a missing `result`).
+pub(crate) fn stalls(plan: &NetFaultPlan, frame_key: u64, attempt: u32, copy: u32) -> bool {
+    let stall = plan.rates().stall;
+    stall > 0.0
+        && uniform(mix(
+            base(plan, Direction::Inbound, frame_key, attempt, copy),
+            STREAM_STALL,
+        )) < stall
+}
+
+/// Nonzero XOR mask for a byzantine result, or zero when this result is
+/// honest. The broker XORs the mask into the bit pattern of the first
+/// objective — a small, plausible-looking perturbation that survives
+/// round-trips and is detectable only by cross-validation. Keyed per
+/// copy, so two copies of a verified job practically never lie
+/// identically.
+pub(crate) fn lie_mask(plan: &NetFaultPlan, frame_key: u64, attempt: u32, copy: u32) -> u64 {
+    let lie = plan.rates().lie;
+    if lie == 0.0 {
+        return 0;
     }
-
-    /// Parses the CLI spec `SEED:KEY=VALUE[,KEY=VALUE...]`.
-    ///
-    /// Keys: `drop`, `dup`, `corrupt`, `stall`, `lie` — all per-frame
-    /// probabilities. Example:
-    ///
-    /// ```
-    /// use audit_net::chaos::NetFaultPlan;
-    /// let plan = NetFaultPlan::parse("7:drop=0.02,lie=0.01").unwrap();
-    /// assert!(plan.is_enabled());
-    /// assert_eq!(plan.seed(), 7);
-    /// assert_eq!(plan.rates().lie, 0.01);
-    /// ```
-    pub fn parse(spec: &str) -> AuditResult<Self> {
-        let bad = |msg: String| AuditError::invalid("NetFaultPlan", "spec", msg);
-        let (seed_str, rates_str) = spec
-            .split_once(':')
-            .ok_or_else(|| bad(format!("expected `SEED:KEY=VALUE,...` (got `{spec}`)")))?;
-        let seed: u64 = seed_str
-            .trim()
-            .parse()
-            .map_err(|_| bad(format!("seed must be a u64 (got `{seed_str}`)")))?;
-        let mut rates = NetFaultRates::none();
-        for part in rates_str.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| bad(format!("expected `KEY=VALUE` (got `{part}`)")))?;
-            let value: f64 = value
-                .trim()
-                .parse()
-                .map_err(|_| bad(format!("`{key}` value must be a number (got `{value}`)")))?;
-            match key.trim() {
-                "drop" => rates.drop = value,
-                "dup" => rates.dup = value,
-                "corrupt" => rates.corrupt = value,
-                "stall" => rates.stall = value,
-                "lie" => rates.lie = value,
-                other => {
-                    return Err(bad(format!(
-                        "unknown net fault key `{other}` (expected drop/dup/corrupt/stall/lie)"
-                    )))
-                }
-            }
-        }
-        NetFaultPlan::new(seed, rates)
-    }
-
-    /// Renders the plan back into the `SEED:KEY=VALUE,...` spec form
-    /// accepted by [`NetFaultPlan::parse`].
-    pub fn spec_string(&self) -> String {
-        let r = &self.rates;
-        let mut parts = Vec::new();
-        if r.drop > 0.0 {
-            parts.push(format!("drop={}", r.drop));
-        }
-        if r.dup > 0.0 {
-            parts.push(format!("dup={}", r.dup));
-        }
-        if r.corrupt > 0.0 {
-            parts.push(format!("corrupt={}", r.corrupt));
-        }
-        if r.stall > 0.0 {
-            parts.push(format!("stall={}", r.stall));
-        }
-        if r.lie > 0.0 {
-            parts.push(format!("lie={}", r.lie));
-        }
-        format!("{}:{}", self.seed, parts.join(","))
-    }
-
-    /// The per-frame base word: one well-mixed word per
-    /// `(seed, direction, frame_key, attempt, copy)` tuple. `copy`
-    /// distinguishes the primary dispatch from cross-validation and
-    /// duplicate copies of the same `(key, attempt)`.
-    fn base(&self, dir: Direction, frame_key: u64, attempt: u32, copy: u32) -> u64 {
-        let word = attempt as u64 | ((copy as u64) << 32);
-        mix(mix(mix(self.seed, dir.stream()), frame_key), word)
-    }
-
-    /// The wire-level fate of one frame. Pure: the same arguments
-    /// always return the same fate. [`FrameFate::Deliver`] whenever the
-    /// plan is disabled.
-    pub(crate) fn frame_fate(
-        &self,
-        dir: Direction,
-        frame_key: u64,
-        attempt: u32,
-        copy: u32,
-    ) -> FrameFate {
-        if !self.is_enabled() {
-            return FrameFate::Deliver;
-        }
-        let base = self.base(dir, frame_key, attempt, copy);
-        if uniform(mix(base, STREAM_DROP)) < self.rates.drop {
-            return FrameFate::Drop;
-        }
-        if uniform(mix(base, STREAM_CORRUPT)) < self.rates.corrupt {
-            return FrameFate::Corrupt;
-        }
-        if uniform(mix(base, STREAM_DUP)) < self.rates.dup {
-            return FrameFate::Duplicate;
-        }
-        FrameFate::Deliver
-    }
-
-    /// The deterministic bit index the "network" flips when
-    /// [`FrameFate::Corrupt`] fires on an outbound frame (the writer
-    /// reduces it modulo the payload length in bits).
-    pub(crate) fn corrupt_bit(
-        &self,
-        dir: Direction,
-        frame_key: u64,
-        attempt: u32,
-        copy: u32,
-    ) -> u64 {
-        mix(self.base(dir, frame_key, attempt, copy), STREAM_CORRUPT_BIT)
-    }
-
-    /// True when the worker holding this job stalls instead of
-    /// answering (inbound only — a stall is a missing `result`).
-    pub fn stalls(&self, frame_key: u64, attempt: u32, copy: u32) -> bool {
-        self.rates.stall > 0.0
-            && uniform(mix(
-                self.base(Direction::Inbound, frame_key, attempt, copy),
-                STREAM_STALL,
-            )) < self.rates.stall
-    }
-
-    /// Nonzero XOR mask for a byzantine result, or zero when this
-    /// result is honest. The broker XORs the mask into the bit pattern
-    /// of the first objective — a small, plausible-looking perturbation
-    /// that survives round-trips and is detectable only by
-    /// cross-validation. Keyed per copy, so two copies of a verified
-    /// job practically never lie identically.
-    pub(crate) fn lie_mask(&self, frame_key: u64, attempt: u32, copy: u32) -> u64 {
-        if self.rates.lie == 0.0 {
-            return 0;
-        }
-        let base = self.base(Direction::Inbound, frame_key, attempt, copy);
-        if uniform(mix(base, STREAM_LIE)) < self.rates.lie {
-            // Low-order mantissa bits only: the lie stays plausible
-            // (tiny relative error), and `| 1` guarantees nonzero.
-            (mix(base, STREAM_LIE_BITS) & 0xFFFF) | 1
-        } else {
-            0
-        }
+    let base = base(plan, Direction::Inbound, frame_key, attempt, copy);
+    if uniform(mix(base, STREAM_LIE)) < lie {
+        // Low-order mantissa bits only: the lie stays plausible (tiny
+        // relative error), and `| 1` guarantees nonzero.
+        (mix(base, STREAM_LIE_BITS) & 0xFFFF) | 1
+    } else {
+        0
     }
 }
 
@@ -361,10 +244,10 @@ mod tests {
         for key in [0u64, 7, 0xDEAD_BEEF] {
             for attempt in 0..4 {
                 for dir in [Direction::Outbound, Direction::Inbound] {
-                    assert_eq!(plan.frame_fate(dir, key, attempt, 0), FrameFate::Deliver);
+                    assert_eq!(frame_fate(&plan, dir, key, attempt, 0), FrameFate::Deliver);
                 }
-                assert!(!plan.stalls(key, attempt, 0));
-                assert_eq!(plan.lie_mask(key, attempt, 0), 0);
+                assert!(!stalls(&plan, key, attempt, 0));
+                assert_eq!(lie_mask(&plan, key, attempt, 0), 0);
             }
         }
     }
@@ -377,17 +260,17 @@ mod tests {
                 for copy in 0..3 {
                     for dir in [Direction::Outbound, Direction::Inbound] {
                         assert_eq!(
-                            plan.frame_fate(dir, key, attempt, copy),
-                            plan.frame_fate(dir, key, attempt, copy)
+                            frame_fate(&plan, dir, key, attempt, copy),
+                            frame_fate(&plan, dir, key, attempt, copy)
                         );
                     }
                     assert_eq!(
-                        plan.stalls(key, attempt, copy),
-                        plan.stalls(key, attempt, copy)
+                        stalls(&plan, key, attempt, copy),
+                        stalls(&plan, key, attempt, copy)
                     );
                     assert_eq!(
-                        plan.lie_mask(key, attempt, copy),
-                        plan.lie_mask(key, attempt, copy)
+                        lie_mask(&plan, key, attempt, copy),
+                        lie_mask(&plan, key, attempt, copy)
                     );
                 }
             }
@@ -398,7 +281,9 @@ mod tests {
     fn directions_and_copies_draw_independent_schedules() {
         let plan = chaotic_plan();
         let fates = |dir: Direction, copy: u32| -> Vec<FrameFate> {
-            (0..64).map(|k| plan.frame_fate(dir, k, 0, copy)).collect()
+            (0..64)
+                .map(|k| frame_fate(&plan, dir, k, 0, copy))
+                .collect()
         };
         assert_ne!(
             fates(Direction::Outbound, 0),
@@ -418,12 +303,12 @@ mod tests {
             9,
             NetFaultRates {
                 drop: 0.5,
-                ..NetFaultRates::none()
+                ..NetFaultRates::default()
             },
         )
         .unwrap();
         let drops: Vec<bool> = (0..64)
-            .map(|a| plan.frame_fate(Direction::Outbound, 7, a, 0) == FrameFate::Drop)
+            .map(|a| frame_fate(&plan, Direction::Outbound, 7, a, 0) == FrameFate::Drop)
             .collect();
         assert!(drops.iter().any(|&d| d));
         assert!(drops.iter().any(|&d| !d));
@@ -444,19 +329,19 @@ mod tests {
         .unwrap();
         let n = 20_000u64;
         let mut counts = [0usize; 4];
-        let mut stalls = 0usize;
+        let mut stalled = 0usize;
         let mut lies = 0usize;
         for k in 0..n {
-            match plan.frame_fate(Direction::Inbound, k, 0, 0) {
+            match frame_fate(&plan, Direction::Inbound, k, 0, 0) {
                 FrameFate::Deliver => counts[0] += 1,
                 FrameFate::Drop => counts[1] += 1,
                 FrameFate::Corrupt => counts[2] += 1,
                 FrameFate::Duplicate => counts[3] += 1,
             }
-            if plan.stalls(k, 0, 0) {
-                stalls += 1;
+            if stalls(&plan, k, 0, 0) {
+                stalled += 1;
             }
-            if plan.lie_mask(k, 0, 0) != 0 {
+            if lie_mask(&plan, k, 0, 0) != 0 {
                 lies += 1;
             }
         }
@@ -478,7 +363,11 @@ mod tests {
             "dup {}",
             rate(counts[3])
         );
-        assert!((rate(stalls) - 0.05).abs() < 0.02, "stall {}", rate(stalls));
+        assert!(
+            (rate(stalled) - 0.05).abs() < 0.02,
+            "stall {}",
+            rate(stalled)
+        );
         assert!((rate(lies) - 0.05).abs() < 0.02, "lie {}", rate(lies));
     }
 
@@ -488,12 +377,12 @@ mod tests {
             5,
             NetFaultRates {
                 lie: 1.0,
-                ..NetFaultRates::none()
+                ..NetFaultRates::default()
             },
         )
         .unwrap();
         for k in 0..256u64 {
-            let mask = plan.lie_mask(k, 0, 0);
+            let mask = lie_mask(&plan, k, 0, 0);
             assert_ne!(mask, 0);
             assert!(mask <= 0xFFFF, "mask {mask:#x} must stay in the mantissa");
         }
@@ -509,6 +398,142 @@ mod tests {
             let plan = NetFaultPlan::parse(spec).unwrap();
             let again = NetFaultPlan::parse(&plan.spec_string()).unwrap();
             assert_eq!(plan, again, "spec `{spec}`");
+        }
+    }
+
+    /// Both plan types read one `SEED:KEY=VALUE[,…]` grammar: the same
+    /// spec gets the same verdict shape from each, with each type's own
+    /// keys, ranges and names. Every string is pinned byte for byte.
+    #[test]
+    fn both_plan_grammars_round_trip_and_reject_alike() {
+        use audit_measure::FaultRates;
+        fn verdict<R: Rates>(spec: &str) -> String {
+            let plan = Plan::<R>::parse(spec);
+            if let Ok(p) = &plan {
+                // The written form is canonical: it reads back to itself.
+                let again = Plan::<R>::parse(&p.spec_string()).map(|q| q.spec_string());
+                assert_eq!(again.ok(), Some(p.spec_string()), "{spec}");
+            }
+            let shown = plan.map(|p| (p.spec_string(), p.is_enabled()));
+            format!("{:?}", shown.map_err(|e| e.to_string()))
+        }
+        let unknown_fault = |key: &str| {
+            format!(
+                r#"Err("invalid FaultPlan.spec: unknown fault key `{key}` (expected noise/outlier/spike/hang/crash)")"#
+            )
+        };
+        let unknown_net = |key: &str| {
+            format!(
+                r#"Err("invalid NetFaultPlan.spec: unknown net fault key `{key}` (expected drop/dup/corrupt/stall/lie)")"#
+            )
+        };
+        let both = |why: &str| {
+            (
+                format!(r#"Err("invalid FaultPlan.spec: {why}")"#),
+                format!(r#"Err("invalid NetFaultPlan.spec: {why}")"#),
+            )
+        };
+        let cases = [
+            ("no-colon", both("expected `SEED:KEY=VALUE,...` (got `no-colon`)")),
+            ("x:noise=1e-3", both("seed must be a u64 (got `x`)")),
+            ("-1:drop=0.1", both("seed must be a u64 (got `-1`)")),
+            ("1:noise", both("expected `KEY=VALUE` (got `noise`)")),
+            ("1:noise=abc", both("`noise` value must be a number (got `abc`)")),
+            ("1:=0.1", (unknown_fault(""), unknown_net(""))),
+            ("1:warp=0.5", (unknown_fault("warp"), unknown_net("warp"))),
+            (
+                "1:hang=1.5",
+                (
+                    r#"Err("invalid FaultRates.hang_rate: must be a probability in [0, 1] (got 1.5)")"#.into(),
+                    unknown_net("hang"),
+                ),
+            ),
+            (
+                "1:drop=1.5",
+                (
+                    unknown_fault("drop"),
+                    r#"Err("invalid NetFaultRates.drop: must be a probability in [0, 1] (got 1.5)")"#.into(),
+                ),
+            ),
+            (
+                "1:lie=-0.1",
+                (
+                    unknown_fault("lie"),
+                    r#"Err("invalid NetFaultRates.lie: must be a probability in [0, 1] (got -0.1)")"#.into(),
+                ),
+            ),
+            (
+                "1:outlier=nan",
+                (
+                    r#"Err("invalid FaultRates.outlier_rate: must be a probability in [0, 1] (got NaN)")"#.into(),
+                    unknown_net("outlier"),
+                ),
+            ),
+            (
+                "1:noise=inf",
+                (
+                    r#"Err("invalid FaultRates.noise_sigma: must be finite and non-negative (got inf)")"#.into(),
+                    unknown_net("noise"),
+                ),
+            ),
+            (
+                "1:spike=-1",
+                (
+                    r#"Err("invalid FaultRates.outlier_volts: must be finite and non-negative (got -1)")"#.into(),
+                    unknown_net("spike"),
+                ),
+            ),
+            (
+                "1:hang=2,noise=-1",
+                (
+                    r#"Err("invalid FaultRates.hang_rate: must be a probability in [0, 1] (got 2)")"#.into(),
+                    unknown_net("hang"),
+                ),
+            ),
+            ("1:", (r#"Ok(("1:", false))"#.into(), r#"Ok(("1:", false))"#.into())),
+            (
+                " 3 : drop = 0.5 , , lie=0.25",
+                (unknown_fault("drop"), r#"Ok(("3:drop=0.5,lie=0.25", true))"#.into()),
+            ),
+            (
+                "5:drop=0.1,drop=0.2",
+                (unknown_fault("drop"), r#"Ok(("5:drop=0.2", true))"#.into()),
+            ),
+            (
+                "9:lie=0.01,stall=0.005,corrupt=0.01,dup=0.01,drop=0.02",
+                (
+                    unknown_fault("lie"),
+                    r#"Ok(("9:drop=0.02,dup=0.01,corrupt=0.01,stall=0.005,lie=0.01", true))"#.into(),
+                ),
+            ),
+            ("1:spike=0.5", (r#"Ok(("1:", false))"#.into(), unknown_net("spike"))),
+            (
+                "5:outlier=0.1,spike=0",
+                (r#"Ok(("5:outlier=0.1,spike=0", true))"#.into(), unknown_net("outlier")),
+            ),
+            (
+                "8:outlier=0.2",
+                (r#"Ok(("8:outlier=0.2,spike=0.05", true))"#.into(), unknown_net("outlier")),
+            ),
+            (
+                "123:crash=0.5,spike=0.02,outlier=0.05,noise=0.001,hang=0.25",
+                (
+                    r#"Ok(("123:noise=0.001,outlier=0.05,spike=0.02,hang=0.25,crash=0.5", true))"#.into(),
+                    unknown_net("crash"),
+                ),
+            ),
+        ];
+        for (spec, (want_fault, want_net)) in cases {
+            assert_eq!(
+                verdict::<FaultRates>(spec),
+                want_fault,
+                "FaultPlan `{spec}`"
+            );
+            assert_eq!(
+                verdict::<NetFaultRates>(spec),
+                want_net,
+                "NetFaultPlan `{spec}`"
+            );
         }
     }
 

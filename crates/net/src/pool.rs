@@ -66,12 +66,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use audit_core::ga::{EvalDispatcher, Gene, Objectives};
-use audit_core::resilient::genome_key;
+use audit_core::resilient::{genome_key, QUARANTINE_FITNESS};
 use audit_core::ResilienceReport;
 use audit_error::AuditError;
 use audit_measure::fault::{mix, uniform, KeyHasher};
 
-use crate::chaos::{Direction, FrameFate, NetFaultPlan};
+use crate::chaos::{self, Direction, FrameFate, NetFaultPlan};
 use crate::frame::{write_corrupted_frame, write_frame};
 use crate::metrics::{ScrapeFamily, ServeMetrics};
 use crate::proto::{EvalContext, Msg};
@@ -92,10 +92,13 @@ fn verifies(seed: u64, fraction: f64, key: u64) -> bool {
 
 /// Pool tuning knobs; [`crate::BrokerConfig`] is these plus the one
 /// campaign's seed. Results are invariant to every one of them: they
-/// shape scheduling, liveness detection, and failure handling.
+/// shape scheduling, liveness detection, and failure handling. A job
+/// that exhausts its re-dispatch budget is scored
+/// [`QUARANTINE_FITNESS`], as a quarantined local evaluation is.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
-    /// Maximum in-flight evaluations per `(worker, campaign)` pair.
+    /// Maximum in-flight evaluations per `(worker, campaign)` pair
+    /// (0 counts as 1).
     pub window: usize,
     /// Idle interval between liveness pings while rounds are active.
     pub heartbeat: Duration,
@@ -106,8 +109,6 @@ pub struct FleetConfig {
     pub dead_after: Duration,
     /// Worker-loss re-dispatches allowed per job before quarantine.
     pub retries: u32,
-    /// Fitness assigned to a job that exhausted its re-dispatch budget.
-    pub quarantine_fitness: f64,
     /// Fraction of each campaign's jobs cross-validated on two workers,
     /// selected by a pure hash of the campaign's `(seed, key)`. `0.0`
     /// disables cross-validation; `1.0` verifies every job. Byzantine
@@ -125,7 +126,6 @@ impl Default for FleetConfig {
             heartbeat: Duration::from_millis(1000),
             dead_after: Duration::from_millis(10_000),
             retries: 4,
-            quarantine_fitness: 0.0,
             verify_fraction: 0.0,
             chaos: NetFaultPlan::disabled(),
         }
@@ -952,14 +952,8 @@ impl PoolState {
         self.next_req += 1;
         ServeMetrics::add(&self.metrics.dispatches, 1);
         let (key, attempt, copy) = (job.key, job.attempt, job.copy);
-        let fate = self
-            .cfg
-            .chaos
-            .frame_fate(Direction::Outbound, key, attempt, copy);
-        let flip = self
-            .cfg
-            .chaos
-            .corrupt_bit(Direction::Outbound, key, attempt, copy);
+        let fate = chaos::frame_fate(&self.cfg.chaos, Direction::Outbound, key, attempt, copy);
+        let flip = chaos::corrupt_bit(&self.cfg.chaos, Direction::Outbound, key, attempt, copy);
         let write = if fate == FrameFate::Drop {
             // The network ate the frame. The pool believes it is out,
             // so accounting proceeds; the dispatch lease recovers it.
@@ -1032,17 +1026,14 @@ impl PoolState {
         let (key, attempt, copy) = (job.key, job.attempt, job.copy);
         // Chaos: the worker stalls *instead of* answering — the result
         // never existed and the worker goes silent until declared dead.
-        if self.cfg.chaos.stalls(key, attempt, copy) {
+        if chaos::stalls(&self.cfg.chaos, key, attempt, copy) {
             self.lose_worker(worker);
             return;
         }
         // Chaos: the result frame is lost or damaged on the wire (the
         // CRC32 trailer rejects a damaged frame at this boundary); the
         // dispatch lease recovers the job.
-        let fate = self
-            .cfg
-            .chaos
-            .frame_fate(Direction::Inbound, key, attempt, copy);
+        let fate = chaos::frame_fate(&self.cfg.chaos, Direction::Inbound, key, attempt, copy);
         if matches!(fate, FrameFate::Drop | FrameFate::Corrupt) {
             return;
         }
@@ -1062,7 +1053,7 @@ impl PoolState {
         // the low mantissa bits, plausible but wrong. Only detectable
         // on cross-validated jobs.
         let mut objectives = objectives;
-        let mask = self.cfg.chaos.lie_mask(key, attempt, copy);
+        let mask = chaos::lie_mask(&self.cfg.chaos, key, attempt, copy);
         if mask != 0 {
             if let Some(primary) = objectives.0.first_mut() {
                 *primary = f64::from_bits(primary.to_bits() ^ mask);
@@ -1207,7 +1198,7 @@ impl PoolState {
         // The verdict splats the fallback fitness across as many axes
         // as every worker reports.
         let axes = c.ctx.spec.objectives.len().max(1);
-        let verdict = Objectives(vec![self.cfg.quarantine_fitness; axes]);
+        let verdict = Objectives(vec![QUARANTINE_FITNESS; axes]);
         let delta = ResilienceReport {
             evaluations: 1,
             retries: 0,

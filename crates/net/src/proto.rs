@@ -302,8 +302,6 @@ mod tests {
                     repeat: 3,
                     retries: 2,
                     cycle_budget: Some(120_000),
-                    mad_threshold: 3.5,
-                    quarantine_fitness: 0.0,
                 },
                 objectives: ObjectiveSet::parse("droop,margin").unwrap(),
             },
@@ -349,6 +347,34 @@ mod tests {
         round_trip(Msg::Metrics {
             text: "# audit serve metrics\naudit_workers 2\n".into(),
         });
+    }
+
+    /// The setup frame of a context whose policy sets faults, repeat,
+    /// retries and a cycle budget, byte for byte (length prefix,
+    /// payload, CRC32 trailer) as the protocol-v4 encoder wrote it
+    /// when the MAD threshold and the quarantine fitness were still
+    /// policy fields.
+    #[test]
+    fn setup_frame_bytes_are_pinned() {
+        const PAYLOAD: &str = concat!(
+            r#"{"kind":"setup","ctx":{"chip":"phenom","volts":1.15,"throttle":2,"#,
+            r#""fast_tier_budget":6,"threads":2,"sub_blocks":3,"lp_slots":5,"#,
+            r#""cost":"droop_per_amp","measure":{"warmup_cycles":5000,"#,
+            r#""record_cycles":60000,"settle_cycles":400000,"check_failure":true,"#,
+            r#""envelope_decimation":32,"keep_traces":false,"trigger_below_nominal":0.06},"#,
+            r#""policy":{"faults":"7:noise=0.002,hang=0.1","repeat":3,"retries":2,"#,
+            r#""cycle_budget":120000,"mad_threshold":3.5,"quarantine_fitness":0},"#,
+            r#""objectives":"droop,margin"}}"#,
+        );
+        let mut frame = Vec::new();
+        crate::frame::write_frame(&mut frame, &Msg::Setup { ctx: sample_ctx() }.to_json()).unwrap();
+        let (len, rest) = frame.split_at(4);
+        let (payload, crc) = rest.split_at(rest.len() - 4);
+        assert_eq!(std::str::from_utf8(payload).unwrap(), PAYLOAD);
+        assert_eq!(len, 484u32.to_be_bytes());
+        assert_eq!(crc, 0x7DFC_4142u32.to_be_bytes());
+        let decoded = Msg::from_json(&JsonValue::parse(PAYLOAD).unwrap()).unwrap();
+        assert_eq!(decoded, Msg::Setup { ctx: sample_ctx() });
     }
 
     #[test]

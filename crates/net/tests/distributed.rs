@@ -16,8 +16,8 @@ use audit_core::{FitnessSpec, MeasurePolicy, MeasureSpec, MemJournal, Resilience
 use audit_cpu::isa::Opcode;
 use audit_measure::fault::FaultPlan;
 use audit_net::{
-    connect, read_frame, run_worker, write_frame, Broker, BrokerConfig, EvalContext, FrameOutcome,
-    Msg, NetFaultPlan, WorkerOptions, PROTOCOL_VERSION,
+    connect, read_frame, run_worker, write_frame, Broker, BrokerConfig, EvalContext, FleetConfig,
+    FrameOutcome, Msg, NetFaultPlan, WorkerOptions, PROTOCOL_VERSION,
 };
 
 const GENOME_LEN: usize = 10;
@@ -515,24 +515,26 @@ fn broker_with_no_live_workers_serves_fully_prefilled_rounds() {
 fn chaos_cfg(seed: u64) -> BrokerConfig {
     BrokerConfig {
         seed,
-        // The lease must sit safely above worst-case eval latency on a
-        // loaded test machine (~1 s), or busy workers get falsely
-        // declared dead and their attempts spiral; 3 s keeps dropped
-        // frames re-dispatched in test time without that spiral.
-        heartbeat: Duration::from_millis(100),
-        dead_after: Duration::from_secs(3),
-        // A deep retry budget: the contract under test is bit-identity
-        // *below* the quarantine budget, so the budget must not bind.
-        retries: 20,
-        // Cross-validate every job: a lie on an unverified job is
-        // undetectable by construction, and this test is about the
-        // defended contract, not the undefended corner.
-        verify_fraction: 1.0,
-        // Drops and corruptions cost a lease expiry each, so keep them
-        // rarer than the cheap-to-recover duplicates and lies.
-        chaos: NetFaultPlan::parse("3:drop=0.02,dup=0.05,corrupt=0.02,stall=0.01,lie=0.05")
-            .unwrap(),
-        ..BrokerConfig::default()
+        pool: FleetConfig {
+            // The lease must sit safely above worst-case eval latency on a
+            // loaded test machine (~1 s), or busy workers get falsely
+            // declared dead and their attempts spiral; 3 s keeps dropped
+            // frames re-dispatched in test time without that spiral.
+            heartbeat: Duration::from_millis(100),
+            dead_after: Duration::from_secs(3),
+            // A deep retry budget: the contract under test is bit-identity
+            // *below* the quarantine budget, so the budget must not bind.
+            retries: 20,
+            // Cross-validate every job: a lie on an unverified job is
+            // undetectable by construction, and this test is about the
+            // defended contract, not the undefended corner.
+            verify_fraction: 1.0,
+            // Drops and corruptions cost a lease expiry each, so keep them
+            // rarer than the cheap-to-recover duplicates and lies.
+            chaos: NetFaultPlan::parse("3:drop=0.02,dup=0.05,corrupt=0.02,stall=0.01,lie=0.05")
+                .unwrap(),
+            ..FleetConfig::default()
+        },
     }
 }
 

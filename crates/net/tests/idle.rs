@@ -18,7 +18,7 @@ use std::time::Duration;
 use audit_core::ga::{CostFunction, EvalDispatcher, Gene, ObjectiveSet};
 use audit_core::{FitnessSpec, MeasurePolicy, MeasureSpec, Rig};
 use audit_cpu::isa::Opcode;
-use audit_net::{run_worker, Broker, BrokerConfig, EvalContext, WorkerOptions};
+use audit_net::{run_worker, Broker, BrokerConfig, EvalContext, FleetConfig, WorkerOptions};
 
 fn ctx() -> EvalContext {
     EvalContext {
@@ -74,9 +74,11 @@ fn round_with_no_workers_parks_until_one_joins() {
     // nobody connected would wake ~40 times in the window.
     let cfg = BrokerConfig {
         seed: 5,
-        heartbeat: Duration::from_millis(10),
-        dead_after: Duration::from_secs(30),
-        ..BrokerConfig::default()
+        pool: FleetConfig {
+            heartbeat: Duration::from_millis(10),
+            dead_after: Duration::from_secs(30),
+            ..FleetConfig::default()
+        },
     };
     let mut broker = Broker::bind("127.0.0.1:0", &ctx(), cfg).unwrap();
     let addr = broker.addr().to_string();
