@@ -18,7 +18,13 @@
 //! beat serial by at least 1.5x — the margin a co-tenant pays for
 //! *nothing* if isolation were done by partitioning instead of sharing.
 //!
-//! Results land in `BENCH_fleet.json` next to the table.
+//! One schedule takes a tenth of a second at smoke scale, so a single
+//! serial/fleet ratio is at the mercy of host jitter. The binary runs
+//! [`PAIRS`] serial/fleet pairs, alternating which schedule goes first,
+//! checks bit-identity and cache hits in every pair, and gates the
+//! median speedup.
+//!
+//! Results land in `BENCH_fleet.json` (every pair) next to the table.
 
 use std::time::Instant;
 
@@ -27,12 +33,24 @@ use audit_core::ga::{self, CostFunction, GaConfig, GaRun, ObjectiveSet};
 use audit_core::report::Table;
 use audit_core::{FitnessSpec, MeasurePolicy, MeasureSpec, MemJournal};
 use audit_cpu::Opcode;
-use audit_fleet::{CampaignSpec, Fleet, FleetConfig};
-use audit_net::{run_worker, Broker, BrokerConfig, EvalContext, WorkerOptions};
+use audit_net::{
+    run_worker, Broker, BrokerConfig, CampaignSpec, EvalContext, Fleet, FleetConfig, WorkerOptions,
+};
 
 const GENOME_LEN: usize = 12;
 const CAMPAIGNS: usize = 2;
 const WORKERS: usize = 4;
+const PAIRS: usize = 5;
+
+/// One serial/fleet measurement.
+struct Pair {
+    /// The schedule that ran first: `"serial"` or `"fleet"`.
+    first: &'static str,
+    serial_wall: f64,
+    fleet_wall: f64,
+    cache_hits: u64,
+    speedup: f64,
+}
 
 fn main() {
     banner(
@@ -57,85 +75,120 @@ fn main() {
         ..GaConfig::default()
     };
 
-    // Serial baseline: each campaign gets a fresh broker and fresh
-    // (cache-cold) workers, like separate `audit serve` invocations.
-    let t0 = Instant::now();
-    let serial: Vec<(GaRun, MemJournal)> =
-        (0..CAMPAIGNS).map(|_| broker_run(&spec, &cfg)).collect();
-    let serial_wall = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        serial[0].0, serial[1].0,
-        "identical campaigns must produce identical runs"
-    );
-    assert_eq!(
-        serial[0].1.records, serial[1].1.records,
-        "identical campaigns must produce identical journals"
-    );
-
-    // Fleet: both campaigns submitted concurrently to one manager
-    // sharing one worker pool (and its cross-campaign caches).
-    let t0 = Instant::now();
-    let (fleet, cache_hits) = fleet_run(&spec, &cfg);
-    let fleet_wall = t0.elapsed().as_secs_f64();
-
-    for (i, (run, journal)) in fleet.iter().enumerate() {
+    let mut t = Table::new(vec![
+        "pair",
+        "first",
+        "serial s",
+        "fleet s",
+        "evals",
+        "cache hits",
+        "speedup",
+    ]);
+    let mut pairs = Vec::with_capacity(PAIRS);
+    for i in 0..PAIRS {
+        // Alternating the order keeps a slow stretch of the host from
+        // always landing on the same schedule.
+        let first = if i % 2 == 0 { "serial" } else { "fleet" };
+        let ((serial, serial_wall), ((fleet, cache_hits), fleet_wall)) = if first == "serial" {
+            let serial = timed(|| serial_run(&spec, &cfg));
+            (serial, timed(|| fleet_run(&spec, &cfg)))
+        } else {
+            let fleet = timed(|| fleet_run(&spec, &cfg));
+            (timed(|| serial_run(&spec, &cfg)), fleet)
+        };
         assert_eq!(
-            run, &serial[i].0,
-            "campaign {i}: fleet GaRun diverged from the dedicated-broker run"
+            serial[0].0, serial[1].0,
+            "pair {i}: identical campaigns must produce identical runs"
         );
         assert_eq!(
-            journal.records, serial[i].1.records,
-            "campaign {i}: fleet journal diverged from the dedicated-broker run"
+            serial[0].1.records, serial[1].1.records,
+            "pair {i}: identical campaigns must produce identical journals"
         );
+        for (c, (run, journal)) in fleet.iter().enumerate() {
+            assert_eq!(
+                run, &serial[c].0,
+                "pair {i}, campaign {c}: fleet GaRun diverged from the dedicated-broker run"
+            );
+            assert_eq!(
+                journal.records, serial[c].1.records,
+                "pair {i}, campaign {c}: fleet journal diverged from the dedicated-broker run"
+            );
+        }
+        assert!(
+            cache_hits > 0,
+            "pair {i}: the twin campaign never hit the cross-campaign cache"
+        );
+
+        let evals: u64 = fleet.iter().map(|(run, _)| run.evaluations).sum();
+        let speedup = serial_wall / fleet_wall.max(1e-9);
+        t.row(vec![
+            format!("{i}"),
+            first.into(),
+            format!("{serial_wall:.2}"),
+            format!("{fleet_wall:.2}"),
+            format!("{evals}"),
+            format!("{cache_hits}"),
+            format!("{speedup:.2}x"),
+        ]);
+        pairs.push(Pair {
+            first,
+            serial_wall,
+            fleet_wall,
+            cache_hits,
+            speedup,
+        });
     }
-
-    let evals: u64 = fleet.iter().map(|(run, _)| run.evaluations).sum();
-    let speedup = serial_wall / fleet_wall.max(1e-9);
-    let mut t = Table::new(vec!["schedule", "wall s", "evals", "cache hits", "speedup"]);
-    t.row(vec![
-        "serial brokers".into(),
-        format!("{serial_wall:.2}"),
-        format!("{evals}"),
-        "0".into(),
-        "1.00x".into(),
-    ]);
-    t.row(vec![
-        "shared fleet".into(),
-        format!("{fleet_wall:.2}"),
-        format!("{evals}"),
-        format!("{cache_hits}"),
-        format!("{speedup:.2}x"),
-    ]);
     emit(&t);
 
-    assert!(
-        cache_hits > 0,
-        "the twin campaign never hit the cross-campaign cache"
-    );
+    let mut speedups: Vec<f64> = pairs.iter().map(|p| p.speedup).collect();
+    speedups.sort_by(f64::total_cmp);
+    let median = speedups[PAIRS / 2];
     // At smoke scale the twin's rounds trail far enough behind that
     // nearly every job is a cache hit (~1.8x); at full scale the
     // campaigns overlap more tightly, so some twin jobs are dispatched
     // while their originals are still in flight and get recomputed —
     // the floor is set below each mode's typical margin.
     let floor = if fast_mode() { 1.5 } else { 1.3 };
+    println!("\nmedian speedup over {PAIRS} pairs: {median:.2}x (floor {floor}x)");
     assert!(
-        speedup >= floor,
-        "fleet makespan speedup {speedup:.2}x below the {floor}x floor \
-         (serial {serial_wall:.2}s, fleet {fleet_wall:.2}s)"
+        median >= floor,
+        "median fleet makespan speedup {median:.2}x below the {floor}x floor \
+         (pair speedups {speedups:.2?})"
     );
 
+    let rows: Vec<String> = pairs
+        .iter()
+        .map(|p| {
+            format!(
+                concat!(
+                    "{{\"first\":\"{}\",\"serial_wall_s\":{:.6},",
+                    "\"fleet_wall_s\":{:.6},\"cache_hits\":{},\"speedup\":{:.3}}}"
+                ),
+                p.first, p.serial_wall, p.fleet_wall, p.cache_hits, p.speedup,
+            )
+        })
+        .collect();
     let json = format!(
         concat!(
-            "{{\"campaigns\":{},\"workers\":{},",
-            "\"serial\":{{\"wall_s\":{:.6}}},",
-            "\"fleet\":{{\"wall_s\":{:.6},\"cache_hits\":{}}},",
-            "\"speedup\":{:.3},\"bit_identical\":true}}\n"
+            "{{\"campaigns\":{},\"workers\":{},\"pairs\":[{}],",
+            "\"median_speedup\":{:.3},\"floor\":{},\"bit_identical\":true}}\n"
         ),
-        CAMPAIGNS, WORKERS, serial_wall, fleet_wall, cache_hits, speedup,
+        CAMPAIGNS,
+        WORKERS,
+        rows.join(","),
+        median,
+        floor,
     );
     std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
-    println!("\nwrote BENCH_fleet.json");
-    println!("both campaigns bit-identical to their dedicated-broker runs");
+    println!("wrote BENCH_fleet.json");
+    println!("both campaigns bit-identical to their dedicated-broker runs in every pair");
+}
+
+/// Runs `f` and returns its output with its wall time in seconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
 }
 
 fn ctx(spec: &FitnessSpec) -> EvalContext {
@@ -146,6 +199,12 @@ fn ctx(spec: &FitnessSpec) -> EvalContext {
         spec: *spec,
         fast_tier_budget: 0,
     }
+}
+
+/// Every campaign back to back, each on a fresh broker with fresh
+/// (cache-cold) workers, like separate `audit serve` invocations.
+fn serial_run(spec: &FitnessSpec, cfg: &GaConfig) -> Vec<(GaRun, MemJournal)> {
+    (0..CAMPAIGNS).map(|_| broker_run(spec, cfg)).collect()
 }
 
 /// One campaign on a dedicated broker with fresh workers.
@@ -198,7 +257,10 @@ fn fleet_run(spec: &FitnessSpec, cfg: &GaConfig) -> (Vec<(GaRun, MemJournal)>, u
             std::thread::spawn(move || run_worker(&addr, &WorkerOptions::default()))
         })
         .collect();
-    manager.wait_for_workers(WORKERS).expect("workers join");
+    manager
+        .handle()
+        .wait_for_workers(WORKERS)
+        .expect("workers join");
     let tenants: Vec<_> = (0..CAMPAIGNS)
         .map(|i| {
             let pool = manager.handle();
@@ -231,7 +293,7 @@ fn fleet_run(spec: &FitnessSpec, cfg: &GaConfig) -> (Vec<(GaRun, MemJournal)>, u
         })
         .collect();
     let runs: Vec<_> = tenants.into_iter().map(|t| t.join().unwrap()).collect();
-    let scrape = manager.metrics_text().expect("pool metrics");
+    let scrape = manager.handle().metrics_text().expect("pool metrics");
     let cache_hits: u64 = scrape
         .lines()
         .find_map(|l| l.strip_prefix("audit_fleet_cache_hits_total "))

@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use audit_fleet::{CampaignSpec, Fleet, PoolHandle, Submission};
 use audit_measure::json::JsonValue;
+use audit_net::{CampaignSpec, Fleet, PoolHandle, Submission};
 
 use crate::args::{ArgError, Args};
 use crate::checkpoint::Checkpoint;
@@ -59,6 +59,7 @@ fn serve(args: &Args) -> Result<(), ArgError> {
     if dist.min_workers > 0 {
         println!("waiting for {} worker(s)…", dist.min_workers);
         manager
+            .handle()
             .wait_for_workers(dist.min_workers)
             .map_err(core_err)?;
     }
@@ -217,7 +218,7 @@ fn submit(args: &Args) -> Result<(), ArgError> {
 
     println!("submitting {checkpoint} to {connect}…");
     let (campaign, ok, summary) =
-        audit_fleet::submit(&connect, argv, &checkpoint, weight, resume).map_err(core_err)?;
+        audit_net::submit(&connect, argv, &checkpoint, weight, resume).map_err(core_err)?;
     if !ok {
         return Err(ArgError(format!("campaign {campaign} failed: {summary}")));
     }
@@ -231,7 +232,7 @@ fn status(args: &Args) -> Result<(), ArgError> {
         ArgError("audit fleet status needs --connect HOST:PORT or unix:/path".into())
     })?;
     args.reject_unknown()?;
-    print!("{}", audit_fleet::status(&connect).map_err(core_err)?);
+    print!("{}", audit_net::status(&connect).map_err(core_err)?);
     Ok(())
 }
 
@@ -241,6 +242,6 @@ fn metrics(args: &Args) -> Result<(), ArgError> {
         ArgError("audit fleet metrics needs --connect HOST:PORT or unix:/path".into())
     })?;
     args.reject_unknown()?;
-    print!("{}", audit_fleet::scrape(&connect).map_err(core_err)?);
+    print!("{}", audit_net::scrape(&connect).map_err(core_err)?);
     Ok(())
 }

@@ -128,12 +128,6 @@ impl Broker {
     }
 }
 
-impl Drop for Broker {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 impl EvalDispatcher for Broker {
     fn evaluate(
         &mut self,

@@ -94,7 +94,7 @@ pub type NetFaultPlan = Plan<NetFaultRates>;
 /// Which way a frame is travelling; a class-level discriminator so the
 /// outbound and inbound draws for one `(key, attempt)` are independent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
+pub(crate) enum Direction {
     /// Broker → worker (`eval` dispatch frames).
     Outbound,
     /// Worker → broker (`result` frames).
@@ -114,7 +114,7 @@ impl Direction {
 /// it. At most one fate fires per frame (precedence drop > corrupt >
 /// dup, so the rates stay independently interpretable at small values).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameFate {
+pub(crate) enum FrameFate {
     /// The frame arrives intact, exactly once.
     Deliver,
     /// The frame is lost.

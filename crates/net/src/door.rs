@@ -11,30 +11,30 @@
 //!   pool until the stream ends.
 //! * `metrics_req` — a scrape. It gets one plain-text [`Msg::Metrics`]
 //!   snapshot of the pool's counters and the socket closes.
-//! * a frame the worker protocol does not know — handed to the door's
-//!   [`TenantHandler`] (`audit fleet`'s submit/status frames), or
-//!   closed when the door has none.
+//! * `status` and `submit` ([`FleetMsg`]) — a tenant, served only by a
+//!   door with a submission queue (`audit fleet serve`). A status
+//!   request gets one [`FleetMsg::Status`] report and the socket
+//!   closes; a submission goes down the queue with its connection held
+//!   open for the answer (see [`crate::fleet`]).
 //!
-//! Any other worker-protocol opener, including a `hello` from an older
-//! protocol, is refused by hanging up before the pool ever sees it.
+//! Any other opener — a tenant frame at a door without a queue
+//! (`audit serve`), a `hello` from an older protocol, an unknown `kind`
+//! — is refused by hanging up before the pool ever sees it.
 //!
 //! [`Pool`]: crate::pool::Pool
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use audit_error::AuditError;
-use audit_measure::json::JsonValue;
 
+use crate::fleet::Submission;
 use crate::frame::{read_frame, write_frame, FrameOutcome};
 use crate::pool::{Pool, PoolHandle, PoolMsg};
-use crate::proto::{Msg, PROTOCOL_VERSION};
+use crate::proto::{FleetMsg, Msg, PROTOCOL_VERSION};
 use crate::transport::{Conn, Listener};
-
-/// Serves a connection whose first frame is not worker protocol; gets
-/// that frame and the connection.
-pub type TenantHandler = Arc<dyn Fn(JsonValue, Conn) + Send + Sync>;
 
 /// A listening socket, its accept thread, and the pool it feeds. See
 /// the module docs.
@@ -51,7 +51,9 @@ pub struct FrontDoor {
 
 impl FrontDoor {
     /// Binds `addr` (`host:port` or `unix:/path`) and starts accepting
-    /// peers for `pool`, which the door owns from now on.
+    /// peers for `pool`, which the door owns from now on. With a
+    /// `submissions` queue the door also serves tenants: campaign
+    /// submissions go down it.
     ///
     /// # Errors
     ///
@@ -59,7 +61,7 @@ impl FrontDoor {
     pub fn open(
         addr: &str,
         pool: Pool,
-        tenants: Option<TenantHandler>,
+        submissions: Option<Sender<Submission>>,
     ) -> Result<FrontDoor, AuditError> {
         let io = |e: std::io::Error| AuditError::io(addr, &e);
         let listener = Listener::bind(addr).map_err(io)?;
@@ -74,7 +76,7 @@ impl FrontDoor {
             accept_loop(
                 &listener,
                 &handle,
-                tenants.as_ref(),
+                submissions.as_ref(),
                 &accept_stop,
                 &accept_conns,
             );
@@ -143,7 +145,7 @@ fn set_nonblocking(listener: &Listener) -> std::io::Result<()> {
 fn accept_loop(
     listener: &Listener,
     pool: &PoolHandle,
-    tenants: Option<&TenantHandler>,
+    submissions: Option<&Sender<Submission>>,
     stop: &AtomicBool,
     conns: &Mutex<Vec<Conn>>,
 ) {
@@ -158,8 +160,8 @@ fn accept_loop(
                 }
                 let worker = ids.fetch_add(1, Ordering::SeqCst);
                 let pool = pool.clone();
-                let tenants = tenants.cloned();
-                std::thread::spawn(move || session(conn, worker, &pool, tenants.as_ref()));
+                let submissions = submissions.cloned();
+                std::thread::spawn(move || session(conn, worker, &pool, submissions));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));
@@ -169,38 +171,67 @@ fn accept_loop(
     }
 }
 
-/// Routes one connection by its first frame (see the module docs); a
-/// worker's session then pumps its frames into the pool until the
-/// stream ends.
-fn session(mut conn: Conn, worker: u64, pool: &PoolHandle, tenants: Option<&TenantHandler>) {
-    let first = match read_frame(&mut conn) {
-        Ok(FrameOutcome::Frame(v)) => v,
-        _ => {
-            conn.shutdown();
-            return;
-        }
+/// Routes one connection by its first frame (see the module docs).
+fn session(
+    mut conn: Conn,
+    worker: u64,
+    pool: &PoolHandle,
+    submissions: Option<Sender<Submission>>,
+) {
+    let Ok(FrameOutcome::Frame(first)) = read_frame(&mut conn) else {
+        conn.shutdown();
+        return;
     };
-    match Msg::from_json(&first) {
-        Ok(Msg::Hello { protocol }) if protocol == PROTOCOL_VERSION => {}
-        Ok(Msg::MetricsReq) => {
-            if let Ok(text) = pool.metrics_text() {
-                write_frame(&mut conn, &Msg::Metrics { text }.to_json()).ok();
-            }
-            conn.shutdown();
+    // The two tables' kinds are disjoint, so at most one decodes.
+    let reply = match (
+        Msg::from_json(&first),
+        FleetMsg::from_json(&first),
+        submissions,
+    ) {
+        (Ok(Msg::Hello { protocol }), _, _) if protocol == PROTOCOL_VERSION => {
+            return worker_session(conn, worker, pool);
+        }
+        (Ok(Msg::MetricsReq), _, _) => pool
+            .metrics_text()
+            .ok()
+            .map(|text| Msg::Metrics { text }.to_json()),
+        (_, Ok(FleetMsg::StatusReq), Some(_)) => pool
+            .status_text()
+            .ok()
+            .map(|text| FleetMsg::Status { text }.to_json()),
+        (
+            _,
+            Ok(FleetMsg::Submit {
+                argv,
+                checkpoint,
+                weight,
+                resume,
+            }),
+            Some(queue),
+        ) => {
+            // The connection rides along: the serve loop answers on it
+            // when the campaign is accepted and again when it finishes.
+            let submission = Submission {
+                argv,
+                checkpoint,
+                weight,
+                resume,
+                conn,
+            };
+            queue.send(submission).ok();
             return;
         }
-        Err(_) => {
-            match tenants {
-                Some(serve) => serve(first, conn),
-                None => conn.shutdown(),
-            }
-            return;
-        }
-        Ok(_) => {
-            conn.shutdown();
-            return;
-        }
+        _ => None,
+    };
+    if let Some(reply) = reply {
+        write_frame(&mut conn, &reply).ok();
     }
+    conn.shutdown();
+}
+
+/// A worker's session: hands its writer half to the pool, then pumps
+/// its frames into the pool until the stream ends.
+fn worker_session(mut conn: Conn, worker: u64, pool: &PoolHandle) {
     let Ok(writer) = conn.try_clone() else {
         conn.shutdown();
         return;

@@ -1,5 +1,5 @@
 //! Distributed fitness evaluation for AUDIT: `audit serve`,
-//! `audit work`, and the dispatch core under `audit fleet serve`.
+//! `audit work`, and the multi-tenant campaign manager `audit fleet`.
 //!
 //! The GA's closed loop (run candidate → measure droop → evolve) is
 //! embarrassingly parallel across the population, so this crate scales
@@ -14,14 +14,18 @@
 //! * [`scheduler`] — the fair-share arbiter ([`FairShare`]) picking
 //!   which campaign dispatches next,
 //! * [`door`] — the one front door ([`FrontDoor`]): a listening socket
-//!   whose sessions sort peers by first frame (worker, scrape, or a
-//!   caller's tenant protocol),
+//!   whose sessions sort peers by first frame (worker, scrape, or
+//!   tenant),
 //! * [`broker`] — `audit serve`'s [`Broker`]: a pool with one campaign
 //!   registered at bind, behind a front door,
+//! * [`fleet`] — `audit fleet serve`'s [`Fleet`]: a pool behind a front
+//!   door with a submission queue, plus the tenant clients [`submit`],
+//!   [`status`] and [`scrape`],
 //! * [`worker`] — the worker loop: connect with bounded, jittered
 //!   backoff, handshake, evaluate, report fitness plus
 //!   resilience-counter deltas, optionally rejoin after a sever,
-//! * [`proto`], [`frame`], [`transport`] — the messages (including the
+//! * [`proto`], [`frame`], [`transport`] — the messages ([`Msg`] for
+//!   workers and scrapes, [`FleetMsg`] for tenants, and the
 //!   [`proto::EvalContext`] that rebuilds the exact fitness function,
 //!   [`audit_core::FitnessSpec::evaluate_objectives`]), CRC-checked
 //!   length-prefixed frames, and TCP / Unix-domain streams behind one
@@ -33,9 +37,6 @@
 //!   campaign,
 //! * [`metrics`] — the pool's scrape counters ([`metrics::ServeMetrics`])
 //!   and the plain-text snapshot builder ([`metrics::Scrape`]).
-//!
-//! `audit-fleet` adds campaign submission and status on top; it has no
-//! dispatch logic of its own.
 //!
 //! # Determinism contract
 //!
@@ -54,6 +55,7 @@
 pub mod broker;
 pub mod chaos;
 pub mod door;
+pub mod fleet;
 pub mod frame;
 pub mod metrics;
 pub mod pool;
@@ -64,12 +66,13 @@ pub mod wal;
 pub mod worker;
 
 pub use broker::{Broker, BrokerConfig};
-pub use chaos::{Direction, FrameFate, NetFaultPlan, NetFaultRates};
-pub use door::{FrontDoor, TenantHandler};
+pub use chaos::{NetFaultPlan, NetFaultRates};
+pub use door::FrontDoor;
+pub use fleet::{scrape, status, submit, Fleet, Submission};
 pub use frame::{crc32, read_frame, write_frame, FrameOutcome};
 pub use metrics::{Scrape, ScrapeFamily, ServeMetrics};
 pub use pool::{CampaignDispatcher, CampaignSpec, FleetConfig, Pool, PoolHandle};
-pub use proto::{EvalContext, Msg, PROTOCOL_VERSION};
+pub use proto::{EvalContext, FleetMsg, Msg, PROTOCOL_VERSION};
 pub use scheduler::FairShare;
 pub use transport::{connect, Conn, Listener};
 pub use wal::{Prefill, Wal};

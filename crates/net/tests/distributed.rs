@@ -15,9 +15,10 @@ use audit_core::resilient::genome_key;
 use audit_core::{FitnessSpec, MeasurePolicy, MeasureSpec, MemJournal, ResilienceReport, Rig};
 use audit_cpu::isa::Opcode;
 use audit_measure::fault::FaultPlan;
+use audit_measure::json::JsonValue;
 use audit_net::{
-    connect, read_frame, run_worker, write_frame, Broker, BrokerConfig, EvalContext, FleetConfig,
-    FrameOutcome, Msg, NetFaultPlan, WorkerOptions, PROTOCOL_VERSION,
+    connect, read_frame, run_worker, write_frame, Broker, BrokerConfig, EvalContext, Fleet,
+    FleetConfig, FrameOutcome, Msg, NetFaultPlan, WorkerOptions, PROTOCOL_VERSION,
 };
 
 const GENOME_LEN: usize = 10;
@@ -760,4 +761,57 @@ fn previous_protocol_worker_is_refused_at_handshake() {
     }
     broker.wait_for_workers(1).unwrap();
     broker.shutdown();
+}
+
+/// Opens a connection to `addr`, sends `first` as its first frame, and
+/// returns what comes back: a reply frame, or `Eof` for a hang-up.
+fn first_frame_answer(addr: &str, first: &str) -> FrameOutcome {
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    // Bounded, so a held connection fails the test instead of hanging it.
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write_frame(&mut conn, &JsonValue::parse(first).unwrap()).unwrap();
+    read_frame(&mut conn).unwrap()
+}
+
+#[test]
+fn front_door_serves_tenant_frames_only_with_a_submission_queue() {
+    let submit = r#"{"kind":"submit","argv":[],"checkpoint":"c","weight":1}"#;
+    let status = r#"{"kind":"status"}"#;
+    let unknown = r#"{"kind":"warp"}"#;
+    // `audit serve`'s door has no submission queue: every tenant frame,
+    // and a kind nobody speaks, is answered by a hang-up, no reply.
+    let broker = Broker::bind(
+        "127.0.0.1:0",
+        &ctx(fspec(MeasurePolicy::disabled())),
+        BrokerConfig::default(),
+    )
+    .unwrap();
+    for first in [submit, status, unknown] {
+        match first_frame_answer(broker.addr(), first) {
+            FrameOutcome::Eof => {}
+            other => panic!("a broker answered {first} with {other:?}"),
+        }
+    }
+    // `audit fleet serve`'s door answers a status request with its
+    // status report, and still hangs up on an unknown kind.
+    let fleet = Fleet::bind("127.0.0.1:0", FleetConfig::default()).unwrap();
+    let expected = fleet.handle().status_text().unwrap();
+    match first_frame_answer(fleet.addr(), status) {
+        FrameOutcome::Frame(v) => {
+            assert_eq!(
+                v.get("kind").and_then(JsonValue::as_str),
+                Some("status_text")
+            );
+            assert_eq!(
+                v.get("text").and_then(JsonValue::as_str),
+                Some(expected.as_str())
+            );
+        }
+        other => panic!("a fleet answered status with {other:?}"),
+    }
+    match first_frame_answer(fleet.addr(), unknown) {
+        FrameOutcome::Eof => {}
+        other => panic!("a fleet answered {unknown} with {other:?}"),
+    }
 }

@@ -381,7 +381,8 @@ echo "==> fleet bench gate (shared pool beats serial brokers, bit-identical)"
 # brokers and concurrently on one fleet pool, asserts both schedules
 # produce bit-identical runs and journals, that the twin hit the
 # cross-campaign eval cache, and that the shared pool's makespan beats
-# serial by the floor margin (docs/FLEET.md). Writes BENCH_fleet.json.
+# serial by the floor margin in the median of five alternating pairs
+# (docs/FLEET.md). Writes BENCH_fleet.json.
 AUDIT_FAST=1 cargo run --release -q -p audit-bench --bin ext_fleet
 [[ -s BENCH_fleet.json ]] \
     || { echo "ext_fleet did not write BENCH_fleet.json" >&2; exit 1; }
