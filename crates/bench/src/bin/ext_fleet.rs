@@ -18,8 +18,9 @@
 //! beat serial by at least 1.5x — the margin a co-tenant pays for
 //! *nothing* if isolation were done by partitioning instead of sharing.
 //!
-//! One schedule takes a tenth of a second at smoke scale, so a single
-//! serial/fleet ratio is at the mercy of host jitter. The binary runs
+//! One schedule takes a few hundredths of a second at smoke scale, so a
+//! single serial/fleet ratio is at the mercy of host jitter, and both
+//! walls are printed to the millisecond. The binary runs
 //! [`PAIRS`] serial/fleet pairs, alternating which schedule goes first,
 //! checks bit-identity and cache hits in every pair, and gates the
 //! median speedup.
@@ -124,8 +125,8 @@ fn main() {
         t.row(vec![
             format!("{i}"),
             first.into(),
-            format!("{serial_wall:.2}"),
-            format!("{fleet_wall:.2}"),
+            format!("{serial_wall:.3}"),
+            format!("{fleet_wall:.3}"),
             format!("{evals}"),
             format!("{cache_hits}"),
             format!("{speedup:.2}x"),

@@ -23,9 +23,8 @@
 //!
 //! [`Pool`]: crate::pool::Pool
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use audit_error::AuditError;
@@ -34,19 +33,19 @@ use crate::fleet::Submission;
 use crate::frame::{read_frame, write_frame, FrameOutcome};
 use crate::pool::{Pool, PoolHandle, PoolMsg};
 use crate::proto::{FleetMsg, Msg, PROTOCOL_VERSION};
-use crate::transport::{Conn, Listener};
+use crate::transport::{self, Conn, Listener};
+
+/// Every accepted socket, including ones still mid-handshake — closing
+/// must release them all or a late joiner blocks on a read forever.
+/// `None` once the door is closed.
+type Registry = Arc<Mutex<Option<Vec<Conn>>>>;
 
 /// A listening socket, its accept thread, and the pool it feeds. See
 /// the module docs.
 pub struct FrontDoor {
     addr: String,
     pool: Pool,
-    stop: Arc<AtomicBool>,
-    /// Every accepted socket, including ones still mid-handshake —
-    /// closing must release them all or a late joiner blocks on a read
-    /// forever.
-    conns: Arc<Mutex<Vec<Conn>>>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    conns: Registry,
 }
 
 impl FrontDoor {
@@ -65,29 +64,15 @@ impl FrontDoor {
     ) -> Result<FrontDoor, AuditError> {
         let io = |e: std::io::Error| AuditError::io(addr, &e);
         let listener = Listener::bind(addr).map_err(io)?;
-        set_nonblocking(&listener).map_err(io)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns = Arc::new(Mutex::new(Vec::new()));
-        let accept_stop = Arc::clone(&stop);
+        let conns: Registry = Arc::new(Mutex::new(Some(Vec::new())));
         let accept_conns = Arc::clone(&conns);
         let addr = listener.local_addr_string();
         let handle = pool.handle();
-        let thread = std::thread::spawn(move || {
-            accept_loop(
-                &listener,
-                &handle,
-                submissions.as_ref(),
-                &accept_stop,
-                &accept_conns,
-            );
-        });
-        Ok(FrontDoor {
-            addr,
-            pool,
-            stop,
-            conns,
-            thread: Some(thread),
-        })
+        std::thread::Builder::new()
+            .name("audit-door".into())
+            .spawn(move || accept_loop(&listener, &handle, submissions.as_ref(), &accept_conns))
+            .map_err(io)?;
+        Ok(FrontDoor { addr, pool, conns })
     }
 
     /// The bound address in connectable form (`:0` resolved).
@@ -104,24 +89,26 @@ impl FrontDoor {
     /// connection a `Shutdown` frame and closes it. Idempotent; also
     /// called on drop.
     pub fn close(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Join the accept loop *before* draining the registry: a peer
-        // connecting in this window is registered at accept time, so
-        // once the loop has exited the registry is complete and nobody
-        // misses their release.
-        if let Some(thread) = self.thread.take() {
-            thread.join().ok();
-        }
+        // Taking the registry under its lock is what makes it complete:
+        // the accept thread registers each socket under the same lock,
+        // and only while the door is open, so a peer connecting from
+        // here on is dropped unread instead of missing its release.
+        let Some(conns) = lock(&self.conns).take() else {
+            return;
+        };
+        // Wake the accept thread out of `accept` with a connection of
+        // our own; it finds the door closed and exits. Best effort, and
+        // never joined: if another door has since rebound this `unix:`
+        // path, the wake reaches that door instead and this thread
+        // stays parked on a listener nobody can reach.
+        drop(transport::connect(&self.addr));
         // The pool thread next: once it is gone, nothing else writes to
         // a worker while the `Shutdown` frames go out.
         self.pool.shutdown();
         let shutdown = Msg::Shutdown.to_json();
-        if let Ok(mut conns) = self.conns.lock() {
-            for conn in conns.iter_mut() {
-                write_frame(conn, &shutdown).ok();
-                conn.shutdown();
-            }
-            conns.clear();
+        for mut conn in conns {
+            write_frame(&mut conn, &shutdown).ok();
+            conn.shutdown();
         }
     }
 }
@@ -132,42 +119,40 @@ impl Drop for FrontDoor {
     }
 }
 
-fn set_nonblocking(listener: &Listener) -> std::io::Result<()> {
-    match listener {
-        Listener::Tcp(l) => l.set_nonblocking(true),
-        #[cfg(unix)]
-        Listener::Unix(l) => l.set_nonblocking(true),
-    }
+fn lock(conns: &Registry) -> MutexGuard<'_, Option<Vec<Conn>>> {
+    conns.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Polls for connections until told to stop; each accepted socket gets
-/// a session thread.
+/// Blocks in `accept` until the door closes; each accepted socket is
+/// registered and gets a session thread.
 fn accept_loop(
     listener: &Listener,
     pool: &PoolHandle,
     submissions: Option<&Sender<Submission>>,
-    stop: &AtomicBool,
-    conns: &Mutex<Vec<Conn>>,
+    conns: &Registry,
 ) {
-    let ids = AtomicU64::new(0);
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(conn) => {
-                if let Ok(clone) = conn.try_clone() {
-                    if let Ok(mut registry) = conns.lock() {
-                        registry.push(clone);
-                    }
-                }
-                let worker = ids.fetch_add(1, Ordering::SeqCst);
-                let pool = pool.clone();
-                let submissions = submissions.cloned();
-                std::thread::spawn(move || session(conn, worker, &pool, submissions));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(100)),
+    let mut next_id = 0;
+    loop {
+        let accepted = listener.accept();
+        let mut registry = lock(conns);
+        let Some(open) = registry.as_mut() else {
+            return;
+        };
+        let Ok(conn) = accepted else {
+            // EMFILE and the like: back off instead of spinning.
+            drop(registry);
+            std::thread::sleep(Duration::from_millis(100));
+            continue;
+        };
+        if let Ok(clone) = conn.try_clone() {
+            open.push(clone);
         }
+        drop(registry);
+        let worker = next_id;
+        next_id += 1;
+        let pool = pool.clone();
+        let submissions = submissions.cloned();
+        std::thread::spawn(move || session(conn, worker, &pool, submissions));
     }
 }
 

@@ -815,3 +815,67 @@ fn front_door_serves_tenant_frames_only_with_a_submission_queue() {
         other => panic!("a fleet answered {unknown} with {other:?}"),
     }
 }
+
+/// Runs `f` on a thread of its own and fails the test if it has not
+/// returned within 10 s, so a hang fails CI instead of stalling it.
+fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(f()).ok());
+    rx.recv_timeout(Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("{what} did not return within 10 s"))
+}
+
+#[cfg(unix)]
+#[test]
+fn closing_a_door_whose_unix_path_was_rebound_returns() {
+    let dir = std::env::temp_dir().join(format!("audit-dist-rebind-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let addr = format!("unix:{}", dir.join("door.sock").display());
+    let ctx = ctx(fspec(MeasurePolicy::disabled()));
+    let mut first = Broker::bind(&addr, &ctx, BrokerConfig::default()).unwrap();
+    // Binding the path again unlinks the first door's socket file: its
+    // listener is now out of reach, and a wake sent to the path lands on
+    // the second door.
+    let second = Broker::bind(&addr, &ctx, BrokerConfig::default()).unwrap();
+    within("closing the first door", move || first.shutdown());
+    // The second door is unaffected: a worker joins it and is released.
+    let to = addr.clone();
+    let worker = std::thread::spawn(move || run_worker(&to, &WorkerOptions::default()));
+    let mut second = within("waiting for a worker at the second door", move || {
+        let mut second = second;
+        second.wait_for_workers(1).unwrap();
+        second
+    });
+    within("closing the second door", move || second.shutdown());
+    worker.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn close_releases_a_peer_that_never_sent_its_first_frame() {
+    let mut broker = Broker::bind(
+        "127.0.0.1:0",
+        &ctx(fspec(MeasurePolicy::disabled())),
+        BrokerConfig::default(),
+    )
+    .unwrap();
+    let mut silent = std::net::TcpStream::connect(broker.addr()).unwrap();
+    // Bounded, so a peer left hanging fails the test instead of hanging it.
+    silent
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let addr = broker.addr().to_string();
+    let worker = std::thread::spawn(move || run_worker(&addr, &WorkerOptions::default()));
+    // Accepts are first in, first out: once the worker has joined, the
+    // silent peer was accepted before it, and is still mid-handshake.
+    broker.wait_for_workers(1).unwrap();
+    broker.shutdown();
+    match read_frame(&mut silent) {
+        Ok(FrameOutcome::Frame(v)) => {
+            assert!(matches!(Msg::from_json(&v), Ok(Msg::Shutdown)), "{v:?}");
+        }
+        Ok(FrameOutcome::Eof) => {}
+        other => panic!("closing the door did not release the silent peer: {other:?}"),
+    }
+    worker.join().unwrap().unwrap();
+}

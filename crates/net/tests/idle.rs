@@ -13,7 +13,9 @@
 //! * **A round nobody can run.** With a round open on an `audit serve`
 //!   broker but no worker connected, nothing is in flight: the pool
 //!   thread is never scheduled (a heartbeat tick is the only thing that
-//!   pings, so no ping goes out) and the process burns (almost) no CPU.
+//!   pings, so no ping goes out), nor is the front door's accept thread
+//!   (`audit-door`, blocked in `accept`), and the process burns (almost)
+//!   no CPU.
 //!   Then a worker joins and the parked round must complete.
 //!
 //! Each case is its own test, and both hold one lock for their whole
@@ -227,13 +229,23 @@ fn round_with_no_workers_parks_until_one_joins() {
 
     #[cfg(target_os = "linux")]
     {
-        let (woken, cpu) = (times_scheduled("audit-pool"), on_cpu_ns());
+        let (woken, door, cpu) = (
+            times_scheduled("audit-pool"),
+            times_scheduled("audit-door"),
+            on_cpu_ns(),
+        );
         std::thread::sleep(Duration::from_millis(400));
         let woken = times_scheduled("audit-pool") - woken;
         assert!(
             woken < 5,
             "the dispatch thread ran {woken} times with nobody to ping; a parked \
              thread is not scheduled at all"
+        );
+        let door = times_scheduled("audit-door") - door;
+        assert!(
+            door < 5,
+            "the accept thread ran {door} times with nobody connecting; it should \
+             block in accept"
         );
         let spent = on_cpu_ns() - cpu;
         assert!(
